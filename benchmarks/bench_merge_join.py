@@ -2,18 +2,9 @@
 
 Join-heavy LUBM shapes — skewed (a tiny anchored pattern joined
 against a large sorted class run) and uniform (chains whose join sides
-are comparable) — each executed twice by the *same process* on the
-*same snapshot-backed store*:
-
-- ``sorted`` — the default configuration: merge joins, galloping
-  semi-joins, leapfrog extension, sorted-array candidate pruning;
-- ``hashset`` — ``sorted_runs=False``: the classic hash-join /
-  set-candidate paths (the pre-PR5 execution layer).
-
-Both engines × candidate pruning off (``mode=base``) and on
-(``mode=full``).  Every pair is checked for identical result
-cardinality, and three machine-independent observables are recorded
-alongside the same-host speedup:
+are comparable) — executed on a snapshot-backed store by both engines
+× candidate pruning off (``mode=base``) and on (``mode=full``).  Three
+machine-independent observables are recorded alongside the wall time:
 
 - ``rows_materialized`` — rows emitted into result bags (the paper's
   "wasted intermediate results" at the physical level);
@@ -21,12 +12,10 @@ alongside the same-host speedup:
   (the work the sorted paths actually did);
 - ``merge_joins`` / ``hash_joins`` — which physical plan ran.
 
-Acceptance gate (enforced here, tunable via $MERGE_MIN_SPEEDUP, and
-re-checked by ``check_regression.py`` against the committed
-``BENCH_pr5.json``): at least one join-heavy anchored workload with
-candidates on must run ≥ 2x faster on the sorted paths.  The gate is
-purely per-core algorithmic — no parallelism — so it needs no
-``os.cpu_count()`` guard (unlike the server-scaling benches).
+``check_regression.py`` gates ``results``, ``rows_materialized`` and
+``probe_count`` against the committed ``BENCH_pr5.json``: a growth
+means an execution path silently degraded (e.g. a merge join falling
+back to a hash join) whatever the wall time on this host says.
 """
 
 from __future__ import annotations
@@ -46,8 +35,7 @@ from repro.core.metrics import EXEC_COUNTERS  # noqa: E402
 PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
 DEPT = "<http://www.Department0.University0.edu>"
 
-#: name → (SPARQL text, is_anchored_join_heavy) — the gate reads the
-#: flagged shapes only.
+#: name → SPARQL text.
 QUERIES = {
     # Skewed: ~30 department members gallop into the 3000-strong
     # UndergraduateStudent run instead of streaming it.
@@ -55,16 +43,14 @@ QUERIES = {
         PREFIX
         + "SELECT ?x WHERE { ?x ub:memberOf "
         + DEPT
-        + " . ?x a ub:UndergraduateStudent . }",
-        True,
+        + " . ?x a ub:UndergraduateStudent . }"
     ),
     # Skewed, deeper: the same semi-join feeding a third join.
     "skewed_member_type_email": (
         PREFIX
         + "SELECT ?x ?e WHERE { ?x ub:memberOf "
         + DEPT
-        + " . ?x a ub:UndergraduateStudent . ?x ub:emailAddress ?e . }",
-        True,
+        + " . ?x a ub:UndergraduateStudent . ?x ub:emailAddress ?e . }"
     ),
     # Skewed + OPTIONAL: candidate pruning feeds the optional side.
     "skewed_optional_email": (
@@ -72,30 +58,26 @@ QUERIES = {
         + "SELECT ?x ?e WHERE { ?x ub:memberOf "
         + DEPT
         + " . ?x a ub:UndergraduateStudent . "
-        + "OPTIONAL { ?x ub:emailAddress ?e } }",
-        True,
+        + "OPTIONAL { ?x ub:emailAddress ?e } }"
     ),
     # Uniform: advisor chain, both join sides in the hundreds.
     "uniform_advisor_chain": (
         PREFIX
         + "SELECT ?x ?a WHERE { ?x a ub:GraduateStudent . "
-        + "?x ub:advisor ?a . ?a a ub:FullProfessor . }",
-        False,
+        + "?x ub:advisor ?a . ?a a ub:FullProfessor . }"
     ),
     # Uniform + UNION: candidates flow into both class branches.
     "uniform_member_union": (
         PREFIX
         + "SELECT ?x WHERE { ?x ub:memberOf "
         + DEPT
-        + " . { ?x a ub:GraduateStudent } UNION { ?x a ub:UndergraduateStudent } }",
-        True,
+        + " . { ?x a ub:GraduateStudent } UNION { ?x a ub:UndergraduateStudent } }"
     ),
 }
 
 ENGINES = ("hashjoin", "wco")
 MODES = ("base", "full")  # candidate pruning off / on
 ROUNDS = int(os.environ.get("MERGE_BENCH_ROUNDS", "7"))
-MIN_SPEEDUP = float(os.environ.get("MERGE_MIN_SPEEDUP", "2.0"))
 
 
 def _best_wall(engine: SparqlUOEngine, query: str) -> Dict[str, object]:
@@ -119,30 +101,13 @@ def main() -> int:
     store = lubm_store()
     records: List[Dict] = []
     table_rows: List[List] = []
-    gate_best = 0.0
-    gate_query = ""
-    failures: List[str] = []
 
     for engine_name in ENGINES:
         for mode in MODES:
-            sorted_engine = SparqlUOEngine(
-                store, bgp_engine=engine_name, mode=mode, sorted_runs=True
-            )
-            hashset_engine = SparqlUOEngine(
-                store, bgp_engine=engine_name, mode=mode, sorted_runs=False
-            )
-            for name, (query, anchored) in QUERIES.items():
-                fast = _best_wall(sorted_engine, query)
-                slow = _best_wall(hashset_engine, query)
-                if fast["rows"] != slow["rows"]:
-                    failures.append(
-                        f"{name}/{engine_name}/{mode}: sorted={fast['rows']} rows "
-                        f"!= hashset={slow['rows']} rows"
-                    )
-                    continue
-                speedup = slow["wall_ms"] / max(fast["wall_ms"], 1e-9)
-                counters = fast["counters"]
-                slow_counters = slow["counters"]
+            engine = SparqlUOEngine(store, bgp_engine=engine_name, mode=mode)
+            for name, query in QUERIES.items():
+                run = _best_wall(engine, query)
+                counters = run["counters"]
                 probe_count = counters.get("gallop_probes", 0)
                 records.append(
                     bench_record(
@@ -150,20 +115,14 @@ def main() -> int:
                         name,
                         engine_name,
                         mode,
-                        fast["wall_ms"],
-                        results=fast["rows"],
-                        speedup=round(speedup, 3),
-                        hashset_wall_ms=round(slow["wall_ms"], 3),
+                        run["wall_ms"],
+                        results=run["rows"],
                         rows_materialized=counters.get("rows_materialized", 0),
-                        hashset_rows_materialized=slow_counters.get(
-                            "rows_materialized", 0
-                        ),
                         probe_count=probe_count,
                         intersection_in=counters.get("candidate_intersection_in", 0),
                         merge_joins=counters.get("merge_joins", 0),
                         hash_joins=counters.get("hash_joins", 0),
                         candidates_on=mode == "full",
-                        anchored=anchored,
                     )
                 )
                 table_rows.append(
@@ -171,48 +130,25 @@ def main() -> int:
                         name,
                         engine_name,
                         mode,
-                        f"{fast['wall_ms']:.2f}",
-                        f"{slow['wall_ms']:.2f}",
-                        f"{speedup:.2f}x",
-                        fast["rows"],
+                        f"{run['wall_ms']:.2f}",
+                        run["rows"],
                         counters.get("rows_materialized", 0),
-                        slow_counters.get("rows_materialized", 0),
                         probe_count,
+                        counters.get("merge_joins", 0),
+                        counters.get("hash_joins", 0),
                     ]
                 )
-                if anchored and mode == "full" and speedup > gate_best:
-                    gate_best = speedup
-                    gate_query = f"{name}/{engine_name}"
 
     print(
         format_table(
-            [
-                "query",
-                "engine",
-                "mode",
-                "sorted ms",
-                "hashset ms",
-                "speedup",
-                "rows",
-                "rows_mat",
-                "rows_mat(hash)",
-                "probes",
-            ],
+            ["query", "engine", "mode", "ms", "rows", "rows_mat", "probes", "merge", "hash"],
             table_rows,
         )
-    )
-    print(
-        f"\nbest anchored candidates-on speedup: {gate_best:.2f}x ({gate_query}) "
-        f"[floor {MIN_SPEEDUP:.1f}x]"
     )
     # The counters singleton is process-global; reset so a later bench
     # in the same process starts clean.
     EXEC_COUNTERS.reset()
 
-    for failure in failures:
-        print(f"CORRECTNESS MISMATCH: {failure}")
-    if failures:
-        return 1
     if "--emit" in sys.argv:
         # Fresh measurements land under the bench's own name; the
         # committed PR-5 baseline (BENCH_pr5.json) is a snapshot of the
@@ -220,12 +156,6 @@ def main() -> int:
         # without the fresh run clobbering its own baseline file.
         path = emit_bench_json("merge_join", records)
         print(f"wrote {path}")
-    if gate_best < MIN_SPEEDUP:
-        print(
-            f"FAIL: no anchored candidates-on workload reached {MIN_SPEEDUP:.1f}x "
-            f"(best {gate_best:.2f}x)"
-        )
-        return 1
     return 0
 
 

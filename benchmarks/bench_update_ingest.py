@@ -7,7 +7,7 @@ Four phases on a snapshot-backed (frozen) LUBM store:
    delta overlay), measuring triples/second of live ingest;
 2. ``delete_batches`` — the same stream deleted again (tombstone path);
 3. ``read_under_delta`` — a join-heavy query executed while the delta
-   holds pending adds+tombstones: the no-thaw guarantee priced.  The
+   holds pending adds+tombstones: the delta overlay priced.  The
    same query also runs after compaction and the same-host ratio is
    recorded as ``speedup`` (compacted / overlay — how close overlay
    reads stay to a clean snapshot, ~1.0 when the merge layer is cheap);

@@ -11,8 +11,8 @@ inside pattern scans when a single pattern covers the expression's
 variables, otherwise right after the join step that completes coverage.
 
 Single-variable expressions without REGEX/arithmetic additionally lower
-to a batch :class:`~repro.bgp.kernels.FilterKernel` (``kernels=True``,
-the default): scans screen whole row chunks with one compare-and-compact
+to a batch :class:`~repro.bgp.kernels.FilterKernel`: scans screen
+whole row chunks with one compare-and-compact
 pass, and join-emission predicates reduce to a memoized per-id dict hit
 instead of a binding-dict build plus expression walk per row.
 """
@@ -37,26 +37,18 @@ class CompiledFilter:
 
     __slots__ = ("expression", "variables", "_decode", "_cache", "kernel")
 
-    def __init__(
-        self,
-        expression: Expression,
-        store,
-        cache: Opt[Dict] = None,
-        kernels: bool = True,
-    ):
+    def __init__(self, expression: Expression, store, cache: Opt[Dict] = None):
         self.expression = expression
         self.variables = expression_variables(expression)
         self._decode = store.decode
         #: id → term memo, shared across every predicate of this filter.
         self._cache = cache if cache is not None else {}
         #: The lowered batch kernel, or None when the expression needs
-        #: the row loop (multi-variable, REGEX, arithmetic) or kernels
-        #: are disabled for differential testing.
+        #: the row loop (multi-variable, REGEX, arithmetic).
         self.kernel: Opt[FilterKernel] = None
-        if kernels:
-            variable = lower_expression(expression)
-            if variable is not None:
-                self.kernel = FilterKernel(expression, variable, store)
+        variable = lower_expression(expression)
+        if variable is not None:
+            self.kernel = FilterKernel(expression, variable, store)
 
     def kernel_slot(self, schema: Sequence[str]) -> Opt[int]:
         """The kernel's column index in ``schema``, when lowerable there."""

@@ -11,9 +11,8 @@ of the paper:
 
 (2× the build side plus 1× the probe side).
 
-Over a *frozen* store (sorted permutation arrays,
-:class:`~repro.storage.indexes.FrozenTripleIndexes`) the engine
-additionally exploits scan order end-to-end:
+The store serves every scan from sorted permutation arrays, and the
+engine exploits that order end-to-end:
 
 - a scan whose binding combination makes the chosen permutation emit a
   variable in ascending order is tagged with that sort variable
@@ -30,10 +29,9 @@ additionally exploits scan order end-to-end:
   with it by range restriction instead of per-element membership
   tests (§6's candidate pruning, realized on sorted arrays).
 
-Every order-exploiting path falls back to the classic hash/set path
-when its preconditions fail, and ``sorted_runs=False`` disables the
-whole layer — the differential suite runs both configurations against
-each other.
+Every order-exploiting path falls back to the hash path when its
+preconditions fail (no single shared sort variable, a filter dropped
+rows out of a run).
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ from ..sparql.bags import (
     join_streamed,
     merge_join_streamed,
 )
-from ..storage.indexes import FrozenTripleIndexes
-from ..storage.runs import SortedIdSet, as_span, gallop_left
+from ..storage.runs import as_span, gallop_left
 from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import combine_predicates as _combine, filtered_rows as _filtered_rows
@@ -94,22 +91,10 @@ class HashJoinEngine(BGPEngine):
         self,
         store: TripleStore,
         estimator: Optional[CardinalityEstimator] = None,
-        sorted_runs: bool = True,
     ):
         super().__init__(store)
         self.estimator = estimator or CardinalityEstimator(store)
-        #: Exploit frozen-permutation order (merge joins, galloping
-        #: candidate pruning).  False pins the classic hash/set paths —
-        #: the differential baseline configuration.
-        self.sorted_runs = sorted_runs
         self._estimate_cache: Dict[tuple, PlanEstimate] = {}
-
-    def _frozen(self) -> Optional[FrozenTripleIndexes]:
-        """The frozen indexes when order can be exploited, else None."""
-        if not self.sorted_runs:
-            return None
-        indexes = self.store.indexes
-        return indexes if isinstance(indexes, FrozenTripleIndexes) else None
 
     # ------------------------------------------------------------------
     # evaluation
@@ -326,17 +311,16 @@ class HashJoinEngine(BGPEngine):
         Returns ``(schema, rows, sort_var, run_values)``:
 
         - ``sort_var`` — the variable the rows are ascending on, or
-          None when no order can be promised (thawed store, unsorted
-          candidate driver, ``sorted_runs=False``);
+          None when no order can be promised;
         - ``run_values`` — for single-variable scans served straight
-          off a frozen permutation (possibly candidate-intersected),
+          off a permutation (possibly candidate-intersected),
           the sorted value sequence itself, enabling the galloping
           semi-join without re-materializing.
 
         When a variable position carries a candidate set smaller than
         the unrestricted scan, the scan is *driven* from the candidates
         (one indexed probe per candidate id) — the mechanics of §6's
-        candidate pruning inside the BGP engine.  Sorted candidate sets
+        candidate pruning inside the BGP engine.  Candidate sets
         iterate ascending, so a driven scan is itself a sorted run on
         the driver variable.
         """
@@ -349,33 +333,23 @@ class HashJoinEngine(BGPEngine):
                 return (), iter([()]), None, None
             return (), iter(()), None, None
 
-        frozen = self._frozen()
-        if (
-            frozen is not None
-            and len(schema) == 1
-            and sum(1 for term in encoded if isinstance(term, str)) == 1
-        ):
-            return self._rows_single_run(frozen, encoded, schema, candidates)
+        if len(schema) == 1 and sum(1 for term in encoded if isinstance(term, str)) == 1:
+            return self._rows_single_run(encoded, schema, candidates)
 
         driver = self._choose_candidate_driver(encoded, candidates)
         if driver is not None:
-            name = driver[1]
-            sort_var = (
-                name if isinstance(candidates[name], SortedIdSet) else None
-            )
             return (
                 schema,
                 self._rows_driven(encoded, schema, positions, driver, candidates),
-                sort_var,
+                driver[1],
                 None,
             )
         filters = self._slot_filters(schema, candidates)
-        sort_var = scan_sort_variable(encoded) if frozen is not None else None
+        sort_var = scan_sort_variable(encoded)
         return schema, self._rows_plain(encoded, positions, filters), sort_var, None
 
     def _rows_single_run(
         self,
-        frozen: FrozenTripleIndexes,
         encoded,
         schema: Tuple[str, ...],
         candidates: Optional[Candidates],
@@ -383,25 +357,22 @@ class HashJoinEngine(BGPEngine):
         """A one-free-variable pattern as a zero-copy sorted run.
 
         The matching values are exactly one contiguous permutation
-        range.  A sorted candidate set on the variable is applied by
+        range.  A candidate set on the variable is applied by
         galloping range intersection — the §6 pruning step priced as
         O(min·log max) instead of a per-element membership test per row.
         """
         variable = schema[0]
         s, p, o = (term if isinstance(term, int) else None for term in encoded)
-        run = frozen.single_variable_run(s, p, o)
+        run = self.store.indexes.single_variable_run(s, p, o)
         assert run is not None  # exactly one free position by construction
         values: Sequence[int] = run
         cand = candidates.get(variable) if candidates else None
         if cand is not None:
-            if isinstance(cand, SortedIdSet):
-                counters = _exec_counters()
-                counters.candidate_intersections += 1
-                counters.candidate_intersection_in += len(run) + len(cand)
-                values = cand.intersect_run(run.values, run.start, run.stop, counters)
-                counters.candidate_intersection_out += len(values)
-            else:  # legacy set candidates: filter, order still ascending
-                values = [value for value in run if value in cand]
+            counters = _exec_counters()
+            counters.candidate_intersections += 1
+            counters.candidate_intersection_in += len(run) + len(cand)
+            values = cand.intersect_run(run.values, run.start, run.stop, counters)
+            counters.candidate_intersection_out += len(values)
         return schema, ((value,) for value in values), variable, values
 
     def _scan_estimate(
@@ -503,16 +474,12 @@ class HashJoinEngine(BGPEngine):
         if not candidates:
             return []
         # Slot filters probe membership once per scanned row: a plain
-        # set beats the sorted array's bisect there, so SortedIdSet
-        # candidates are converted once per scan.
+        # set beats the sorted array's bisect there, so the candidate
+        # arrays are converted once per scan.
         return [
-            (
-                slot,
-                set(allowed.ids) if isinstance(allowed, SortedIdSet) else allowed,
-            )
+            (slot, set(candidates[name].ids))
             for slot, name in enumerate(schema)
             if name in candidates and name != skip
-            for allowed in (candidates[name],)
         ]
 
     # ------------------------------------------------------------------
@@ -529,8 +496,7 @@ class HashJoinEngine(BGPEngine):
         # store, so the candidate-free case is memoized — both the
         # transformer's Δ-cost probing and the adaptive pruning
         # threshold hit the same BGPs repeatedly.  The key carries the
-        # generation so a thaw/freeze (which flips merge eligibility,
-        # hence costs) cannot serve stale numbers.
+        # generation so a write cannot serve stale numbers.
         key = (
             (self.store.generation, len(self.store), tuple(patterns))
             if candidates is None
@@ -549,20 +515,14 @@ class HashJoinEngine(BGPEngine):
         # Mirror the executor's merge-eligibility tracking so the plan
         # Δ-cost prices merge steps as merge steps (satisfying the
         # "transparent cost model" contract of §4 for the new path).
-        frozen = self._frozen() is not None
-        encoded0 = self.store.encode_pattern(ordered[0])
-        acc_sorted = scan_sort_variable(encoded0) if frozen else None
+        acc_sorted = scan_sort_variable(self.store.encode_pattern(ordered[0]))
         seen_vars = {v.name for v in ordered[0].variables()}
         for index in range(1, len(ordered)):
             pattern = ordered[index]
             right = float(pattern_count(self.store, pattern, candidates))
             pattern_vars = {v.name for v in pattern.variables()}
             shared = pattern_vars & seen_vars
-            sort_var = (
-                scan_sort_variable(self.store.encode_pattern(pattern))
-                if frozen
-                else None
-            )
+            sort_var = scan_sort_variable(self.store.encode_pattern(pattern))
             mergeable = (
                 sort_var is not None and len(shared) == 1 and sort_var in shared
             )

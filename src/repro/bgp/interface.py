@@ -29,8 +29,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
-    Union,
 )
 
 from ..obs import trace as _trace
@@ -118,13 +116,11 @@ def decode_bag(
         tracer.end(distinct_ids=len(distinct))
     return decoded
 
-#: Candidate restriction: variable name → permitted term ids, either a
-#: plain ``set`` (legacy) or a :class:`~repro.storage.runs.SortedIdSet`
-#: (sorted array with bisect membership and galloping intersection —
-#: what :class:`~repro.core.candidates.CandidatePolicy` produces).
-#: Engines rely only on ``in`` / ``len`` / ascending-or-arbitrary
-#: iteration, and opportunistically fast-path the sorted form.
-Candidates = Dict[str, Union["SortedIdSet", Set[int]]]
+#: Candidate restriction: variable name → permitted term ids as a
+#: :class:`~repro.storage.runs.SortedIdSet` (sorted array with bisect
+#: membership, ascending iteration and galloping intersection — what
+#: :class:`~repro.core.candidates.CandidatePolicy` produces).
+Candidates = Dict[str, SortedIdSet]
 
 
 class PlanEstimate:
@@ -202,17 +198,6 @@ class BGPEngine:
     def decode_bag(self, bag: Bag, checkpoint: Optional[Callable[[], None]] = None) -> Bag:
         """Convert id-level mappings to term-level mappings."""
         return decode_bag(self.store, bag, checkpoint)
-
-    def encode_candidates_from_bag(
-        self, bag: Bag, variables: Iterable[str]
-    ) -> Candidates:
-        """Collect candidate id sets for ``variables`` from an id-level bag."""
-        out: Candidates = {}
-        for var in variables:
-            values = bag.distinct_values(var)
-            if values:
-                out[var] = values
-        return out
 
     def _pattern_variables(self, patterns: Sequence[TriplePattern]) -> Set[str]:
         out: Set[str] = set()

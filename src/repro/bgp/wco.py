@@ -13,16 +13,17 @@ variable) plus plain tuples, so extending a partial is tuple
 concatenation instead of a dict copy, and the final bag is emitted in
 columnar form without conversion.
 
-Over a *frozen* store the per-vertex extension runs as a true
-**leapfrog intersection**: every not-yet-processed edge whose only free
-variable is the vertex being extended contributes its adjacency range
-as a zero-copy sorted run, and the new vertex's values are the
-multi-way galloping intersection of all those runs — plus, when the
-vertex carries a sorted candidate set, the candidate array itself
-(§6's pruning as one more leapfrog operand).  The verifier edges are
-consumed by the intersection, so they never run their own
-one-partial-at-a-time verification scans.  ``sorted_runs=False`` (or a
-thawed store) falls back to the classic per-edge extension loop.
+The per-vertex extension runs as a true **leapfrog intersection**:
+every not-yet-processed edge whose only free variable is the vertex
+being extended contributes its adjacency range as a zero-copy sorted
+run, and the new vertex's values are the multi-way galloping
+intersection of all those runs — plus, when the vertex carries a
+candidate set, the candidate array itself (§6's pruning as one more
+leapfrog operand).  The verifier edges are consumed by the
+intersection, so they never run their own one-partial-at-a-time
+verification scans.  Extensions the leapfrog shape does not cover
+(variable predicates, two new endpoints, repeated variables) run the
+generic per-edge scan loop.
 
 Cost model (paper §5.1.2):
 
@@ -39,8 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, Row
-from ..storage.indexes import FrozenTripleIndexes
-from ..storage.runs import SortedIdSet, leapfrog_spans
+from ..storage.runs import leapfrog_spans
 from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import combine_predicates as _combine
@@ -140,20 +140,10 @@ class WCOJoinEngine(BGPEngine):
         self,
         store: TripleStore,
         estimator: Optional[CardinalityEstimator] = None,
-        sorted_runs: bool = True,
     ):
         super().__init__(store)
         self.estimator = estimator or CardinalityEstimator(store)
-        #: Exploit frozen-permutation order (leapfrog extension,
-        #: galloping candidate pruning); False pins the classic loops.
-        self.sorted_runs = sorted_runs
         self._estimate_cache: Dict[tuple, PlanEstimate] = {}
-
-    def _frozen(self) -> Optional[FrozenTripleIndexes]:
-        if not self.sorted_runs:
-            return None
-        indexes = self.store.indexes
-        return indexes if isinstance(indexes, FrozenTripleIndexes) else None
 
     # ------------------------------------------------------------------
     # evaluation
@@ -179,7 +169,6 @@ class WCOJoinEngine(BGPEngine):
         if any(edge.impossible() for edge in edges):
             return Bag.empty()
         counters = _exec_counters()
-        frozen = self._frozen()
         ordered = self._order_edges(patterns)
         ordered_edges = [_Edge(self.store, p) for p in ordered]
         remaining = list(filters) if filters else []
@@ -194,12 +183,11 @@ class WCOJoinEngine(BGPEngine):
             if checkpoint is not None:
                 checkpoint()
             verifiers: List[_Verifier] = []
-            if frozen is not None:
-                vertex = self._extension_vertex(edge, slots)
-                if vertex is not None:
-                    verifiers = self._collect_verifiers(
-                        ordered_edges, index + 1, consumed, slots, vertex
-                    )
+            vertex = self._extension_vertex(edge, slots)
+            if vertex is not None:
+                verifiers = self._collect_verifiers(
+                    ordered_edges, index + 1, consumed, slots, vertex
+                )
             stop_at = limit if all(
                 j in consumed for j in range(index + 1, last + 1)
             ) else None
@@ -212,7 +200,6 @@ class WCOJoinEngine(BGPEngine):
                 filters=remaining or None,
                 stop_at=stop_at,
                 checkpoint=checkpoint,
-                frozen=frozen,
                 verifiers=verifiers,
                 counters=counters,
             )
@@ -303,7 +290,6 @@ class WCOJoinEngine(BGPEngine):
         filters=None,
         stop_at: Optional[int] = None,
         checkpoint: Optional[Callable[[], None]] = None,
-        frozen: Optional[FrozenTripleIndexes] = None,
         verifiers: Sequence[_Verifier] = (),
         counters=None,
     ) -> List[Row]:
@@ -323,10 +309,9 @@ class WCOJoinEngine(BGPEngine):
         is ignored while uncovered filters remain, since rows could
         still be dropped later.
 
-        Over frozen indexes a single-new-vertex extension with
-        ``verifiers`` and/or a sorted candidate set runs as a leapfrog
-        intersection of sorted runs (see module docstring) instead of
-        scan-then-filter.
+        A single-new-vertex extension with ``verifiers`` and/or a
+        candidate set runs as a leapfrog intersection of sorted runs
+        (see module docstring) instead of scan-then-filter.
         """
         def classify(position: Tuple[str, object]):
             kind, value = position
@@ -393,23 +378,20 @@ class WCOJoinEngine(BGPEngine):
         # ------------------------------------------------------------------
         # leapfrog fast path: one new endpoint vertex, runs to intersect
         # ------------------------------------------------------------------
-        if frozen is not None and pvar is None and not (same_so or same_sp or same_po):
+        if pvar is None and not (same_so or same_sp or same_po):
             vertex_is_object = ovar is not None and svar is None
             vertex_is_subject = svar is not None and ovar is None
             if vertex_is_object or vertex_is_subject:
                 allowed = allowed_o if vertex_is_object else allowed_s
-                sorted_cand = allowed.ids if isinstance(allowed, SortedIdSet) else None
-                if verifiers or sorted_cand is not None:
+                if verifiers or allowed is not None:
                     out = self._extend_leapfrog(
                         rows,
                         cs,
                         cp,
                         co,
                         vertex_is_object,
-                        allowed,
-                        sorted_cand,
+                        allowed.ids if allowed is not None else None,
                         verifiers,
-                        frozen,
                         keep,
                         stop_at,
                         checkpoint,
@@ -421,14 +403,14 @@ class WCOJoinEngine(BGPEngine):
         assert not verifiers  # verifiers are only collected for the fast path
 
         # The generic loop probes membership per scanned triple; a
-        # plain set beats bisect there, so sorted candidate arrays are
+        # plain set beats bisect there, so the candidate arrays are
         # converted once per edge (they stay sorted where it matters —
         # the leapfrog path above and the hash engine's intersections).
-        if isinstance(allowed_s, SortedIdSet):
+        if allowed_s is not None:
             allowed_s = set(allowed_s.ids)
-        if isinstance(allowed_p, SortedIdSet):
+        if allowed_p is not None:
             allowed_p = set(allowed_p.ids)
-        if isinstance(allowed_o, SortedIdSet):
+        if allowed_o is not None:
             allowed_o = set(allowed_o.ids)
 
         scan = self.store.indexes.scan
@@ -493,10 +475,8 @@ class WCOJoinEngine(BGPEngine):
         cp,
         co,
         vertex_is_object: bool,
-        allowed,
-        sorted_cand,
+        sorted_cand: Optional[Sequence[int]],
         verifiers: Sequence[_Verifier],
-        frozen: FrozenTripleIndexes,
         keep,
         stop_at: Optional[int],
         checkpoint: Optional[Callable[[], None]],
@@ -505,15 +485,16 @@ class WCOJoinEngine(BGPEngine):
         """Per-partial leapfrog: vertex values = ∩ of all incident spans.
 
         For each partial tuple the base edge's adjacency range, every
-        verifier edge's adjacency range and (when sorted) the vertex's
-        candidate array are intersected with multi-way galloping —
+        verifier edge's adjacency range and the vertex's candidate
+        array are intersected with multi-way galloping —
         O(smallest · Σ log) per tuple instead of scanning the base run
         and probing sets/edges per element.  Everything runs on raw
         ``(backing, lo, hi)`` spans: no per-partial view allocation,
         and the bisects index C arrays directly.
         """
-        object_span = frozen.object_span
-        subject_span = frozen.subject_span
+        indexes = self.store.indexes
+        object_span = indexes.object_span
+        subject_span = indexes.subject_span
         verifier_specs = [
             (
                 verifier.predicate,
@@ -525,11 +506,6 @@ class WCOJoinEngine(BGPEngine):
         ]
         cand_span = (
             (sorted_cand, 0, len(sorted_cand)) if sorted_cand is not None else None
-        )
-        unsorted_allowed = (
-            set(allowed.ids if isinstance(allowed, SortedIdSet) else allowed)
-            if allowed is not None and sorted_cand is None
-            else None
         )
         out: List[Row] = []
         append = out.append
@@ -578,8 +554,6 @@ class WCOJoinEngine(BGPEngine):
                 in_total += sum(span[2] - span[1] for span in spans)
                 out_total += len(values)
             for value in values:
-                if unsorted_allowed is not None and value not in unsorted_allowed:
-                    continue
                 extended = row + (value,)
                 if keep is not None and not keep(extended):
                     continue

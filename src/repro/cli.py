@@ -116,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "short-circuit (reference pipeline, for comparison)",
     )
     query.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="disable batch compare-and-compact filter kernels "
-        "(per-row reference filters, for comparison)",
-    )
-    query.add_argument(
         "--explain",
         action="store_true",
         help="print the plan: BE-tree, transform report, BGP cost estimates",
@@ -339,7 +333,6 @@ def _command_query(args, out) -> int:
             bgp_engine=args.engine,
             mode=args.mode,
             pushdown=not args.no_pushdown,
-            kernels=not args.no_kernels,
         ),
     )
     text = _read_query(args)

@@ -43,7 +43,6 @@ class CandidatePolicy:
         self,
         mode: ThresholdMode = ThresholdMode.OFF,
         fixed_fraction: float = DEFAULT_FIXED_FRACTION,
-        sorted_sets: bool = True,
     ):
         if not isinstance(mode, ThresholdMode):
             raise TypeError(f"mode must be a ThresholdMode, got {mode!r}")
@@ -51,12 +50,6 @@ class CandidatePolicy:
             raise ValueError("fixed_fraction must be positive")
         self.mode = mode
         self.fixed_fraction = fixed_fraction
-        #: Hand engines :class:`~repro.storage.runs.SortedIdSet`
-        #: candidates (sorted arrays: galloping intersection, ordered
-        #: candidate-driven scans) rather than plain ``set``s.  False
-        #: reproduces the pre-sorted-run behaviour — the differential
-        #: baseline and the bench's hash/set configuration.
-        self.sorted_sets = sorted_sets
 
     @property
     def enabled(self) -> bool:
@@ -102,9 +95,7 @@ class CandidatePolicy:
         for name in shared:
             values = candidate_bag.distinct_values(name)
             if values:
-                out[name] = (
-                    SortedIdSet.from_ids(values) if self.sorted_sets else values
-                )
+                out[name] = SortedIdSet.from_ids(values)
         return out or None
 
     @staticmethod

@@ -58,12 +58,7 @@ from .evaluator import BGPBasedEvaluator, EvaluationTrace
 from .grouping import grouped_bag
 from .joinspace import join_space
 from .metrics import EXEC_COUNTERS
-from .options import (
-    EngineOptions,
-    LEGACY_POSITIONAL,
-    SNAPSHOT_POSITIONAL,
-    resolve_options,
-)
+from .options import EngineOptions, resolve_options
 from .transform import TransformReport, multi_level_transform
 
 __all__ = [
@@ -102,13 +97,7 @@ class ExecutionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A parsed + planned query, ready to execute.
-
-    Replaces :meth:`SparqlUOEngine.prepare`'s former positional
-    5-tuple.  Iteration still yields the legacy field order, so
-    ``parsed, tree, report, parse_s, transform_s = engine.prepare(q)``
-    keeps working during the transition.
-    """
+    """A parsed + planned query, ready to execute."""
 
     query: SelectQuery
     tree: BETree
@@ -119,17 +108,6 @@ class PreparedQuery:
     #: Constant-lifted template ({"hash", "text", "constants"}) or None
     #: when the query could not be lifted.  Cached with the plan.
     template: Opt[dict] = None
-
-    def __iter__(self):
-        return iter(
-            (
-                self.query,
-                self.tree,
-                self.report,
-                self.parse_seconds,
-                self.transform_seconds,
-            )
-        )
 
     @property
     def cached(self) -> bool:
@@ -239,7 +217,7 @@ class SparqlUOEngine:
     def __init__(
         self,
         store: TripleStore,
-        *args,
+        *,
         options: Opt[EngineOptions] = None,
         **kwargs,
     ):
@@ -247,30 +225,16 @@ class SparqlUOEngine:
 
         Configuration lives in one :class:`EngineOptions` value —
         passed whole via ``options=``, as per-knob keyword overrides
-        (``mode="cp"``, ``kernels=False``, …), or both (keywords win).
-        Positional configuration arguments follow the legacy
-        ``(bgp_engine, mode, fixed_fraction, pushdown, sorted_runs)``
-        order for one release behind a DeprecationWarning.
+        (``mode="cp"``, ``pushdown=False``, …), or both (keywords win).
         """
-        options = resolve_options(options, args, kwargs, LEGACY_POSITIONAL)
+        options = resolve_options(options, kwargs)
         #: The resolved configuration (frozen; shared safely).
         self.options = options
         self.store = store
-        #: ``sorted_runs=False`` pins the classic hash-join / set-
-        #: candidate execution paths even over frozen stores — the
-        #: reference configuration the sorted-run differential tests
-        #: and ``bench_merge_join.py`` compare against.
-        self.sorted_runs = options.sorted_runs
-        #: ``kernels=False`` keeps every FILTER on the per-row loop —
-        #: the reference configuration for the kernel differential
-        #: tests and the kernel-off side of ``bench_aggregates.py``.
-        self.kernels = options.kernels
         bgp_engine = options.bgp_engine
         if isinstance(bgp_engine, str):
             try:
-                bgp_engine = _BGP_ENGINES[bgp_engine](
-                    store, sorted_runs=options.sorted_runs
-                )
+                bgp_engine = _BGP_ENGINES[bgp_engine](store)
             except KeyError:
                 raise ValueError(
                     f"unknown BGP engine {bgp_engine!r}; "
@@ -287,10 +251,7 @@ class SparqlUOEngine:
         #: post-filter side of the pushdown benchmark.
         self.pushdown = options.pushdown
         self.evaluator = BGPBasedEvaluator(
-            self.bgp_engine,
-            self.policy,
-            pushdown=options.pushdown,
-            kernels=options.kernels,
+            self.bgp_engine, self.policy, pushdown=options.pushdown
         )
         #: parsed-query → BE-tree plan cache, keyed on query text and
         #: invalidated by the store's plan token (write generation plus
@@ -319,32 +280,27 @@ class SparqlUOEngine:
     def for_dataset(
         cls,
         dataset: Dataset,
-        *args,
+        *,
         options: Opt[EngineOptions] = None,
         **kwargs,
     ) -> "SparqlUOEngine":
         """Build a store from a plain dataset and wrap an engine around it."""
-        options = resolve_options(
-            options, args, kwargs, LEGACY_POSITIONAL, "for_dataset"
-        )
+        options = resolve_options(options, kwargs, "for_dataset")
         return cls(TripleStore.from_dataset(dataset), options=options)
 
     @classmethod
     def from_snapshot(
         cls,
         path: str,
-        *args,
+        *,
         options: Opt[EngineOptions] = None,
         wal: Opt[str] = None,
         **kwargs,
     ) -> "SparqlUOEngine":
         """Start hot: wrap an engine around a persisted store snapshot.
 
-        ``options.lazy`` governs the snapshot load (index files mapped
-        on first use); legacy positional order additionally carried
-        ``lazy`` between ``pushdown`` and ``sorted_runs``.
-
-        ``wal`` names a write-ahead log to recover from: frames past
+        The snapshot is loaded lazily (mapped, index built on first
+        use).  ``wal`` names a write-ahead log to recover from: frames past
         the snapshot's generation — acked updates a previous process
         logged but never compacted — are replayed into the delta
         overlay, a torn final frame is truncated (the crash signature),
@@ -352,10 +308,8 @@ class SparqlUOEngine:
         :class:`~repro.storage.wal.WalCorruptError` rather than serve
         data missing acked writes.
         """
-        options = resolve_options(
-            options, args, kwargs, SNAPSHOT_POSITIONAL, "from_snapshot"
-        )
-        engine = cls(TripleStore.load(path, lazy=options.lazy), options=options)
+        options = resolve_options(options, kwargs, "from_snapshot")
+        engine = cls(TripleStore.load(path), options=options)
         if wal:
             from ..storage.wal import recover_wal
 
@@ -379,25 +333,18 @@ class SparqlUOEngine:
         store invalidates it instead.
         """
         self.store = store
-        if isinstance(self.bgp_engine, (HashJoinEngine, WCOJoinEngine)):
-            self.bgp_engine = type(self.bgp_engine)(store, sorted_runs=self.sorted_runs)
-        else:
-            self.bgp_engine = type(self.bgp_engine)(store)
+        self.bgp_engine = type(self.bgp_engine)(store)
         self.cost_model = CostModel(self.bgp_engine)
         self.evaluator = BGPBasedEvaluator(
-            self.bgp_engine, self.policy, pushdown=self.pushdown, kernels=self.kernels
+            self.bgp_engine, self.policy, pushdown=self.pushdown
         )
 
     def _make_policy(self, fixed_fraction: float) -> CandidatePolicy:
         if self.mode is ExecutionMode.CP:
-            return CandidatePolicy(
-                ThresholdMode.FIXED, fixed_fraction, sorted_sets=self.sorted_runs
-            )
+            return CandidatePolicy(ThresholdMode.FIXED, fixed_fraction)
         if self.mode is ExecutionMode.FULL:
-            return CandidatePolicy(
-                ThresholdMode.ADAPTIVE, fixed_fraction, sorted_sets=self.sorted_runs
-            )
-        return CandidatePolicy(ThresholdMode.OFF, sorted_sets=self.sorted_runs)
+            return CandidatePolicy(ThresholdMode.ADAPTIVE, fixed_fraction)
+        return CandidatePolicy(ThresholdMode.OFF)
 
     # ------------------------------------------------------------------
     # pipeline
@@ -615,8 +562,8 @@ class SparqlUOEngine:
         invalid ones (e.g. a literal bound into a subject position),
         per §3.1.3.  Within one operation deletes apply before inserts.
 
-        Writes land in the store's sorted delta overlay: a frozen
-        store stays frozen, and the write generation only advances when
+        Writes land in the store's sorted delta overlay, and the write
+        generation only advances when
         the request changed at least one triple — so generation-keyed
         plan/result caches invalidate exactly when visible state does.
         """

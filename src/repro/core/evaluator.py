@@ -103,15 +103,10 @@ class BGPBasedEvaluator:
         engine: BGPEngine,
         policy: Opt[CandidatePolicy] = None,
         pushdown: bool = True,
-        kernels: bool = True,
     ):
         self.engine = engine
         self.policy = policy or CandidatePolicy()
         self.pushdown = pushdown
-        #: Lower eligible FILTER expressions to batch compare-and-compact
-        #: kernels; ``False`` keeps every filter on the row loop (the
-        #: differential-test reference configuration).
-        self.kernels = kernels
 
     def evaluate(
         self,
@@ -149,7 +144,7 @@ class BGPBasedEvaluator:
         """BGPBasedEvaluation(D, T(group), cand) — Algorithm 1."""
         store = self.engine.store
         pending: List[CompiledFilter] = [
-            CompiledFilter(child.expression, store, kernels=self.kernels)
+            CompiledFilter(child.expression, store)
             for child in group.children
             if isinstance(child, FilterNode)
         ]

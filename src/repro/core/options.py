@@ -1,44 +1,27 @@
 """EngineOptions — one frozen configuration object for the whole stack.
 
-Engine construction used to thread five positional knobs through three
-constructors (``__init__`` / ``for_dataset`` / ``from_snapshot``), the
-CLI, the server's worker-pool spawn args and every benchmark, each copy
-drifting independently.  :class:`EngineOptions` replaces the copies: a
-frozen dataclass that pickles through ``spawn`` (worker pools), prints
-its non-defaults, and gains new knobs in exactly one place.
+The paper's configurations are ``mode`` × ``bgp_engine`` (§7.1);
+:class:`EngineOptions` carries those plus the two reference knobs the
+evaluation compares against (``fixed_fraction`` for CP's threshold,
+``pushdown=False`` for the post-filter pipeline).  It is a frozen
+dataclass that pickles through ``spawn`` (worker pools), prints its
+non-defaults, and is the one place a knob is declared.
 
 Construction::
 
     engine = SparqlUOEngine(store, options=EngineOptions(mode="cp"))
     engine = SparqlUOEngine(store, mode="cp")         # keyword shorthand
-    engine = SparqlUOEngine(store, "wco", "cp")       # deprecated (warns)
 
 Keyword arguments are merged *over* a supplied ``options`` value, so a
 caller can take a baseline configuration and override one knob.
-Positional configuration arguments are accepted for one release behind
-a :class:`DeprecationWarning` shim preserving the legacy order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Optional as Opt, Sequence, Union as U
+from typing import Optional as Opt, Union as U
 
 __all__ = ["EngineOptions", "resolve_options"]
-
-#: Legacy positional order of ``SparqlUOEngine.__init__`` and
-#: ``for_dataset`` (pre-EngineOptions signatures, kept for the shim).
-LEGACY_POSITIONAL = ("bgp_engine", "mode", "fixed_fraction", "pushdown", "sorted_runs")
-#: ``from_snapshot`` additionally took ``lazy`` before ``sorted_runs``.
-SNAPSHOT_POSITIONAL = (
-    "bgp_engine",
-    "mode",
-    "fixed_fraction",
-    "pushdown",
-    "lazy",
-    "sorted_runs",
-)
 
 
 @dataclass(frozen=True)
@@ -61,13 +44,6 @@ class EngineOptions:
     fixed_fraction: float = 0.01
     #: FILTER/DISTINCT/LIMIT pushdown (off = reference configuration).
     pushdown: bool = True
-    #: Frozen-permutation merge joins, galloping, sorted candidate sets.
-    sorted_runs: bool = True
-    #: Lazy snapshot loading (only consulted by ``from_snapshot``).
-    lazy: bool = True
-    #: Batch compare-and-compact filter kernels (off = row-loop filters,
-    #: the differential-test reference configuration).
-    kernels: bool = True
 
     def replace(self, **changes) -> "EngineOptions":
         """A copy with ``changes`` applied (dataclasses.replace)."""
@@ -87,38 +63,15 @@ _FIELD_NAMES = frozenset(f.name for f in fields(EngineOptions))
 
 def resolve_options(
     options: Opt[EngineOptions],
-    args: Sequence = (),
     kwargs: Opt[dict] = None,
-    positional: Sequence[str] = LEGACY_POSITIONAL,
     where: str = "SparqlUOEngine",
 ) -> EngineOptions:
-    """Merge the deprecation shim's inputs into one EngineOptions.
+    """Merge per-knob keyword overrides over an explicit baseline.
 
-    ``args`` are legacy positional configuration values (deprecated,
-    warned once per call site); ``kwargs`` are per-knob keyword
-    overrides; ``options`` is the explicit baseline.  Precedence:
-    keywords > positionals > ``options`` > defaults — though mixing a
-    keyword and a positional for the *same* knob is an error, exactly
-    like any double-passed Python argument.
+    Precedence: ``kwargs`` > ``options`` > defaults.  An unknown
+    keyword raises ``TypeError``, like any unexpected Python argument.
     """
-    kwargs = dict(kwargs) if kwargs else {}
-    if args:
-        if len(args) > len(positional):
-            raise TypeError(
-                f"{where} takes at most {len(positional)} positional "
-                f"configuration arguments ({len(args)} given)"
-            )
-        warnings.warn(
-            f"positional configuration arguments to {where} are deprecated; "
-            f"pass EngineOptions(...) or keyword arguments",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for name, value in zip(positional, args):
-            if name in kwargs:
-                raise TypeError(f"{where} got multiple values for {name!r}")
-            kwargs[name] = value
-    unknown = set(kwargs) - _FIELD_NAMES
+    unknown = set(kwargs or ()) - _FIELD_NAMES
     if unknown:
         raise TypeError(
             f"{where} got unexpected configuration option(s): "

@@ -18,7 +18,7 @@ wrapped in the production controls a public endpoint needs:
   join-space counters, aggregated into a Prometheus-style ``/metrics``;
 - **live writes** (``POST /update``): SPARQL 1.1 UPDATE applied to the
   parent's authoritative store, broadcast to every worker's sorted
-  delta overlay (no thaw, no snapshot rebuild), with background
+  delta overlay (no snapshot rebuild), with background
   compaction folding the delta into the data file once it crosses
   ``--compact-threshold``.
 """

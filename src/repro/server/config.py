@@ -52,8 +52,6 @@ class ServerConfig:
     #: Engine wiring, forwarded to every worker's SparqlUOEngine.
     engine: str = "wco"
     mode: str = "full"
-    #: Batch filter kernels in every worker (off = row-loop reference).
-    kernels: bool = True
     #: Log one line per request to stderr (quiet by default).
     log_requests: bool = False
     #: Result formats served; first entry is the negotiation default.
@@ -134,6 +132,4 @@ class ServerConfig:
         """
         from ..core.options import EngineOptions
 
-        return EngineOptions(
-            bgp_engine=self.engine, mode=self.mode, kernels=self.kernels
-        )
+        return EngineOptions(bgp_engine=self.engine, mode=self.mode)

@@ -3,7 +3,7 @@ binary snapshots and the streaming bulk loader."""
 
 from .bulkload import BulkLoader, bulk_load_ntriples
 from .delta import DeltaLayer, DeltaOverlayIndexes
-from .indexes import FrozenTripleIndexes, TripleIndexes, sorted_scan_position
+from .indexes import FrozenTripleIndexes, sorted_scan_position
 from .runs import (
     SortedIdSet,
     SortedRun,
@@ -27,7 +27,6 @@ from .stats import PredicateStatistics, StoreStatistics
 from .store import EncodedPattern, MISSING_ID, TripleStore
 
 __all__ = [
-    "TripleIndexes",
     "FrozenTripleIndexes",
     "DeltaLayer",
     "DeltaOverlayIndexes",

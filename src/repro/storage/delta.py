@@ -3,11 +3,9 @@
 The frozen store (:class:`~repro.storage.indexes.FrozenTripleIndexes`)
 is what makes the sorted-run execution layer work: merge joins,
 galloping candidate pruning and leapfrog extension all assume sorted,
-immutable permutation arrays.  Historically the first write *thawed*
-the whole store back into hash-map indexes, discarding that layout —
-the served system was effectively read-only.
+immutable permutation arrays.
 
-This module is the LSM-style alternative: writes land in a small
+This module is the LSM-style write path: writes land in a small
 in-memory delta — an **add set** and a **tombstone set** — which is
 *sealed* into its own tiny frozen permutations after every batch.  Read
 paths then merge base and delta at scan time:
@@ -23,13 +21,11 @@ paths then merge base and delta at scan time:
   delta maintains three invariants: ``adds ∩ base = ∅``,
   ``dels ⊆ base`` and ``adds ∩ dels = ∅``.
 
-:class:`DeltaOverlayIndexes` *subclasses* :class:`FrozenTripleIndexes`
-deliberately: the engines gate their sorted-run fast paths on
-``isinstance(indexes, FrozenTripleIndexes)``, so an overlaid store
-keeps taking merge/gallop paths with pending writes — no thaw, which
-is the point.  Compaction is simply ``permutation_arrays()`` /
-``all_triples()`` over the merged view feeding the ordinary snapshot
-writer.
+:class:`DeltaOverlayIndexes` *subclasses* :class:`FrozenTripleIndexes`:
+the engines read both through one interface, so an overlaid store
+keeps taking merge/gallop paths with pending writes.  Compaction is
+simply ``permutation_arrays()`` / ``all_triples()`` over the merged
+view feeding the ordinary snapshot writer.
 """
 
 from __future__ import annotations
@@ -115,9 +111,9 @@ class DeltaOverlayIndexes(FrozenTripleIndexes):
     over the logical triple set ``(base − dels) ∪ adds``.  Ranges the
     delta does not touch are answered by the base's own zero-copy runs;
     touched ranges materialize a merged ascending array once per write
-    generation.  ``insert()`` still raises — writes go through
-    :meth:`delta_insert` / :meth:`delta_delete`, which maintain the
-    disjointness invariants the count arithmetic relies on.
+    generation.  Writes go through :meth:`delta_insert` /
+    :meth:`delta_delete`, which maintain the disjointness invariants
+    the count arithmetic relies on.
     """
 
     __slots__ = ("_base", "_delta", "_merged_cache", "_cache_version")
@@ -252,21 +248,8 @@ class DeltaOverlayIndexes(FrozenTripleIndexes):
         run = self.subject_run(p, o)
         return run.values, run.start, run.stop
 
-    def single_variable_run(
-        self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> Optional[SortedRun]:
-        if s is None:
-            if p is not None and o is not None:
-                return self.subject_run(p, o)
-            return None
-        if p is None:
-            return self.predicate_run(s, o) if o is not None else None
-        if o is None:
-            return self.object_run(s, p)
-        return None
-
     # ------------------------------------------------------------------
-    # the TripleIndexes read interface, delta-merged
+    # the per-access-pattern lookups, delta-merged
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         delta = self._delta

@@ -1,36 +1,39 @@
 """Permutation indexes over dictionary-encoded triples.
 
 RDF-3X-style exhaustive indexing: every access pattern a triple pattern
-can generate — any subset of {S, P, O} bound — is answered by a direct
-hash lookup rather than a scan.  Concretely we maintain:
+can generate — any subset of {S, P, O} bound — is answered by a binary
+search for the key range in one of three sorted permutations, followed
+by a result-proportional slice:
 
 ====================  =======================================
-bound positions       structure
+bound positions       permutation range
 ====================  =======================================
-S, P, O               set of (s, p, o) — membership test
-S, P                  dict (s, p) → [o]
-P, O                  dict (p, o) → [s]
-S, O                  dict (s, o) → [p]
-S                     dict s → [(p, o)]
-P                     dict p → [(s, o)]
-O                     dict o → [(s, p)]
-(none)                list of (s, p, o)
+S, P (and S, P, O)    SPO pair range → objects ascending
+P, O                  POS pair range → subjects ascending
+S, O                  OSP pair range → predicates ascending
+S                     SPO prefix → (p, o) rows
+P                     POS prefix → (o, s) rows
+O                     OSP prefix → (s, p) rows
+(none)                the whole SPO permutation
 ====================  =======================================
 
-This mirrors the six-permutation scheme of RDF-3X / gStore's adjacency
-structure at the fidelity the paper's cost model needs: constant-time
-seek plus result-proportional enumeration.
+This mirrors the permutation scheme of RDF-3X / gStore's adjacency
+structure at the fidelity the paper's cost model needs: logarithmic
+seek plus result-proportional enumeration, every range sorted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import eq
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.dictionary import EncodedTriple
 from .runs import SortedIdSet, SortedRun
 
-__all__ = ["TripleIndexes", "FrozenTripleIndexes", "PACK_SHIFT", "sorted_scan_position"]
+__all__ = ["FrozenTripleIndexes", "PACK_SHIFT", "sorted_scan_position"]
 
 
 def sorted_scan_position(
@@ -65,240 +68,17 @@ PACK_SHIFT = 32
 _PACK_MASK = (1 << PACK_SHIFT) - 1
 
 
-class TripleIndexes:
-    """All access-pattern indexes for one encoded triple collection."""
-
-    def __init__(self):
-        self._all: List[EncodedTriple] = []
-        self._spo: set = set()
-        self._sp_o: Dict[Tuple[int, int], List[int]] = {}
-        self._po_s: Dict[Tuple[int, int], List[int]] = {}
-        self._so_p: Dict[Tuple[int, int], List[int]] = {}
-        self._s_po: Dict[int, List[Tuple[int, int]]] = {}
-        self._p_so: Dict[int, List[Tuple[int, int]]] = {}
-        self._o_sp: Dict[int, List[Tuple[int, int]]] = {}
-        #: p → (subjects, objects) as cached sorted id sets, invalidated
-        #: on insert (see :meth:`subjects_of_predicate`).
-        self._pred_sets: Dict[int, Tuple[SortedIdSet, SortedIdSet]] = {}
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_columns(
-        cls,
-        subjects: Iterable[int],
-        predicates: Iterable[int],
-        objects: Iterable[int],
-    ) -> "TripleIndexes":
-        """Build all indexes from pre-deduplicated s/p/o id columns.
-
-        This is the snapshot / bulk-load path: one tight loop with the
-        per-call overhead and duplicate checks of :meth:`insert` hoisted
-        out (columns written by :mod:`repro.storage.snapshot` hold one
-        row per distinct triple by construction).
-        """
-        self = cls()
-        all_ = self._all
-        sp_o, po_s, so_p = self._sp_o, self._po_s, self._so_p
-        s_po, p_so, o_sp = self._s_po, self._p_so, self._o_sp
-        for triple in zip(subjects, predicates, objects):
-            s, p, o = triple
-            all_.append(triple)
-            sp_o.setdefault((s, p), []).append(o)
-            po_s.setdefault((p, o), []).append(s)
-            so_p.setdefault((s, o), []).append(p)
-            s_po.setdefault(s, []).append((p, o))
-            p_so.setdefault(p, []).append((s, o))
-            o_sp.setdefault(o, []).append((s, p))
-        self._spo = set(all_)
-        if len(self._spo) != len(all_):
-            raise ValueError("duplicate rows in triple columns")
-        return self
-
-    def insert(self, triple: EncodedTriple) -> bool:
-        """Insert an encoded triple; returns False on duplicates."""
-        if triple in self._spo:
-            return False
-        s, p, o = triple
-        if self._pred_sets:
-            self._pred_sets.pop(p, None)
-        self._spo.add(triple)
-        self._all.append(triple)
-        self._sp_o.setdefault((s, p), []).append(o)
-        self._po_s.setdefault((p, o), []).append(s)
-        self._so_p.setdefault((s, o), []).append(p)
-        self._s_po.setdefault(s, []).append((p, o))
-        self._p_so.setdefault(p, []).append((s, o))
-        self._o_sp.setdefault(o, []).append((s, p))
-        return True
-
-    def remove(self, triple: EncodedTriple) -> bool:
-        """Remove an encoded triple; returns False when absent.
-
-        The per-entry lists are small (result-proportional), so the
-        linear ``list.remove`` calls are bounded by the entry sizes;
-        only ``_all`` pays an O(n) scan, acceptable on the mutable path
-        (frozen stores delete through the delta overlay instead).
-        """
-        if triple not in self._spo:
-            return False
-        s, p, o = triple
-        if self._pred_sets:
-            self._pred_sets.pop(p, None)
-        self._spo.discard(triple)
-        self._all.remove(triple)
-        for mapping, key, value in (
-            (self._sp_o, (s, p), o),
-            (self._po_s, (p, o), s),
-            (self._so_p, (s, o), p),
-            (self._s_po, s, (p, o)),
-            (self._p_so, p, (s, o)),
-            (self._o_sp, o, (s, p)),
-        ):
-            values = mapping[key]
-            values.remove(value)
-            if not values:
-                del mapping[key]
-        return True
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __contains__(self, triple: EncodedTriple) -> bool:
-        return triple in self._spo
-
-    # ------------------------------------------------------------------
-    # lookups — one per access pattern
-    # ------------------------------------------------------------------
-    def objects_for_sp(self, s: int, p: int) -> List[int]:
-        return self._sp_o.get((s, p), [])
-
-    def subjects_for_po(self, p: int, o: int) -> List[int]:
-        return self._po_s.get((p, o), [])
-
-    def predicates_for_so(self, s: int, o: int) -> List[int]:
-        return self._so_p.get((s, o), [])
-
-    def po_for_s(self, s: int) -> List[Tuple[int, int]]:
-        return self._s_po.get(s, [])
-
-    def so_for_p(self, p: int) -> List[Tuple[int, int]]:
-        return self._p_so.get(p, [])
-
-    def sp_for_o(self, o: int) -> List[Tuple[int, int]]:
-        return self._o_sp.get(o, [])
-
-    def all_triples(self) -> List[EncodedTriple]:
-        return self._all
-
-    # ------------------------------------------------------------------
-    # generic access: any combination of bound positions
-    # ------------------------------------------------------------------
-    def scan(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> Iterator[EncodedTriple]:
-        """Enumerate triples matching the given bound positions.
-
-        ``None`` means unbound.  The cheapest index for the binding
-        combination is chosen; cost is O(result size) after the seek.
-        """
-        if s is not None and p is not None and o is not None:
-            if (s, p, o) in self._spo:
-                yield (s, p, o)
-            return
-        if s is not None and p is not None:
-            for obj in self._sp_o.get((s, p), ()):
-                yield (s, p, obj)
-            return
-        if p is not None and o is not None:
-            for subj in self._po_s.get((p, o), ()):
-                yield (subj, p, o)
-            return
-        if s is not None and o is not None:
-            for pred in self._so_p.get((s, o), ()):
-                yield (s, pred, o)
-            return
-        if s is not None:
-            for pred, obj in self._s_po.get(s, ()):
-                yield (s, pred, obj)
-            return
-        if p is not None:
-            for subj, obj in self._p_so.get(p, ()):
-                yield (subj, p, obj)
-            return
-        if o is not None:
-            for subj, pred in self._o_sp.get(o, ()):
-                yield (subj, pred, o)
-            return
-        yield from self._all
-
-    def count(
-        self,
-        s: Optional[int] = None,
-        p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> int:
-        """Exact match count for the binding combination, without scanning.
-
-        This is the "exact cardinality from pre-built indexes" the paper's
-        §5.1.2 relies on for single triple patterns.
-        """
-        if s is not None and p is not None and o is not None:
-            return 1 if (s, p, o) in self._spo else 0
-        if s is not None and p is not None:
-            return len(self._sp_o.get((s, p), ()))
-        if p is not None and o is not None:
-            return len(self._po_s.get((p, o), ()))
-        if s is not None and o is not None:
-            return len(self._so_p.get((s, o), ()))
-        if s is not None:
-            return len(self._s_po.get(s, ()))
-        if p is not None:
-            return len(self._p_so.get(p, ()))
-        if o is not None:
-            return len(self._o_sp.get(o, ()))
-        return len(self._all)
-
-    def _predicate_sets(self, p: int) -> Tuple[SortedIdSet, SortedIdSet]:
-        cached = self._pred_sets.get(p)
-        if cached is None:
-            pairs = self._p_so.get(p, ())
-            cached = (
-                SortedIdSet.from_ids(s for s, _ in pairs),
-                SortedIdSet.from_ids(o for _, o in pairs),
-            )
-            self._pred_sets[p] = cached
-        return cached
-
-    def subjects_of_predicate(self, p: int) -> SortedIdSet:
-        """Distinct subjects appearing with predicate ``p`` (cached,
-        sorted; invalidated when a triple with ``p`` is inserted)."""
-        return self._predicate_sets(p)[0]
-
-    def objects_of_predicate(self, p: int) -> SortedIdSet:
-        """Distinct objects appearing with predicate ``p`` (cached, sorted)."""
-        return self._predicate_sets(p)[1]
-
-
 class FrozenTripleIndexes:
     """Read-only permutation indexes over sorted, packed id arrays.
 
     The RDF-3X shape proper: three sorted triple permutations — SPO,
     POS and OSP — each held as a packed 64-bit pair-key array plus the
-    third-position column.  Every access pattern of
-    :class:`TripleIndexes` is answered by binary search for the key
-    range followed by a result-proportional slice, so *constructing*
-    this class from snapshot sections is pure ``array.frombytes`` — no
-    per-row Python work, which is what makes snapshot loads
-    ``read()``-bound.
+    third-position column.  *Constructing* this class from snapshot
+    sections is pure ``array.frombytes`` — no per-row Python work,
+    which is what makes snapshot loads ``read()``-bound.
 
-    Duck-type compatible with :class:`TripleIndexes` for every read
-    path the engines use.  Mutation is not supported; the store thaws
-    a frozen index into a classic one on the first write.
+    Immutable: writes go to a
+    :class:`~repro.storage.delta.DeltaOverlayIndexes` wrapped around it.
     """
 
     __slots__ = (
@@ -335,12 +115,21 @@ class FrozenTripleIndexes:
         predicates: Sequence[int],
         objects: Sequence[int],
     ) -> "FrozenTripleIndexes":
-        """Sort plain s/p/o columns into the three packed permutations."""
+        """Sort plain s/p/o columns into the three packed permutations.
+
+        The columns hold one row per distinct triple.  Raises
+        ``ValueError`` on duplicate rows and on any id that does not
+        fit the 32-bit halves of a packed pair key.
+        """
+        for column in (subjects, predicates, objects):
+            if max(column, default=0) >> PACK_SHIFT:
+                raise ValueError(f"term id {max(column)} does not fit {PACK_SHIFT} bits")
         shift = PACK_SHIFT
         spo = sorted(((s << shift) | p, o) for s, p, o in zip(subjects, predicates, objects))
+        if any(map(eq, spo, islice(spo, 1, None))):
+            raise ValueError("duplicate rows in triple columns")
         pos = sorted(((p << shift) | o, s) for s, p, o in zip(subjects, predicates, objects))
         osp = sorted(((o << shift) | s, p) for s, p, o in zip(subjects, predicates, objects))
-        from array import array
 
         def unzip(pairs: List[Tuple[int, int]]) -> Tuple[Sequence[int], Sequence[int]]:
             if not pairs:
@@ -357,14 +146,6 @@ class FrozenTripleIndexes:
             self._pos_key, self._pos_s,
             self._osp_key, self._osp_p,
         )
-
-    def thaw(self) -> TripleIndexes:
-        """A mutable :class:`TripleIndexes` with the same contents."""
-        triples = self.all_triples()
-        if not triples:
-            return TripleIndexes()
-        s_col, p_col, o_col = zip(*triples)
-        return TripleIndexes.from_columns(s_col, p_col, o_col)
 
     # ------------------------------------------------------------------
     # range machinery
@@ -457,7 +238,7 @@ class FrozenTripleIndexes:
                 previous_key, previous_third = key, third
 
     # ------------------------------------------------------------------
-    # the TripleIndexes read interface
+    # lookups — one per access pattern
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
@@ -602,9 +383,3 @@ class FrozenTripleIndexes:
     def objects_of_predicate(self, p: int) -> SortedIdSet:
         """Distinct objects with predicate ``p`` (cached sorted array)."""
         return self._predicate_sets(p)[1]
-
-    def insert(self, triple: EncodedTriple) -> bool:
-        raise TypeError(
-            "FrozenTripleIndexes is read-only; the store thaws it into a "
-            "mutable TripleIndexes before writes"
-        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from .indexes import TripleIndexes
+from .indexes import FrozenTripleIndexes
 
 __all__ = ["PredicateStatistics", "StoreStatistics"]
 
@@ -55,7 +55,7 @@ class StoreStatistics:
         self._per_predicate = per_predicate
 
     @classmethod
-    def from_indexes(cls, indexes: TripleIndexes) -> "StoreStatistics":
+    def from_indexes(cls, indexes: FrozenTripleIndexes) -> "StoreStatistics":
         per_predicate: Dict[int, PredicateStatistics] = {}
         predicates = {p for _, p, _ in indexes.all_triples()}
         for p in predicates:

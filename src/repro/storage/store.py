@@ -4,13 +4,19 @@ Combines the term dictionary, the permutation indexes and the statistics
 catalog.  Both BGP engines, the optimizer's cost model and the LBR
 baseline operate exclusively through this class.
 
-A store can start *cold* (built triple by triple from a
-:class:`~repro.rdf.dataset.Dataset`) or *hot* from a persistent binary
-snapshot (:meth:`save` / :meth:`load`): loading maps the file, keeps
-the dictionary lazy (terms decode on first touch, constants resolve by
-binary search over the snapshot's sorted term section) and defers the
-permutation-index build to the first index access, so startup cost is
-proportional to what a query actually touches.
+There is one storage model: sorted frozen permutations
+(:class:`~repro.storage.indexes.FrozenTripleIndexes`) serve reads, and
+every write lands in a :class:`~repro.storage.delta.DeltaOverlayIndexes`
+wrapped around them until :meth:`TripleStore.compact` folds it back.
+
+A store can start *cold* (sorted once from a
+:class:`~repro.rdf.dataset.Dataset` or an N-Triples stream) or *hot*
+from a persistent binary snapshot (:meth:`save` / :meth:`load`):
+loading maps the file, keeps the dictionary lazy (terms decode on first
+touch, constants resolve by binary search over the snapshot's sorted
+term section) and defers the permutation-index build to the first index
+access, so startup cost is proportional to what a query actually
+touches.
 """
 
 from __future__ import annotations
@@ -26,8 +32,13 @@ from ..rdf.dictionary import EncodedTriple, TermDictionary
 from ..rdf.terms import GroundTerm, Variable
 from ..rdf.triple import Triple, TriplePattern
 from .delta import DeltaOverlayIndexes
-from .indexes import FrozenTripleIndexes, TripleIndexes
-from .snapshot import LazyTermDictionary, SnapshotReader, write_snapshot
+from .indexes import FrozenTripleIndexes
+from .snapshot import (
+    LazyTermDictionary,
+    SnapshotCorruptError,
+    SnapshotReader,
+    write_snapshot,
+)
 from .stats import StoreStatistics
 
 __all__ = ["TripleStore", "EncodedPattern"]
@@ -46,9 +57,9 @@ class TripleStore:
 
     def __init__(self):
         self._dictionary: TermDictionary = TermDictionary()
-        self._indexes: Optional[AnyIndexes] = TripleIndexes()
+        self._indexes: Optional[FrozenTripleIndexes] = FrozenTripleIndexes.from_columns((), (), ())
         #: Deferred index supplier while ``_indexes`` is None.
-        self._indexes_loader: Optional[Callable[[], "AnyIndexes"]] = None
+        self._indexes_loader: Optional[Callable[[], FrozenTripleIndexes]] = None
         #: Raw (s, p, o) column supplier, valid while the store has not
         #: been written to; lets :meth:`save` skip the index build.
         self._columns_source: Optional[Callable[[], Tuple]] = None
@@ -64,11 +75,12 @@ class TripleStore:
         #: is skipped while a single-threaded recovery replays many
         #: update batches back to back.
         self._seal_eagerly = True
-        #: Serializes the index state *transitions* (lazy build, thaw):
-        #: each transition builds the replacement structure fully and
-        #: only then publishes it with a single attribute store, so
-        #: concurrent readers always observe either the old complete
-        #: index or the new complete index, never a partial one.
+        #: Serializes the index state *transitions* (lazy build,
+        #: overlay wrap, compaction): each transition builds the
+        #: replacement structure fully and only then publishes it with
+        #: a single attribute store, so concurrent readers always
+        #: observe either the old complete index or the new complete
+        #: index, never a partial one.
         self._index_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -79,7 +91,7 @@ class TripleStore:
         return self._dictionary
 
     @property
-    def indexes(self) -> "AnyIndexes":
+    def indexes(self) -> FrozenTripleIndexes:
         indexes = self._indexes
         if indexes is None:
             with self._index_lock:
@@ -94,12 +106,11 @@ class TripleStore:
                     self._indexes_loader = None
         return indexes
 
-    def _writable_indexes(self) -> "AnyIndexes":
-        """The indexes in their writable form — **without thawing**.
+    def _writable_indexes(self) -> DeltaOverlayIndexes:
+        """The indexes wrapped in their :class:`DeltaOverlayIndexes`.
 
-        A frozen store is wrapped in a :class:`DeltaOverlayIndexes`
-        (sorted delta runs + tombstones over the untouched base
-        permutations), so the sorted-run execution layer — merge joins,
+        Sorted delta runs + tombstones over the untouched base
+        permutations, so the sorted-run execution layer — merge joins,
         galloping pruning, leapfrog spans — keeps working with pending
         writes.  The transition is atomic with respect to concurrent
         readers: the overlay is built fully before the single
@@ -110,12 +121,9 @@ class TripleStore:
         """
         with self._index_lock:
             indexes = self.indexes
-            if isinstance(indexes, DeltaOverlayIndexes):
-                return indexes
-            if isinstance(indexes, FrozenTripleIndexes):
-                overlay = DeltaOverlayIndexes(indexes)  # build fully …
-                self._indexes = overlay  # … then publish
-                return overlay
+            if not isinstance(indexes, DeltaOverlayIndexes):
+                indexes = DeltaOverlayIndexes(indexes)  # build fully …
+                self._indexes = indexes  # … then publish
             return indexes
 
     # ------------------------------------------------------------------
@@ -123,14 +131,18 @@ class TripleStore:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "TripleStore":
-        store = cls()
-        store.add_all(dataset)
-        return store
+        return cls.from_triples(dataset)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "TripleStore":
+        """Encode and sort ``triples`` into frozen permutations in one pass."""
         store = cls()
-        store.add_all(triples)
+        encode = store._dictionary.encode_triple
+        rows = {encode(triple) for triple in triples}
+        if rows:
+            store._indexes = FrozenTripleIndexes.from_columns(*zip(*rows))
+            store._triple_count = len(rows)
+            store._generation = 1
         return store
 
     @classmethod
@@ -149,8 +161,8 @@ class TripleStore:
         store._indexes = None
         columns = loader.columns
 
-        def build_indexes() -> TripleIndexes:
-            return TripleIndexes.from_columns(*columns)
+        def build_indexes() -> FrozenTripleIndexes:
+            return FrozenTripleIndexes.from_columns(*columns)
 
         def raw_columns() -> Tuple:
             return columns
@@ -182,21 +194,21 @@ class TripleStore:
             if self._stats is None and self._stats_loader is None:
                 self._stats = StoreStatistics.from_columns(*columns)
         else:
-            indexes = self.indexes
+            frozen = self.indexes
             typecode = "I" if len(self.dictionary) < (1 << 32) else "Q"
             s_col, p_col, o_col = array(typecode), array(typecode), array(typecode)
-            for s, p, o in indexes.all_triples():
+            for s, p, o in frozen.all_triples():
                 s_col.append(s)
                 p_col.append(p)
                 o_col.append(o)
             columns = (s_col, p_col, o_col)
-            frozen = indexes if isinstance(indexes, FrozenTripleIndexes) else None
         dictionary = self._dictionary
         if isinstance(dictionary, LazyTermDictionary):
             dictionary = dictionary.materialize()
         # A frozen index already holds the three sorted permutations in
         # serialized form; hand them through so re-saving a loaded or
-        # bulk-built store skips re-sorting.
+        # built store skips re-sorting (a bulk-loaded store that never
+        # built its indexes has none: write_snapshot sorts, once).
         permutations = frozen.permutation_arrays() if frozen is not None else None
         write_snapshot(
             path,
@@ -240,7 +252,7 @@ class TripleStore:
             store._dictionary = LazyTermDictionary(reader)
             store._indexes = None
 
-            def load_indexes() -> "AnyIndexes":
+            def load_indexes() -> FrozenTripleIndexes:
                 return _indexes_from_reader(reader)
 
             store._indexes_loader = load_indexes
@@ -257,34 +269,6 @@ class TripleStore:
             finally:
                 reader.close()
         return store
-
-    def freeze(self) -> "TripleStore":
-        """Re-index into the frozen sorted-permutation form, in place.
-
-        Loaded snapshots serve :class:`FrozenTripleIndexes` already;
-        this brings a cold-built store onto the same read-optimized
-        layout (sorted runs, merge joins, galloping pruning) without a
-        snapshot round trip — tests and benchmarks use it to put both
-        construction paths on the same footing.  Writes after freezing
-        thaw back to the mutable form as usual.
-
-        Freezing flips which execution paths (and therefore which cost
-        estimates) apply, so it bumps the generation like a write does:
-        generation-keyed caches (query plans, engine estimates) must
-        not serve numbers priced against the pre-freeze layout.
-        """
-        with self._index_lock:
-            indexes = self.indexes
-            if isinstance(indexes, FrozenTripleIndexes):
-                return self
-            triples = indexes.all_triples()
-            if triples:
-                s_col, p_col, o_col = zip(*triples)
-            else:
-                s_col, p_col, o_col = (), (), ()
-            self._indexes = FrozenTripleIndexes.from_columns(s_col, p_col, o_col)
-            self._generation += 1
-        return self
 
     def close(self) -> None:
         """Release the snapshot mapping of a lazily loaded store."""
@@ -343,10 +327,9 @@ class TripleStore:
         """Apply one write batch; returns ``(added, removed)``.
 
         Deletes apply before inserts (SPARQL 1.1 ``DELETE/INSERT``
-        order).  A frozen store routes the batch into its delta overlay
-        — the sorted permutations stay intact, reads keep taking merge
-        and gallop paths — while a classic mutable store edits its hash
-        indexes directly.  Generation and derived caches (statistics,
+        order).  The batch lands in the delta overlay — the sorted
+        permutations stay intact, reads keep taking merge and gallop
+        paths.  Generation and derived caches (statistics,
         raw snapshot columns) are invalidated **only when visibility
         actually changed**: a duplicate-only insert or a miss-only
         delete batch is a no-op and must not invalidate plan/result
@@ -357,10 +340,7 @@ class TripleStore:
         added = removed = 0
         with self._index_lock:
             indexes = self._writable_indexes()
-            if isinstance(indexes, DeltaOverlayIndexes):
-                delete, insert = indexes.delta_delete, indexes.delta_insert
-            else:
-                delete, insert = indexes.remove, indexes.insert
+            delete, insert = indexes.delta_delete, indexes.delta_insert
             for triple in deletes:
                 encoded = self._lookup_ground(triple)
                 if encoded is not None and delete(encoded):
@@ -370,7 +350,7 @@ class TripleStore:
                 if insert(encode(triple)):
                     added += 1
             if added or removed:
-                if isinstance(indexes, DeltaOverlayIndexes) and self._seal_eagerly:
+                if self._seal_eagerly:
                     # Seal once per batch so subsequent reads are pure
                     # (no lazy freeze racing a concurrent query thread).
                     indexes.delta.seal()
@@ -567,13 +547,12 @@ class TripleStore:
         return f"TripleStore({len(self)} triples, {len(self.dictionary)} terms)"
 
 
-#: Either index implementation satisfies the read interface the engines use.
-AnyIndexes = Union[TripleIndexes, FrozenTripleIndexes]
-
-
-def _indexes_from_reader(reader: SnapshotReader) -> AnyIndexes:
-    """Persisted permutations when present, else a classic rebuild."""
+def _indexes_from_reader(reader: SnapshotReader) -> FrozenTripleIndexes:
+    """Persisted permutations when present, else sorted from the columns."""
     frozen = reader.frozen_indexes()
     if frozen is not None:
         return frozen
-    return TripleIndexes.from_columns(*reader.columns())
+    try:
+        return FrozenTripleIndexes.from_columns(*reader.columns())
+    except ValueError as exc:
+        raise SnapshotCorruptError(f"{reader.path!r}: {exc}") from exc

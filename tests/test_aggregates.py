@@ -3,8 +3,8 @@
 Deterministic unit coverage for PRs' aggregate stack: grammar and
 validation errors, the zero-decode execution invariants (``terms_decoded``,
 ``rows_kernel_filtered``), the grouped edge cases (UNBOUND keys, empty
-groups), and the engine-options redesign (keyword construction, the
-positional deprecation shim, pickling through spawn-style round trips).
+groups), and the engine-options API (keyword construction, pickling
+through spawn-style round trips).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def store() -> TripleStore:
         triples.append(Triple(s, IRI(EX + "score"), _int(i)))
         if i % 2 == 0:
             triples.append(Triple(s, IRI(EX + "label"), Literal(f"n{i}")))
-    return TripleStore.from_dataset(Dataset(triples)).freeze()
+    return TripleStore.from_dataset(Dataset(triples))
 
 
 def _rows(result):
@@ -227,13 +227,6 @@ class TestKernels:
         assert len(result) == 6
         assert EXEC_COUNTERS.rows_kernel_filtered >= 12
 
-    def test_kernels_off_matches(self, store):
-        on = SparqlUOEngine(store).execute(self.QUERY)
-        EXEC_COUNTERS.reset()
-        off = SparqlUOEngine(store, kernels=False).execute(self.QUERY)
-        assert EXEC_COUNTERS.rows_kernel_filtered == 0
-        assert on.solutions == off.solutions
-
     def test_regex_stays_on_row_loop(self, store):
         engine = SparqlUOEngine(store)
         EXEC_COUNTERS.reset()
@@ -253,18 +246,23 @@ class TestKernels:
 # EngineOptions / PreparedQuery API
 # ----------------------------------------------------------------------
 class TestEngineOptions:
-    def test_keyword_construction_never_warns(self, store, recwarn):
-        engine = SparqlUOEngine(store, bgp_engine="hashjoin", mode="cp", kernels=False)
-        assert engine.mode.value == "cp" and engine.kernels is False
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    def test_keyword_construction(self, store):
+        engine = SparqlUOEngine(store, bgp_engine="hashjoin", mode="cp", pushdown=False)
+        assert engine.mode.value == "cp" and engine.pushdown is False
+
+    def test_options_are_the_paper_configurations(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(EngineOptions)] == [
+            "bgp_engine", "mode", "fixed_fraction", "pushdown",
+        ]
 
     def test_options_object(self, store):
-        options = EngineOptions(mode="tt", pushdown=False, kernels=False)
+        options = EngineOptions(mode="tt", pushdown=False)
         engine = SparqlUOEngine(store, options=options)
         assert engine.options == options
         assert engine.mode.value == "tt"
         assert engine.evaluator.pushdown is False
-        assert engine.evaluator.kernels is False
 
     def test_keywords_override_options(self, store):
         engine = SparqlUOEngine(
@@ -272,21 +270,18 @@ class TestEngineOptions:
         )
         assert engine.mode.value == "base"
 
-    def test_positional_args_deprecated(self, store):
-        with pytest.warns(DeprecationWarning):
-            engine = SparqlUOEngine(store, "hashjoin", "base")
-        assert engine.mode.value == "base"
-
     def test_unknown_option_rejected(self, store):
         with pytest.raises(TypeError, match="turbo"):
             SparqlUOEngine(store, turbo=True)
+        with pytest.raises(TypeError):
+            SparqlUOEngine(store, "hashjoin")  # configuration is keyword-only
 
     def test_unknown_engine_still_value_error(self, store):
         with pytest.raises(ValueError, match="unknown BGP engine"):
             SparqlUOEngine(store, bgp_engine="mystery")
 
     def test_options_pickle_roundtrip(self):
-        options = EngineOptions(bgp_engine="hashjoin", kernels=False)
+        options = EngineOptions(bgp_engine="hashjoin", pushdown=False)
         assert pickle.loads(pickle.dumps(options)) == options
 
     def test_repr_shows_only_non_defaults(self):
@@ -296,11 +291,10 @@ class TestEngineOptions:
     def test_server_config_builds_options(self):
         from repro.server.config import ServerConfig
 
-        config = ServerConfig(data="x.snap", engine="hashjoin", kernels=False)
+        config = ServerConfig(data="x.snap", engine="hashjoin")
         options = config.engine_options()
         assert options.bgp_engine == "hashjoin"
         assert options.mode == "full"
-        assert options.kernels is False
 
 
 class TestPreparedQuery:
@@ -313,11 +307,9 @@ class TestPreparedQuery:
         assert prepared.query.projection_names() == ["s"]
         assert not prepared.cached
 
-    def test_legacy_tuple_unpacking(self, store):
+    def test_plan_cache_returns_same_tree(self, store):
         engine = SparqlUOEngine(store)
-        parsed, tree, report, parse_s, transform_s = engine.prepare(self.TEXT)
-        assert parsed.projection_names() == ["s"]
-        assert tree is engine.prepare(self.TEXT).tree
+        assert engine.prepare(self.TEXT).tree is engine.prepare(self.TEXT).tree
 
     def test_cache_hit_flag(self, store):
         engine = SparqlUOEngine(store)

@@ -12,13 +12,14 @@ from repro.bgp import HashJoinEngine, WCOJoinEngine
 from repro.rdf import Dataset, IRI, TriplePattern, Variable
 from repro.sparql.bags import Bag, join as bag_join
 from repro.sparql.semantics import evaluate_triple_pattern
-from repro.storage import TripleStore
+from repro.storage import SortedIdSet, TripleStore
 
 from .strategies import datasets, triple_patterns
 
 EX = "http://x/"
 P, Q, R = IRI(EX + "p"), IRI(EX + "q"), IRI(EX + "r")
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+ids_of = SortedIdSet.from_ids
 
 
 def reference_bgp(patterns, dataset):
@@ -96,31 +97,31 @@ class TestCandidates:
         n0 = graph_store.lookup(IRI(EX + "n0"))
         patterns = [TriplePattern(X, P, Y)]
         full = engine.evaluate(patterns)
-        restricted = engine.evaluate(patterns, {"x": {n0}})
+        restricted = engine.evaluate(patterns, {"x": ids_of({n0})})
         assert restricted == Bag([m for m in full if m["x"] == n0])
 
     def test_candidates_equal_filtered_full_eval(self, engine, graph_store):
         ids = {graph_store.lookup(IRI(EX + f"n{i}")) for i in (0, 2, 4)}
         patterns = [TriplePattern(X, P, Y), TriplePattern(X, Q, Z)]
         full = engine.evaluate(patterns)
-        restricted = engine.evaluate(patterns, {"x": ids})
+        restricted = engine.evaluate(patterns, {"x": ids_of(ids)})
         assert restricted == Bag([m for m in full if m["x"] in ids])
 
     def test_candidates_on_two_variables(self, engine, graph_store):
         n0 = graph_store.lookup(IRI(EX + "n0"))
         n1 = graph_store.lookup(IRI(EX + "n1"))
         patterns = [TriplePattern(X, P, Y)]
-        restricted = engine.evaluate(patterns, {"x": {n0}, "y": {n1}})
+        restricted = engine.evaluate(patterns, {"x": ids_of({n0}), "y": ids_of({n1})})
         assert restricted == Bag([{"x": n0, "y": n1}])
 
     def test_empty_candidate_set_gives_empty(self, engine):
         patterns = [TriplePattern(X, P, Y)]
-        assert len(engine.evaluate(patterns, {"x": set()})) == 0
+        assert len(engine.evaluate(patterns, {"x": ids_of(())})) == 0
 
     def test_irrelevant_candidates_ignored(self, engine):
         patterns = [TriplePattern(X, P, Y)]
         full = engine.evaluate(patterns)
-        assert engine.evaluate(patterns, {"unused": {1, 2}}) == full
+        assert engine.evaluate(patterns, {"unused": ids_of({1, 2})}) == full
 
     def test_candidate_driven_scan_pins_repeated_predicate_variable(self):
         """A driver variable repeated at the predicate position (?x ?x ?o)
@@ -138,8 +139,8 @@ class TestCandidates:
             full = engine.evaluate(pattern)
             assert full == Bag([{"x": store.lookup(q), "y": store.lookup(b)}])
             # Candidate sets small enough to drive the scan:
-            assert engine.evaluate(pattern, {"x": {store.lookup(a)}}) == Bag()
-            assert engine.evaluate(pattern, {"x": {store.lookup(q)}}) == full
+            assert engine.evaluate(pattern, {"x": ids_of({store.lookup(a)})}) == Bag()
+            assert engine.evaluate(pattern, {"x": ids_of({store.lookup(q)})}) == full
 
 
 class TestEstimates:
@@ -165,11 +166,6 @@ class TestDecodeHelpers:
         decoded = engine.decode_bag(Bag([{"x": n0}]))
         assert decoded == Bag([{"x": IRI(EX + "n0")}])
 
-    def test_encode_candidates_from_bag(self, engine):
-        bag = Bag([{"x": 1}, {"x": 2, "y": 3}])
-        cands = engine.encode_candidates_from_bag(bag, ["x", "y", "z"])
-        assert cands == {"x": {1, 2}, "y": {3}}
-
 
 class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
@@ -189,5 +185,5 @@ class TestPropertyEquivalence:
         # Use all subject ids of the store as a candidate set for 'v0'.
         ids = {store.dictionary.lookup(t.subject) for t in dataset}
         ids.discard(None)
-        candidates = {"v0": ids} if ids else None
+        candidates = {"v0": ids_of(ids)} if ids else None
         assert wco.evaluate(patterns, candidates) == hashjoin.evaluate(patterns, candidates)

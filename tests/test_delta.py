@@ -4,7 +4,7 @@ The overlay must answer the *complete* frozen read interface over the
 logical set ``(base − tombstones) ∪ adds`` exactly as a
 :class:`FrozenTripleIndexes` rebuilt from that set would — that is what
 lets the sorted-run execution layer (merge joins, galloping, leapfrog)
-keep running over pending writes without a thaw.  These tests drive
+keep running over pending writes.  These tests drive
 randomized write sequences and compare every read entry point against
 the rebuilt reference.
 """
@@ -157,12 +157,6 @@ def test_stacking_overlays_is_rejected():
     overlay = DeltaOverlayIndexes(_freeze({(1, 1, 1)}))
     with pytest.raises(TypeError):
         DeltaOverlayIndexes(overlay)
-
-
-def test_direct_insert_still_raises():
-    overlay = DeltaOverlayIndexes(_freeze({(1, 1, 1)}))
-    with pytest.raises(TypeError):
-        overlay.insert((2, 2, 2))
 
 
 def test_delta_layer_seal_tracks_version():

@@ -7,14 +7,9 @@ decoded term rows, nested-loop joins) and with the full optimized stack
 pruning enabled (``mode="full"``), filter/modifier pushdown on — and
 asserts exact bag equality.
 
-The store is *frozen* (sorted permutation arrays), so the optimized
-runs exercise the sorted-run layer: merge joins, galloping semi-joins,
-leapfrog extension and sorted-array candidate pruning.  Each seed is
-additionally executed with ``sorted_runs=False`` — the classic
-hash-join / set-candidate paths over the same frozen store — and the
-two configurations are asserted row-set-identical, which is the
-merge ≡ hash / gallop ≡ set equivalence proof across both engines ×
-all 300 seeds.
+Every store serves sorted permutation arrays, so the optimized runs
+exercise the sorted-run layer: merge joins, galloping semi-joins,
+leapfrog extension and sorted-array candidate pruning.
 
 Result comparison is modifier-aware:
 
@@ -90,25 +85,12 @@ def _run_differential(seed: int, extended: bool) -> None:
         expected = oracle.execute(query, dataset)
     except oracle.OracleBlowup:
         pytest.skip("cartesian blowup (deterministic circuit breaker)")
-    store = TripleStore.from_dataset(dataset).freeze()
+    store = TripleStore.from_dataset(dataset)
     for engine_name in ENGINES:
         engine = SparqlUOEngine(store, bgp_engine=engine_name, mode="full")
         result = engine.execute(query)
         context = f"seed={seed} extended={extended} engine={engine_name}"
         check_equivalent(query, expected, result, context)
-        # The sorted-run layer (merge joins, galloping pruning) must be
-        # row-set-identical to the classic hash/set paths on the same
-        # frozen store; modifier-free queries compare as exact bags,
-        # paged ones against the same oracle invariants (the chosen
-        # page is implementation-defined, so bags may legally differ).
-        baseline = SparqlUOEngine(
-            store, bgp_engine=engine_name, mode="full", sorted_runs=False
-        )
-        base_result = baseline.execute(query)
-        if query.limit is None and not query.offset:
-            assert base_result.solutions == result.solutions, context
-        else:
-            check_equivalent(query, expected, base_result, context + " sorted_runs=False")
     _executed["count"] += 1
 
 
@@ -147,11 +129,9 @@ AGG_SEEDS = range(300)
 
 @pytest.mark.parametrize("seed", AGG_SEEDS)
 def test_differential_aggregates(seed):
-    """Random aggregate queries, bag-identical across every engine
-    configuration.
+    """Random aggregate queries, bag-identical to the oracle.
 
-    Each seed runs through both BGP engines × batch kernels on/off ×
-    sorted runs on/off (8 configurations) against the naive grouping
+    Each seed runs through both BGP engines against the naive grouping
     oracle.  The generator leans on the zero-decode path's edge cases:
     UNBOUND grouping keys from OPTIONAL branches, never-bound aggregated
     columns, non-numeric SUM/AVG inputs, DISTINCT inside aggregates and
@@ -164,22 +144,11 @@ def test_differential_aggregates(seed):
         expected = oracle.execute(query, dataset)
     except oracle.OracleBlowup:
         pytest.skip("cartesian blowup (deterministic circuit breaker)")
-    store = TripleStore.from_dataset(dataset).freeze()
+    store = TripleStore.from_dataset(dataset)
     for engine_name in ENGINES:
-        for kernels in (True, False):
-            for sorted_runs in (True, False):
-                engine = SparqlUOEngine(
-                    store,
-                    bgp_engine=engine_name,
-                    mode="full",
-                    kernels=kernels,
-                    sorted_runs=sorted_runs,
-                )
-                context = (
-                    f"agg seed={seed} engine={engine_name} "
-                    f"kernels={kernels} sorted_runs={sorted_runs}"
-                )
-                check_equivalent(query, expected, engine.execute(query), context)
+        engine = SparqlUOEngine(store, bgp_engine=engine_name, mode="full")
+        context = f"agg seed={seed} engine={engine_name}"
+        check_equivalent(query, expected, engine.execute(query), context)
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +169,8 @@ def test_differential_live_updates(seed, tmp_path):
     """Random INSERT/DELETE batches interleaved with random queries.
 
     A plain Python set mirrors the logical triple set; after every
-    write batch a random query runs through both BGP engines × sorted
-    runs on/off over the *same live store* (frozen base + delta
-    overlay, never thawed) and must match the naive oracle evaluated
+    write batch a random query runs through both BGP engines over the
+    *same live store* (frozen base + delta overlay) and must match the naive oracle evaluated
     over the mirror.  This is the delta layer's end-to-end equivalence
     proof: pending adds and tombstones are indistinguishable from a
     store rebuilt from scratch.
@@ -218,10 +186,9 @@ def test_differential_live_updates(seed, tmp_path):
 
     rng = random.Random(9000 + seed)
     dataset = random_dataset(rng, size=rng.randint(10, 24))
-    base_store = TripleStore.from_dataset(dataset)
+    store = TripleStore.from_dataset(dataset)
     snap = str(tmp_path / "live.snap")
-    base_store.save(snap)
-    store = base_store.freeze()
+    store.save(snap)
     wal = WriteAheadLog(str(tmp_path / "live.wal"), policy="off")
     mirror = set(dataset)
     last_query = None
@@ -240,7 +207,6 @@ def test_differential_live_updates(seed, tmp_path):
         mirror -= set(deletes)
         mirror |= set(inserts)
         assert len(store) == len(mirror)
-        # The store must still be frozen-shaped — writes never thaw it.
         assert isinstance(store.indexes, FrozenTripleIndexes)
         # Journal the batch exactly as a serving parent would: deletes
         # first, then inserts (apply_update's delete-then-insert order).
@@ -264,18 +230,9 @@ def test_differential_live_updates(seed, tmp_path):
             continue
         last_query = (query, expected)
         for engine_name in ENGINES:
-            for sorted_runs in (True, False):
-                engine = SparqlUOEngine(
-                    store,
-                    bgp_engine=engine_name,
-                    mode="full",
-                    sorted_runs=sorted_runs,
-                )
-                context = (
-                    f"seed={seed} round={round_no} engine={engine_name} "
-                    f"sorted_runs={sorted_runs}"
-                )
-                check_equivalent(query, expected, engine.execute(query), context)
+            engine = SparqlUOEngine(store, bgp_engine=engine_name, mode="full")
+            context = f"seed={seed} round={round_no} engine={engine_name}"
+            check_equivalent(query, expected, engine.execute(query), context)
 
     # Crash/recover round: the process dies with the delta overlay
     # never compacted; the snapshot on disk still holds the original
@@ -283,23 +240,15 @@ def test_differential_live_updates(seed, tmp_path):
     # exact live state.
     wal.close()
     for engine_name in ENGINES:
-        for sorted_runs in (True, False):
-            recovered = SparqlUOEngine.from_snapshot(
-                snap,
-                wal=wal.path,
-                bgp_engine=engine_name,
-                mode="full",
-                sorted_runs=sorted_runs,
-            )
-            context = (
-                f"seed={seed} crash-recover engine={engine_name} "
-                f"sorted_runs={sorted_runs}"
-            )
-            assert len(recovered.store) == len(mirror), context
-            if last_query is not None:
-                query, expected = last_query
-                check_equivalent(query, expected, recovered.execute(query), context)
-            recovered.store.close()
+        recovered = SparqlUOEngine.from_snapshot(
+            snap, wal=wal.path, bgp_engine=engine_name, mode="full"
+        )
+        context = f"seed={seed} crash-recover engine={engine_name}"
+        assert len(recovered.store) == len(mirror), context
+        if last_query is not None:
+            query, expected = last_query
+            check_equivalent(query, expected, recovered.execute(query), context)
+        recovered.store.close()
 
 
 TRACE_SEEDS = range(40)
@@ -319,7 +268,7 @@ def test_differential_tracing_transparent(seed):
     rng = random.Random(11000 + seed)
     dataset = random_dataset(rng, size=rng.randint(15, 32))
     query = random_query(rng, extended=bool(seed % 2))
-    store = TripleStore.from_dataset(dataset).freeze()
+    store = TripleStore.from_dataset(dataset)
     for engine_name in ENGINES:
         engine = SparqlUOEngine(store, bgp_engine=engine_name, mode="full")
         plain = engine.execute(query)

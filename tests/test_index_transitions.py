@@ -1,13 +1,12 @@
 """Concurrency regression tests for the store's index state transitions.
 
 A snapshot-backed store serves reads from :class:`FrozenTripleIndexes`;
-the first write layers a :class:`DeltaOverlayIndexes` over it (the
-frozen permutations are never torn down — no thaw).  Both transitions
-— the deferred lazy build and the overlay installation — must be
-atomic from a reader's point of view: build the replacement fully,
-then publish it with a single attribute store.  Before the fix, two
+the first write layers a :class:`DeltaOverlayIndexes` over it.  Both
+transitions — the deferred lazy build and the overlay installation —
+must be atomic from a reader's point of view: build the replacement
+fully, then publish it with a single attribute store.  Otherwise two
 racing first-touch readers could trip the loader's one-shot assertion,
-and a reader could in principle observe a half-initialized structure.
+and a reader could observe a half-initialized structure.
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ class TestLazyBuildRace:
             store.close()
 
 
-class TestThawDuringReads:
-    def test_readers_survive_concurrent_thaw(self, snapshot):
-        """One engine reads in a loop while another thread writes (thaws).
+class TestOverlayWrapDuringReads:
+    def test_readers_survive_concurrent_overlay_wrap(self, snapshot):
+        """One engine reads in a loop while another thread writes.
 
         Readers must never crash and must always observe a complete
         index: every query returns either the pre-write or post-write
@@ -116,8 +115,8 @@ class TestThawDuringReads:
         assert observed <= set(range(baseline, baseline + 6))
         final = len(engine.execute(query))
         assert final == baseline + 5
-        # Writes no longer thaw: the store still serves the frozen
-        # sorted-run read paths, through the delta overlay.
+        # The store still serves the frozen sorted-run read paths,
+        # through the delta overlay.
         assert isinstance(store.indexes, DeltaOverlayIndexes)
         assert isinstance(store.indexes, FrozenTripleIndexes)
 

@@ -4,38 +4,56 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rdf import TermDictionary
-from repro.storage import TripleIndexes
+from repro.storage import DeltaOverlayIndexes, FrozenTripleIndexes
 
 from .strategies import datasets
 
 
-def build(triples):
-    idx = TripleIndexes()
+def frozen(triples):
+    """The triples sorted into frozen permutations in one pass."""
+    columns = zip(*set(triples)) if triples else ((), (), ())
+    return FrozenTripleIndexes.from_columns(*columns)
+
+
+def overlaid(triples):
+    """The same triples written one by one into an overlay over an
+    empty base — the shape a freshly written-to ``TripleStore()`` has."""
+    idx = DeltaOverlayIndexes(frozen([]))
     for t in triples:
-        idx.insert(t)
+        idx.delta_insert(t)
     return idx
 
 
+BUILDERS = pytest.mark.parametrize("build", [frozen, overlaid])
+
+
 class TestInsert:
-    def test_insert_and_len(self):
+    @BUILDERS
+    def test_insert_and_len(self, build):
         idx = build([(0, 1, 2)])
         assert len(idx) == 1
 
     def test_duplicate_rejected(self):
-        idx = TripleIndexes()
-        assert idx.insert((0, 1, 2)) is True
-        assert idx.insert((0, 1, 2)) is False
+        idx = overlaid([])
+        assert idx.delta_insert((0, 1, 2)) is True
+        assert idx.delta_insert((0, 1, 2)) is False
         assert len(idx) == 1
 
-    def test_contains(self):
+    def test_duplicate_rows_rejected_by_from_columns(self):
+        with pytest.raises(ValueError, match="duplicate rows"):
+            FrozenTripleIndexes.from_columns((0, 0), (1, 1), (2, 2))
+
+    @BUILDERS
+    def test_contains(self, build):
         idx = build([(0, 1, 2)])
         assert (0, 1, 2) in idx
         assert (2, 1, 0) not in idx
 
 
+@BUILDERS
 class TestLookups:
     @pytest.fixture
-    def idx(self):
+    def idx(self, build):
         return build([(0, 1, 2), (0, 1, 3), (4, 1, 2), (0, 5, 2), (4, 5, 3)])
 
     def test_objects_for_sp(self, idx):
@@ -65,9 +83,10 @@ class TestLookups:
         assert idx.objects_of_predicate(1) == {2, 3}
 
 
+@BUILDERS
 class TestScanAndCount:
     @given(datasets(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
-    def test_scan_matches_naive_filter(self, dataset, bound):
+    def test_scan_matches_naive_filter(self, build, dataset, bound):
         """For every binding combination, scan() equals a full filter."""
         dictionary = TermDictionary()
         triples = [dictionary.encode_triple(t) for t in dataset]
@@ -88,7 +107,7 @@ class TestScanAndCount:
         assert sorted(idx.scan(s, p, o)) == expected
         assert idx.count(s, p, o) == len(expected)
 
-    def test_full_scan(self):
+    def test_full_scan(self, build):
         idx = build([(0, 1, 2), (3, 4, 5)])
         assert sorted(idx.scan()) == [(0, 1, 2), (3, 4, 5)]
         assert idx.count() == 2

@@ -3,7 +3,7 @@
 Unit tests cover the :mod:`repro.obs` pieces in isolation (tracer
 nesting and abort semantics, constant lifting, the bounded registry,
 the size-bounded JSONL log).  Engine-level tests assert the span tree
-is well-formed across engines × sorted_runs × kernels and under LIMIT
+is well-formed across both BGP engines and under LIMIT
 early-exit and timeout abort.  HTTP tests run a real server and check
 the full propagation story: header-activated traces stitched across
 the pool under one request id, cache-hit counters, the
@@ -21,7 +21,7 @@ import urllib.request
 
 import pytest
 
-from repro.core import EngineOptions, SparqlUOEngine
+from repro.core import SparqlUOEngine
 from repro.datasets.lubm import generate_lubm
 from repro.obs import SlowQueryLog, TemplateRegistry, lift_template, render_trace
 from repro.obs import trace as obs_trace
@@ -58,7 +58,7 @@ def _small_dataset() -> Dataset:
 
 @pytest.fixture(scope="module")
 def small_store():
-    return TripleStore.from_dataset(_small_dataset()).freeze()
+    return TripleStore.from_dataset(_small_dataset())
 
 
 def assert_well_formed(node, _path="root"):
@@ -393,17 +393,8 @@ class TestEngineTracing:
         return result, tree
 
     @pytest.mark.parametrize("engine_name", ["wco", "hashjoin"])
-    @pytest.mark.parametrize("sorted_runs", [True, False])
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_span_tree_across_configs(
-        self, small_store, engine_name, sorted_runs, kernels
-    ):
-        engine = SparqlUOEngine(
-            small_store,
-            options=EngineOptions(
-                bgp_engine=engine_name, sorted_runs=sorted_runs, kernels=kernels
-            ),
-        )
+    def test_span_tree_across_engines(self, small_store, engine_name):
+        engine = SparqlUOEngine(small_store, bgp_engine=engine_name)
         query = (
             f"SELECT ?x ?n WHERE {{ ?x <{EX}p> <{EX}o0> . ?x <{EX}name> ?n "
             f'FILTER (?n != "n1") }}'
@@ -461,9 +452,7 @@ class TestEngineTracing:
         assert fold["meta"]["groups"] == 3
 
     def test_filter_kernel_span(self, small_store):
-        engine = SparqlUOEngine(
-            small_store, options=EngineOptions(bgp_engine="hashjoin", kernels=True)
-        )
+        engine = SparqlUOEngine(small_store, bgp_engine="hashjoin")
         # A group-level filter over two patterns runs through
         # CompiledFilter.apply, which records the kernel span.
         _, tree = self._traced(

@@ -1,6 +1,9 @@
 """Snapshot persistence: round-trips, laziness, corruption handling."""
 
 import os
+import struct
+import zlib
+from array import array
 
 import pytest
 
@@ -9,11 +12,12 @@ from repro.rdf import BlankNode, Dataset, IRI, Literal, Triple
 from repro.storage import (
     FORMAT_VERSION,
     MAGIC,
+    SnapshotCorruptError,
     SnapshotError,
     SnapshotReader,
     TripleStore,
 )
-from repro.storage.indexes import FrozenTripleIndexes, TripleIndexes
+from repro.storage.indexes import FrozenTripleIndexes
 from repro.storage.snapshot import decode_term_record, encode_term_record
 
 EX = "http://example.org/"
@@ -147,8 +151,8 @@ class TestRoundTrip:
         assert isinstance(loaded.indexes, FrozenTripleIndexes)
         added = loaded.add(Triple(IRI(EX + "new"), IRI(EX + "p"), Literal("v")))
         assert added
-        # Writes no longer thaw: they land in a sorted delta overlay
-        # stacked over the still-frozen permutations.
+        # Writes land in a sorted delta overlay stacked over the
+        # still-frozen permutations.
         assert isinstance(loaded.indexes, DeltaOverlayIndexes)
         assert loaded.generation == generation + 1
         assert len(loaded) == len(store) + 1
@@ -185,8 +189,8 @@ class TestPlanCache:
         before = rows_of(engine.execute(self.QUERY))
         engine.store.save(snap_path)
         engine.reload_store(TripleStore.load(snap_path))
-        _, _, _, parse_seconds, transform_seconds = engine.prepare(self.QUERY)
-        assert parse_seconds == 0.0 and transform_seconds == 0.0  # cache hit
+        prepared = engine.prepare(self.QUERY)
+        assert prepared.parse_seconds == 0.0 and prepared.transform_seconds == 0.0  # cache hit
         assert rows_of(engine.execute(self.QUERY)) == before
 
     def test_plan_cache_misses_when_generation_differs(self, snap_path):
@@ -196,8 +200,7 @@ class TestPlanCache:
         loaded = TripleStore.load(snap_path)
         loaded.add(Triple(IRI(EX + "other"), IRI(EX + "p"), Literal("x")))
         engine.reload_store(loaded)
-        _, _, _, parse_seconds, _ = engine.prepare(self.QUERY)
-        assert parse_seconds > 0.0  # write bumped the generation: replanned
+        assert engine.prepare(self.QUERY).parse_seconds > 0.0  # write bumped the generation: replanned
 
     def test_plan_cache_misses_for_unrelated_store_with_same_generation(self):
         store_a = TripleStore.from_dataset(tricky_dataset())
@@ -209,8 +212,7 @@ class TestPlanCache:
         engine = SparqlUOEngine(store_a, mode="full")
         engine.execute(self.QUERY)
         engine.reload_store(store_b)  # same generation, different data
-        _, _, _, parse_seconds, _ = engine.prepare(self.QUERY)
-        assert parse_seconds > 0.0  # content counts differ: replanned
+        assert engine.prepare(self.QUERY).parse_seconds > 0.0  # content counts differ: replanned
 
     def test_from_snapshot_constructor(self, snap_path):
         store = TripleStore.from_dataset(tricky_dataset())
@@ -331,3 +333,50 @@ class TestCorruption:
             assert info["triples"] == len(tricky_dataset())
             names = {name for name, _, _ in info["sections"]}
             assert {"META", "DICT", "DOFF", "TSRT", "COLS", "STAT"} <= names
+
+
+def rewrite_with_wide_columns(path, columns) -> None:
+    """Hand-craft the snapshot another writer could produce: the given
+    s/p/o columns as 8-byte ids and no permutation sections."""
+    with SnapshotReader(path) as reader, open(path, "rb") as handle:
+        raw = handle.read()
+        sections = {
+            name.encode(): raw[offset : offset + length]
+            for name, offset, length in reader.sections()
+            if name not in ("PSPO", "PPOS", "POSP")
+        }
+    sections[b"COLS"] = b"\x08" + b"\x00" * 7 + b"".join(
+        array("Q", column).tobytes() for column in columns
+    )
+    header, entry = struct.Struct("<8sHHII"), struct.Struct("<4sQQII")
+    table = b""
+    offset = header.size + entry.size * len(sections)
+    for tag, payload in sections.items():
+        table += entry.pack(tag, offset, len(payload), zlib.crc32(payload), 0)
+        offset += len(payload)
+    with open(path, "wb") as handle:
+        handle.write(header.pack(MAGIC, FORMAT_VERSION, 0, len(sections), zlib.crc32(table)))
+        handle.write(table)
+        handle.write(b"".join(sections.values()))
+
+
+class TestSnapshotWithoutPermutations:
+    def test_loads_as_frozen_indexes(self, snap_path):
+        store = TripleStore.from_dataset(tricky_dataset())
+        store.save(snap_path)
+        rewrite_with_wide_columns(snap_path, zip(*store.indexes.all_triples()))
+        for lazy in (True, False):
+            loaded = TripleStore.load(snap_path, lazy=lazy)
+            assert type(loaded.indexes) is FrozenTripleIndexes
+            assert loaded.indexes.all_triples() == store.indexes.all_triples()
+
+    def test_id_beyond_32_bits_is_corrupt_not_mispacked(self, snap_path):
+        store = TripleStore.from_dataset(tricky_dataset())
+        store.save(snap_path)
+        s_col, p_col, o_col = (list(c) for c in zip(*store.indexes.all_triples()))
+        o_col[0] = 1 << 32
+        rewrite_with_wide_columns(snap_path, (s_col, p_col, o_col))
+        with pytest.raises(SnapshotCorruptError, match="32 bits"):
+            TripleStore.load(snap_path).indexes
+        with pytest.raises(ValueError, match="32 bits"):
+            FrozenTripleIndexes.from_columns(s_col, p_col, o_col)

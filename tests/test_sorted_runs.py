@@ -8,13 +8,12 @@ Four levels of coverage:
    — empty runs, duplicate keys, UNBOUND columns — each checked for
    exact bag equality against the hash :func:`~repro.sparql.bags.join`;
 3. engine-level checks that the merge / leapfrog / intersection paths
-   actually *fire* on frozen stores (counters observable), that
-   ``sorted_runs=False`` pins the classic paths, and hypothesis
-   property tests asserting both configurations × both engines ×
-   candidate shapes are row-set-identical (the differential suite in
-   ``test_differential.py`` extends this to full queries × 300 seeds);
+   actually *fire* (counters observable), and hypothesis property
+   tests asserting both engines × candidate shapes match the naive
+   oracle (the differential suite in ``test_differential.py`` extends
+   this to full queries × 300 seeds);
 4. the satellite invariants: cached predicate id sets, batch decode,
-   ``TripleStore.freeze`` and snapshot permutation verification.
+   cold-built index shape and snapshot permutation verification.
 """
 
 from __future__ import annotations
@@ -25,8 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
+from repro.bgp.hashjoin import binary_join_cost, merge_join_cost
 from repro.core.metrics import EXEC_COUNTERS
 from repro.rdf import Dataset, IRI, TriplePattern, Variable
+from repro.sparql.algebra import GroupGraphPattern
 from repro.sparql.bags import Bag, UNBOUND, join, merge_join_streamed
 from repro.storage import (
     FrozenTripleIndexes,
@@ -40,6 +41,7 @@ from repro.storage import (
 )
 from repro.storage.snapshot import SnapshotReader, write_snapshot
 
+from . import oracle
 from .strategies import datasets, triple_patterns
 
 EX = "http://x/"
@@ -238,7 +240,22 @@ def chain_store():
         d.add_spo(s, Q, IRI(EX + f"n{(i + 1) % 40}"))
         if i % 4 == 0:
             d.add_spo(s, R, IRI(EX + "flag"))
-    return TripleStore.from_dataset(d).freeze()
+    return TripleStore.from_dataset(d)
+
+
+def oracle_bag(store, patterns, candidates=None):
+    """The BGP over the store's triples by the naive oracle; candidate
+    sets drop every solution binding a restricted variable outside them."""
+    dataset = Dataset(map(store.dictionary.decode_triple, store.indexes.all_triples()))
+    rows = oracle.evaluate_group(GroupGraphPattern(patterns), dataset)
+    for name, allowed in (candidates or {}).items():
+        rows = [mu for mu in rows if name not in mu or store.lookup(mu[name]) in allowed]
+    return Bag(rows)
+
+
+def engine_bag(cls, store, patterns, candidates=None):
+    engine = cls(store)
+    return engine.decode_bag(engine.evaluate(patterns, candidates))
 
 
 class TestEnginePaths:
@@ -248,42 +265,10 @@ class TestEnginePaths:
             TriplePattern(X, R, IRI(EX + "flag")),
         ]
         before = EXEC_COUNTERS.snapshot()
-        sorted_bag = HashJoinEngine(chain_store).evaluate(patterns)
+        bag = engine_bag(HashJoinEngine, chain_store, patterns)
         delta = EXEC_COUNTERS.delta_since(before)
         assert delta["merge_joins"] >= 1 and delta["hash_joins"] == 0
-        baseline = HashJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
-        assert sorted_bag == baseline and len(sorted_bag) == 10
-
-    def test_sorted_runs_off_pins_hash_path(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
-        before = EXEC_COUNTERS.snapshot()
-        HashJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
-        delta = EXEC_COUNTERS.delta_since(before)
-        assert delta["merge_joins"] == 0 and delta["hash_joins"] >= 1
-
-    def test_thawed_store_falls_back(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
-        thawed = TripleStore.from_dataset(
-            Dataset(
-                [t for t in map(chain_store.dictionary.decode_triple,
-                                chain_store.indexes.all_triples())]
-            )
-        )
-        before = EXEC_COUNTERS.snapshot()
-        thawed_engine = HashJoinEngine(thawed)
-        bag = thawed_engine.evaluate(patterns)
-        assert EXEC_COUNTERS.delta_since(before)["merge_joins"] == 0
-        # Different stores mint different ids: compare term-level bags.
-        frozen_engine = HashJoinEngine(chain_store)
-        assert thawed_engine.decode_bag(bag) == frozen_engine.decode_bag(
-            frozen_engine.evaluate(patterns)
-        )
+        assert bag == oracle_bag(chain_store, patterns) and len(bag) == 10
 
     def test_wco_leapfrog_consumes_verifier(self, chain_store):
         patterns = [
@@ -291,11 +276,11 @@ class TestEnginePaths:
             TriplePattern(X, R, IRI(EX + "flag")),
         ]
         before = EXEC_COUNTERS.snapshot()
-        bag = WCOJoinEngine(chain_store).evaluate(patterns)
+        bag = engine_bag(WCOJoinEngine, chain_store, patterns)
         delta = EXEC_COUNTERS.delta_since(before)
         assert delta["candidate_intersections"] >= 1
         assert delta["gallop_probes"] >= 1
-        assert bag == WCOJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
+        assert bag == oracle_bag(chain_store, patterns)
 
     def test_sorted_candidates_intersect_runs(self, chain_store):
         lookup = chain_store.lookup
@@ -304,48 +289,43 @@ class TestEnginePaths:
         )
         patterns = [TriplePattern(X, P, IRI(EX + "hub"))]
         for cls in (HashJoinEngine, WCOJoinEngine):
-            sorted_bag = cls(chain_store).evaluate(patterns, {"x": ids})
-            set_bag = cls(chain_store, sorted_runs=False).evaluate(
-                patterns, {"x": set(ids)}
-            )
-            assert sorted_bag == set_bag and len(sorted_bag) == 4
+            bag = engine_bag(cls, chain_store, patterns, {"x": ids})
+            assert bag == oracle_bag(chain_store, patterns, {"x": ids}) and len(bag) == 4
 
     def test_estimate_prices_merge_cheaper(self, chain_store):
         patterns = [
             TriplePattern(X, P, IRI(EX + "hub")),
             TriplePattern(X, R, IRI(EX + "flag")),
         ]
-        merge_cost = HashJoinEngine(chain_store).estimate(patterns).cost
-        hash_cost = HashJoinEngine(chain_store, sorted_runs=False).estimate(patterns).cost
-        assert merge_cost < hash_cost
+        engine = HashJoinEngine(chain_store)
+        # Greedy order scans the 10 flag rows first, then merges the 40 hub rows.
+        _, per_step = engine.estimator.estimate_sequence(patterns[::-1])
+        assert engine.estimate(patterns).cost == 10 + merge_join_cost(per_step[0], 40)
+        assert merge_join_cost(per_step[0], 40) < binary_join_cost(per_step[0], 40)
 
     @settings(max_examples=40, deadline=None)
     @given(datasets(), st.lists(triple_patterns(), min_size=1, max_size=3))
-    def test_sorted_and_classic_paths_agree(self, dataset, patterns):
-        store = TripleStore.from_dataset(dataset).freeze()
+    def test_both_engines_match_oracle(self, dataset, patterns):
+        store = TripleStore.from_dataset(dataset)
         for cls in (HashJoinEngine, WCOJoinEngine):
-            sorted_bag = cls(store).evaluate(patterns)
-            classic = cls(store, sorted_runs=False).evaluate(patterns)
-            assert sorted_bag == classic
+            assert engine_bag(cls, store, patterns) == oracle_bag(store, patterns)
 
     @settings(max_examples=30, deadline=None)
     @given(datasets(), st.lists(triple_patterns(), min_size=1, max_size=2))
-    def test_paths_agree_under_candidates(self, dataset, patterns):
-        store = TripleStore.from_dataset(dataset).freeze()
-        ids = {store.dictionary.lookup(t.subject) for t in dataset}
-        ids.discard(None)
+    def test_both_engines_match_oracle_under_candidates(self, dataset, patterns):
+        store = TripleStore.from_dataset(dataset)
+        ids = [store.dictionary.lookup(t.subject) for t in dataset][::2]
         if not ids:
             return
-        sorted_cand = {"v0": SortedIdSet.from_ids(ids)}
-        set_cand = {"v0": ids}
+        candidates = {"v0": SortedIdSet.from_ids(ids)}
         for cls in (HashJoinEngine, WCOJoinEngine):
-            assert cls(store).evaluate(patterns, sorted_cand) == cls(
-                store, sorted_runs=False
-            ).evaluate(patterns, set_cand)
+            assert engine_bag(cls, store, patterns, candidates) == oracle_bag(
+                store, patterns, candidates
+            )
 
 
 # ----------------------------------------------------------------------
-# satellites: cached predicate sets, freeze, batch decode, verification
+# satellites: cached predicate sets, index shape, batch decode, verification
 # ----------------------------------------------------------------------
 class TestPredicateSetCaches:
     def _store(self):
@@ -356,7 +336,7 @@ class TestPredicateSetCaches:
         return TripleStore.from_dataset(d)
 
     def test_frozen_returns_cached_sorted_sets(self):
-        store = self._store().freeze()
+        store = self._store()
         p = store.lookup(P)
         indexes = store.indexes
         first = indexes.subjects_of_predicate(p)
@@ -367,7 +347,7 @@ class TestPredicateSetCaches:
         assert objects is indexes.objects_of_predicate(p)
         assert objects == {store.lookup(IRI(EX + "b"))}
 
-    def test_mutable_cache_invalidated_on_insert(self):
+    def test_cache_invalidated_on_insert(self):
         store = self._store()
         p = store.lookup(P)
         before = store.indexes.subjects_of_predicate(p)
@@ -378,37 +358,40 @@ class TestPredicateSetCaches:
         assert len(after) == len(before) + 1
 
 
-class TestFreeze:
-    def test_freeze_is_idempotent_and_equivalent(self):
+class TestOneIndexShape:
+    def test_cold_builds_are_frozen(self, tmp_path):
         d = Dataset()
         for i in range(10):
             d.add_spo(IRI(EX + f"s{i}"), P, IRI(EX + f"o{i % 3}"))
+        nt = tmp_path / "cold.nt"
+        nt.write_text("".join(t.n3() + "\n" for t in d))
         cold = TripleStore.from_dataset(d)
-        expected = sorted(cold.indexes.all_triples())
-        frozen = cold.freeze()
-        assert frozen is cold
-        assert isinstance(cold.indexes, FrozenTripleIndexes)
-        assert cold.freeze() is cold
-        assert sorted(cold.indexes.all_triples()) == expected
+        bulk = TripleStore.bulk_load(str(nt))
+        assert type(cold.indexes) is type(bulk.indexes) is FrozenTripleIndexes
+        assert cold.generation == bulk.generation == 1
+        decoded = [
+            sorted(map(store.dictionary.decode_triple, store.indexes.all_triples()), key=str)
+            for store in (cold, bulk)
+        ]
+        assert decoded[0] == decoded[1] == sorted(d, key=str)
 
-    def test_write_after_freeze_uses_delta_overlay(self):
-        d = Dataset()
-        d.add_spo(IRI(EX + "a"), P, IRI(EX + "b"))
-        store = TripleStore.from_dataset(d).freeze()
+    def test_every_write_uses_the_delta_overlay(self):
         from repro.rdf import Triple
         from repro.storage import DeltaOverlayIndexes
 
-        assert store.add(Triple(IRI(EX + "c"), P, IRI(EX + "d")))
-        assert len(store) == 2
-        # No thaw: the write lands in a sorted delta overlay and the
-        # store keeps the frozen sorted-run read paths.
-        assert isinstance(store.indexes, DeltaOverlayIndexes)
-        assert isinstance(store.indexes, FrozenTripleIndexes)
+        d = Dataset()
+        d.add_spo(IRI(EX + "a"), P, IRI(EX + "b"))
+        for store in (TripleStore.from_dataset(d), TripleStore()):
+            size = len(store)
+            assert store.add(Triple(IRI(EX + "c"), P, IRI(EX + "d")))
+            assert len(store) == size + 1
+            assert isinstance(store.indexes, DeltaOverlayIndexes)
+            assert isinstance(store.indexes, FrozenTripleIndexes)
 
-    def test_empty_store_freezes(self):
-        store = TripleStore().freeze()
-        assert len(store) == 0
-        assert isinstance(store.indexes, FrozenTripleIndexes)
+    def test_empty_store_is_frozen(self):
+        store = TripleStore()
+        assert len(store) == 0 and store.generation == 0
+        assert type(store.indexes) is FrozenTripleIndexes
 
 
 class TestBatchDecode:
@@ -461,7 +444,7 @@ class TestPermutationVerification:
 
     def test_unsorted_permutations_rejected(self, tmp_path):
         store = TripleStore.from_dataset(self._dataset())
-        frozen = store.freeze().indexes
+        frozen = store.indexes
         arrays = [array("Q", a) for a in frozen.permutation_arrays()]
         # Corrupt the SPO pair-key order (valid checksums, broken sort).
         arrays[0][0], arrays[0][-1] = arrays[0][-1], arrays[0][0]

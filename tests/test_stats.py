@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.storage import StoreStatistics, TripleIndexes
+from repro.storage import FrozenTripleIndexes, StoreStatistics
 
 
 def build_stats(triples):
-    idx = TripleIndexes()
-    for t in triples:
-        idx.insert(t)
-    return StoreStatistics.from_indexes(idx)
+    return StoreStatistics.from_indexes(FrozenTripleIndexes.from_columns(*zip(*triples)))
 
 
 class TestPredicateStatistics:

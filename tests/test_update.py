@@ -3,9 +3,9 @@
 Covers the three supported operation forms (``INSERT DATA``,
 ``DELETE DATA``, ``DELETE/INSERT … WHERE``), the engine's template
 instantiation rules, the write-path invalidation fix (no-op batches
-must not bump the generation or drop derived caches), the no-thaw
-guarantee (queries over pending writes still take the sorted-run
-execution paths), and the two write-path fault sites
+must not bump the generation or drop derived caches), the guarantee
+that queries over pending writes still take the sorted-run execution
+paths, and the two write-path fault sites
 (``delta.apply``, ``compact.publish``).
 """
 
@@ -182,8 +182,8 @@ class TestEngineUpdate:
 
     @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
     def test_reads_over_pending_writes_stay_on_sorted_runs(self, bgp_engine):
-        """The no-thaw guarantee: after live writes the store still
-        serves a frozen-shaped index and queries still take the
+        """After live writes the store still serves a frozen-shaped
+        index and queries still take the
         merge/gallop execution paths — over results that already
         include the pending writes."""
         triples = []
@@ -192,7 +192,7 @@ class TestEngineUpdate:
             triples.append(Triple(s, IRI(f"{EX}p"), IRI(f"{EX}hub")))
             if i % 4 == 0:
                 triples.append(Triple(s, IRI(f"{EX}r"), IRI(f"{EX}flag")))
-        store = TripleStore.from_triples(triples).freeze()
+        store = TripleStore.from_triples(triples)
         engine = SparqlUOEngine(store, bgp_engine=bgp_engine)
         engine.update(
             f"INSERT DATA {{ <{EX}extra> <{EX}p> <{EX}hub> . "
