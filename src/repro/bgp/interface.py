@@ -32,7 +32,6 @@ from typing import (
 )
 
 from ..obs import trace as _trace
-from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, UNBOUND
 from ..storage.runs import SortedIdSet

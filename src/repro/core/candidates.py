@@ -77,10 +77,11 @@ class CandidatePolicy:
         candidate_bag: Optional[Bag],
     ) -> Optional[Candidates]:
         """Extract per-variable candidate sets, or None when pruning is
-        off, useless (no shared variables) or over threshold."""
+        off, useless (no shared variables) or over threshold.
+
+        The evaluator never passes an empty bag: a group stops at its
+        first empty accumulator, so nothing downstream of it runs."""
         if not self.enabled or candidate_bag is None:
-            return None
-        if len(candidate_bag) == 0:
             return None
         # Threshold first: it is O(1) with memoized estimates, while the
         # certain-variable analysis touches the candidate bag's columns

@@ -12,6 +12,13 @@ bag ``r`` of id-level solutions:
   semantics-preserving (see below), at the latest when the group's last
   operator child has been evaluated.
 
+An empty bag ends its group: once ``r`` is a real empty bag (not the
+identity, which is one empty mapping), the remaining operator children
+are not evaluated and ``r`` is returned — ∅ ⋈ X = ∅ ⟕ X = ∅ and every
+FILTER of ∅ is ∅.  The ``operators_skipped_empty`` exec counter counts
+the children skipped.  Consequently every candidate bag handed to a
+child is either absent or non-empty.
+
 Candidate pruning follows the paper's modification of Algorithm 1: the
 *current* results flow into nested structures as candidates, while BGP
 children are restricted by the candidates passed in from the enclosing
@@ -56,6 +63,7 @@ from ..obs import trace as _trace
 from ..sparql.bags import Bag, join, left_join, union
 from .betree import BETree, BGPNode, FilterNode, GroupNode, OptionalNode, UnionNode
 from .candidates import CandidatePolicy
+from .metrics import EXEC_COUNTERS
 
 __all__ = ["EvaluationTrace", "BGPBasedEvaluator"]
 
@@ -152,6 +160,14 @@ class BGPBasedEvaluator:
         r: Opt[Bag] = None  # None ⇔ the join identity (nothing yet)
         tracer = _trace.ACTIVE
         for position, child in enumerate(operators):
+            if r is not None and not len(r):
+                # ∅ ⋈ X = ∅ ⟕ X = ∅ and every FILTER of ∅ is ∅: the
+                # rest of the group cannot produce a row.
+                skipped = len(operators) - position
+                EXEC_COUNTERS.operators_skipped_empty += skipped
+                if tracer is not None:
+                    tracer.annotate(skipped=skipped)
+                return r
             if checkpoint is not None:
                 checkpoint()
             # Nested structures receive the *current* results as

@@ -60,6 +60,7 @@ EXEC_COUNTER_FIELDS = (
     "decoded_cells",     # result cells filled from those ids
     "rows_kernel_filtered",  # rows screened by batch compare-and-compact kernels
     "terms_decoded",     # ids materialized into terms anywhere (0 = zero-decode)
+    "operators_skipped_empty",  # group children never evaluated: left side was ∅
 )
 
 

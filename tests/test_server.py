@@ -9,7 +9,9 @@ worker-death and shedding paths.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -385,6 +387,27 @@ class TestHttpEndpoint:
         _, _, second = sparql_get(server, query)
         assert second == first
         assert server.cache.stats()["hits"] == before + 1
+
+    def test_keepalive_requests_do_not_stall(self, server):
+        # Headers and body leave in two sends; without TCP_NODELAY the
+        # body waits for the client's delayed ACK (~40 ms) on every
+        # request of a persistent connection.
+        path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+        connection = http.client.HTTPConnection(
+            server.config.host, server.port, timeout=60
+        )
+        try:
+            timings = []
+            for _ in range(21):  # the first request warms the result cache
+                start = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                timings.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(timings[1:]) < 0.005, timings
 
     def test_concurrent_mixed_queries_byte_identical(self, server, local_engine):
         queries = [QUERY_HEADOF, QUERY_OPTIONAL, QUERY_UNION] * 3
