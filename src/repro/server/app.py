@@ -13,14 +13,17 @@ is what keeps an overloaded endpoint responsive.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import signal
 import socket
 import sys
+import tempfile
 import threading
 import time
 import uuid
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 from typing import Optional, Tuple
@@ -421,13 +424,15 @@ class _Handler(BaseHTTPRequestHandler):
             if state.config.stale_while_error and reply.kind in ("error", "shed"):
                 stale = state.cache.get_stale(request.format, request.query)
                 if stale is not None:
+                    # Counted before the reply leaves: a client that has
+                    # the stale answer must already see it in /metrics.
+                    state.metrics.record_stale_served()
                     self._respond(
                         200,
                         stale.content_type,
                         stale.payload,
                         (("X-Repro-Stale", "1"),),
                     )
-                    state.metrics.record_stale_served()
                     state.metrics.record_query(
                         "stale", perf_counter() - started, stale.row_count, stale.join_space
                     )
@@ -649,6 +654,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         state = self.state
         pool_stats = state.pool.stats()
+        wal_stats = state.wal_stats()
         alive = int(pool_stats["alive"])
         target = int(pool_stats["target"])
         if alive == 0:
@@ -670,7 +676,7 @@ class _Handler(BaseHTTPRequestHandler):
             "generation_mixed": state.generation_mixed,
             "inflight": state.metrics.inflight,
             "pending_updates": state.pool.pending_replay,
-            "wal_depth": state.wal.depth if state.wal is not None else 0,
+            "wal_depth": wal_stats["depth"] if wal_stats is not None else 0,
             "recovered_torn_tail": state.recovered_torn_tail,
             "cache": state.cache.stats(),
         }
@@ -721,46 +727,32 @@ class SparqlServer:
         # like a corrupt snapshot) with nothing to unwind, and a torn
         # tail is truncated here so the replay below sees only complete
         # frames.  The recovered records are replayed once the pool is
-        # up.
-        self.wal: Optional[WriteAheadLog] = None
+        # up.  Without --wal the server still keeps a log — a temporary
+        # file, never fsynced, deleted at shutdown — because the log is
+        # the worker pool's only respawn-replay source; durability and
+        # the WAL's /metrics and /healthz reporting stay off.
+        self._durable = bool(config.wal)
         #: Startup recoveries performed (0 or 1 per process): the log
         #: held acked updates the snapshot lacked, or a torn tail was
         #: cut.  Rendered as repro_wal_recoveries_total.
         self.wal_recoveries = 0
-        #: True when open found (and truncated) a torn final frame —
-        #: surfaced on /healthz as a degraded, but correct, start.
-        self.recovered_torn_tail = False
         #: The recovery span tree (obs), set when a replay ran.
         self.recovery_trace: Optional[dict] = None
-        if config.wal:
+        if self._durable:
             self.wal = WriteAheadLog(config.wal, policy=config.wal_fsync)
-            self.recovered_torn_tail = self.wal.recovered_torn_tail
-        # Bind the listener *before* spawning workers: a bind failure
-        # (EADDRINUSE, privileged port) must not leave N freshly
-        # spawned processes parked on their pipes.
-        self._httpd = _HTTPServer((config.host, config.port), _Handler)
+        else:
+            fd, path = tempfile.mkstemp(prefix="repro-replay-", suffix=".wal")
+            os.close(fd)
+            self.wal = WriteAheadLog(path, policy="off")
+        #: True when open found (and truncated) a torn final frame —
+        #: surfaced on /healthz as a degraded, but correct, start.
+        self.recovered_torn_tail = self.wal.recovered_torn_tail
         #: Set when a respawned worker reports a different snapshot
         #: generation than the fleet started on (in-place rebuild):
         #: results from different data versions now coexist, so the
         #: result cache is cleared and bypassed — correctness degrades
         #: to miss-through, never to stale hits.
         self.generation_mixed = False
-        try:
-            self.pool = WorkerPool(
-                config,
-                on_restart=self.metrics.record_worker_restart,
-                on_generation_drift=self._on_generation_drift,
-                on_snapshot_fallback=self._on_snapshot_fallback,
-            )
-        except BaseException:
-            self._httpd.server_close()
-            raise
-        self.generation = self.pool.generation
-        self.admission = AdmissionController(
-            config.effective_max_inflight,
-            config.effective_queue_size,
-            config.effective_queue_wait,
-        )
         # ---- live-write state ----
         #: Serializes POST /update handling (and compaction) so writes
         #: commit in a single total order: parent store first, then the
@@ -770,17 +762,33 @@ class SparqlServer:
         #: the first update — read-only servers never pay for it.
         self._writer_engine = None
         self._compacting = False
-        if self.wal is not None:
-            # From here on the WAL (already appended to before every
-            # broadcast) is the respawn-replay source; the pool's
-            # in-memory list stays empty.
+        # Every failure below unwinds what is already up, newest first:
+        # no worker, listener or log file outlives a failed startup.
+        with ExitStack() as unwind:
+            unwind.callback(self._close_wal)
+            # Bind the listener *before* spawning workers: a bind
+            # failure (EADDRINUSE, privileged port) must not leave N
+            # freshly spawned processes parked on their pipes.
+            self._httpd = _HTTPServer((config.host, config.port), _Handler)
+            unwind.callback(self._httpd.server_close)
+            self.pool = WorkerPool(
+                config,
+                on_restart=self.metrics.record_worker_restart,
+                on_generation_drift=self._on_generation_drift,
+                on_snapshot_fallback=self._on_snapshot_fallback,
+            )
+            unwind.callback(self.pool.close)
+            self.generation = self.pool.generation
+            # The log is appended to before every broadcast, so it is
+            # what a respawned worker replays to catch up.
             self.pool.attach_wal(self.wal)
-            try:
-                self._replay_wal_tail()
-            except BaseException:
-                self.pool.close()
-                self._httpd.server_close()
-                raise
+            self._replay_wal_tail()
+            unwind.pop_all()
+        self.admission = AdmissionController(
+            config.effective_max_inflight,
+            config.effective_queue_size,
+            config.effective_queue_wait,
+        )
         self._httpd.state = self
         self._thread: Optional[threading.Thread] = None
 
@@ -814,10 +822,9 @@ class SparqlServer:
             from ..core.engine import SparqlUOEngine
 
             store = _open_store(self.config.data)
-            if self.wal is not None:
-                # Compaction (store.compact) truncates the WAL's dead
-                # prefix as part of publishing the snapshot.
-                store.attach_wal(self.wal)
+            # Compaction (store.compact) truncates the log's dead
+            # prefix as part of publishing the snapshot.
+            store.attach_wal(self.wal)
             self._writer_engine = SparqlUOEngine(
                 store, options=self.config.engine_options()
             )
@@ -835,10 +842,9 @@ class SparqlServer:
         when an unacked (never-logged) update separated two logged ones
         before the crash — and a frame whose text no longer parses is
         corruption (exit code 3): logged frames were validated before
-        being written.
+        being written.  A fresh (temporary) log makes this a no-op.
         """
         wal = self.wal
-        assert wal is not None
         records = [r for r in wal.recovered_records if r.generation > self.generation]
         if not records and not wal.recovered_torn_tail:
             return
@@ -880,8 +886,8 @@ class SparqlServer:
         )
 
     def wal_stats(self) -> Optional[dict]:
-        """One consistent WAL sample for /metrics (None when disabled)."""
-        if self.wal is None:
+        """One consistent WAL sample for /metrics (None without --wal)."""
+        if not self._durable:
             return None
         stats = self.wal.stats()
         stats["recoveries"] = self.wal_recoveries
@@ -906,21 +912,20 @@ class SparqlServer:
             confirmed = 0
             changed = bool(result.added or result.removed)
             if changed:
-                if self.wal is not None:
-                    # The append happens under the update lock so frame
-                    # order matches commit order; the fsync wait happens
-                    # *outside* it (below), so concurrent committers
-                    # share a group-commit leader's fsync instead of
-                    # serializing one fsync per update.
-                    try:
-                        wal_seq = self.wal.append(result.generation, text)
-                    except OSError as exc:
-                        # The parent store has already committed, so the
-                        # fleet must still be brought along (consistency
-                        # over durability) — but the client gets a 5xx:
-                        # this update was never acked and may not
-                        # survive a crash.
-                        durability_error = exc
+                # The append happens under the update lock so frame
+                # order matches commit order; the fsync wait happens
+                # *outside* it (below), so concurrent committers share a
+                # group-commit leader's fsync instead of serializing one
+                # fsync per update.
+                try:
+                    wal_seq = self.wal.append(result.generation, text)
+                except OSError as exc:
+                    # The parent store has already committed, so the
+                    # fleet must still be brought along (consistency
+                    # over durability) — but the client gets a 5xx: this
+                    # update was never acked, may not survive a crash,
+                    # and a respawn cannot replay it.
+                    durability_error = exc
                 confirmed = self.pool.broadcast_update(text, result.generation)
                 # Advance the cache key only after the fleet confirmed:
                 # queries racing the broadcast keep hitting the old
@@ -930,7 +935,7 @@ class SparqlServer:
                 self.metrics.record_update(result.added, result.removed)
                 self._maybe_compact()
             pending = engine.store.pending_delta
-        if self.wal is not None and wal_seq is not None and durability_error is None:
+        if wal_seq is not None and durability_error is None:
             # Ack-after-fsync: the frame must be durable before the
             # client can see its 2xx.
             try:
@@ -972,8 +977,9 @@ class SparqlServer:
         Runs under the update lock so no update can land mid-write; the
         ``compact.publish`` fault site fires before any bytes move, so
         an injected failure leaves the delta intact for the next
-        attempt.  On success the pool truncates its replay log — future
-        respawns load the compacted snapshot directly.
+        attempt.  On success ``store.compact`` truncates the log below
+        the published generation — future respawns load the compacted
+        snapshot directly and replay only what follows it.
         """
         try:
             with self._update_lock:
@@ -1050,15 +1056,23 @@ class SparqlServer:
         deadline = time.monotonic() + max(self.config.drain_seconds, 0.0)
         while self.metrics.inflight > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
-        if self.wal is not None:
-            # Close fsyncs under every policy: a drained SIGTERM/SIGINT
-            # shutdown must not lose the final group-commit window (or,
-            # under policy "off", the whole OS writeback window).
-            self.wal.close()
+        # Close fsyncs under every policy: a drained SIGTERM/SIGINT
+        # shutdown must not lose the final group-commit window (or,
+        # under policy "off", the whole OS writeback window).
+        self._close_wal()
         self.pool.close()
         if self._armed_faults:
             _faults.disarm()
             self._armed_faults = False
+
+    def _close_wal(self) -> None:
+        """Close the log; the temporary one (no --wal) is also deleted."""
+        self.wal.close()
+        if not self._durable:
+            try:
+                os.unlink(self.wal.path)
+            except FileNotFoundError:
+                pass
 
     def __enter__(self) -> "SparqlServer":
         self.start()

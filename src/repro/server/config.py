@@ -88,9 +88,10 @@ class ServerConfig:
     #: Where ``SIGUSR1`` dumps the template-stats registry: a file
     #: path, "-" for stderr, or "" to disable the handler.
     stats_dump: str = ""
-    #: Write-ahead log path; "" disables the WAL (acked updates then
-    #: live only in memory until compaction — the pre-durability
-    #: behaviour, kept for benchmarks and read-mostly deployments).
+    #: Write-ahead log path; "" disables durability: acked updates
+    #: live only in memory until compaction, and respawned workers
+    #: replay from a temporary, never-fsynced log that is deleted at
+    #: shutdown.
     wal: str = ""
     #: WAL fsync policy: ``always`` (fsync per update), ``interval``
     #: (group commit: concurrent updates share fsyncs, each ack still

@@ -55,14 +55,6 @@ __all__ = ["PoolError", "WorkerPool", "WorkerReply"]
 #: Wall-clock budget for a worker to open the store and report ready.
 _STARTUP_TIMEOUT = 120.0
 
-#: Without a WAL, the in-memory replay log is the only respawn-replay
-#: source, but it must not grow without bound between compactions: past
-#: this many entries the oldest are dropped and a respawned worker that
-#: would have needed them is killed for the heal thread to retry after
-#: the next compaction shrinks the gap.  With a WAL attached the log on
-#: disk is the replay source and this cap never engages.
-_REPLAY_CAP = 10_000
-
 
 class PoolError(Exception):
     """The pool could not be brought up (bad snapshot, spawn failure)."""
@@ -445,25 +437,14 @@ class WorkerPool:
         # ---- live-write state (guarded by _update_lock) ----
         #: Serializes update broadcasts against respawn replay.
         self._update_lock = threading.Lock()
-        #: Updates applied since the data file was last written:
-        #: (generation after the update, update text).  A respawned
-        #: worker replays every entry past the generation its snapshot
-        #: loaded at before it may serve.  Superseded by the WAL when
-        #: one is attached (the log on disk is then the replay source
-        #: and this list stays empty); capped at ``_REPLAY_CAP``
-        #: otherwise.
-        self._replay: List[tuple] = []
-        #: Oldest generation the in-memory replay log still reaches
-        #: back to: entries dropped by the cap raise this floor, and a
-        #: respawn whose snapshot predates it cannot be caught up.
-        self._replay_floor: int = self.generation
-        #: Attached write-ahead log (see :meth:`attach_wal`); updates
-        #: are already appended to it by the server's write path before
-        #: the broadcast, so respawn replay streams from disk.
+        #: The respawn-replay source (see :meth:`attach_wal`): the
+        #: server's write path appends every update to it before the
+        #: broadcast, and a respawned worker replays every frame past
+        #: the generation its snapshot loaded at before it may serve.
         self._wal = None
         #: The generation persisted in the data file — advanced by
         #: compaction (note_snapshot_generation), which also truncates
-        #: the replay log.
+        #: the log.
         self._snapshot_generation: int = self.generation
         self._heal_thread = threading.Thread(
             target=self._heal_loop, name="repro-pool-heal", daemon=True
@@ -606,34 +587,26 @@ class WorkerPool:
         idle queue) nor race the log snapshot; publication into the
         idle queue happens under the same hold, so after this returns
         the worker sees every committed update exactly once.
+
+        The un-compacted tail streams from the log on disk, so parent
+        memory stays flat no matter how many updates separate two
+        compactions.  The worker is published only if replay leaves it
+        at the fleet generation: a scan cut short by a read error, or
+        an update broadcast after its append failed, would otherwise
+        put a worker that lacks committed updates into service.  Only
+        the final generation is compared — after a crash recovery the
+        recorded and the computed generation of a frame may differ
+        (see ``SparqlServer._replay_wal_tail``).
         """
         with self._update_lock:
             base = worker.generation or 0
-            if self._wal is not None:
-                # Stream the un-compacted tail from disk: the WAL holds
-                # every update past the snapshot generation (appended
-                # before each broadcast), so parent memory stays flat no
-                # matter how many updates separate two compactions.
+            try:
+                records = self._wal.records_after(base) if self._wal is not None else []
+            except OSError:
+                return False
+            for record in records:
                 try:
-                    entries = [
-                        (record.generation, record.text)
-                        for record in self._wal.records_after(base)
-                    ]
-                except OSError:
-                    return False
-            else:
-                if base < self._replay_floor:
-                    # The cap dropped entries this worker would need;
-                    # it cannot be caught up from memory.  Fail the
-                    # respawn — the heal thread retries, and the next
-                    # compaction moves the snapshot past the floor.
-                    return False
-                entries = self._replay
-            for generation_after, text in entries:
-                if generation_after <= base:
-                    continue
-                try:
-                    worker.conn.send(("update", text, self.config.timeout))
+                    worker.conn.send(("update", record.text, self.config.timeout))
                     if not worker.conn.poll(self.config.hard_timeout):
                         return False
                     message = worker.conn.recv()
@@ -642,6 +615,8 @@ class WorkerPool:
                 if message[0] != "updated":
                     return False
                 worker.generation = int(message[1]["generation"])
+            if worker.generation != self.generation:
+                return False
             worker.published = True
             self._idle.put(worker)
         return True
@@ -768,16 +743,15 @@ class WorkerPool:
         """Apply one committed UPDATE to every published worker.
 
         The caller (the server's write path) has already applied the
-        update to its authoritative store and owns ordering; this
-        method propagates it and appends it to the replay log, under
-        the update lock so broadcasts, replays and log reads are
-        mutually serialized.
+        update to its authoritative store, appended it to the log and
+        owns ordering; this method propagates it under the update lock
+        so broadcasts, replays and log reads are mutually serialized.
 
         Workers are leased from the idle queue until every published
         live worker has been collected (in-flight queries finish first,
         bounded by the hard timeout).  A worker that cannot be leased
         in time, dies mid-update, or acks a different generation is
-        killed and respawned — the replay log brings its replacement
+        killed and respawned — log replay brings its replacement
         back to the fleet generation.  Returns the number of workers
         that confirmed the update.
         """
@@ -818,14 +792,6 @@ class WorkerPool:
                     self._idle.put(worker)
                 else:
                     broken.append(worker)
-            if self._wal is None:
-                # Memory-backed replay: append, then enforce the cap so
-                # the log cannot grow without bound between compactions.
-                self._replay.append((expected_generation, text))
-                if len(self._replay) > _REPLAY_CAP:
-                    dropped = self._replay[: -_REPLAY_CAP]
-                    self._replay = self._replay[-_REPLAY_CAP:]
-                    self._replay_floor = dropped[-1][0]
             self.generation = expected_generation
         for worker in broken:
             threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
@@ -834,35 +800,29 @@ class WorkerPool:
     def note_snapshot_generation(self, generation: int) -> None:
         """The data file now persists ``generation`` (compaction ran).
 
-        Respawned workers will load it directly, so replay entries at
-        or below it are no longer needed.
+        Respawned workers will load it directly; ``store.compact`` has
+        already truncated the log frames at or below it.
         """
         with self._update_lock:
             self._snapshot_generation = generation
-            self._replay = [
-                entry for entry in self._replay if entry[0] > generation
-            ]
-            self._replay_floor = max(self._replay_floor, generation)
 
     def attach_wal(self, wal) -> None:
         """Adopt ``wal`` as the respawn-replay source.
 
         The server's write path appends every committed update to the
-        log *before* broadcasting it, so the log always covers at least
-        what a broadcast covers; from here on the in-memory replay list
-        stays empty and respawn replay re-reads the tail from disk.
+        log *before* broadcasting it, so the log covers what a
+        broadcast covers and respawn replay re-reads the tail from
+        disk.  A pool with no log attached replays nothing, so a
+        respawn after a broadcast is refused.
         """
         with self._update_lock:
             self._wal = wal
-            self._replay = []
 
     @property
     def pending_replay(self) -> int:
         """Updates a fresh respawn would replay (the un-compacted tail)."""
         with self._update_lock:
-            if self._wal is not None:
-                return self._wal.depth
-            return len(self._replay)
+            return self._wal.depth if self._wal is not None else 0
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

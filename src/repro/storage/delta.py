@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.dictionary import EncodedTriple
 from .indexes import FrozenTripleIndexes
-from .runs import SortedIdSet, SortedRun
+from .runs import SortedRun
 
 __all__ = ["DeltaLayer", "DeltaOverlayIndexes"]
 
@@ -319,57 +319,10 @@ class DeltaOverlayIndexes(FrozenTripleIndexes):
             cache["all"] = hit
         return hit  # type: ignore[return-value]
 
-    def objects_for_sp(self, s: int, p: int) -> List[int]:
-        return list(self.object_run(s, p))
-
-    def subjects_for_po(self, p: int, o: int) -> List[int]:
-        return list(self.subject_run(p, o))
-
-    def predicates_for_so(self, s: int, o: int) -> List[int]:
-        return list(self.predicate_run(s, o))
-
-    def po_for_s(self, s: int) -> List[Tuple[int, int]]:
-        if not self._delta.has_changes():
-            return self._base.po_for_s(s)
-        return [(p, o) for _, p, o in self.scan(s=s)]
-
     def so_for_p(self, p: int) -> List[Tuple[int, int]]:
         if not self._delta.has_changes():
             return self._base.so_for_p(p)
         return [(s, o) for s, _, o in self.scan(p=p)]
-
-    def sp_for_o(self, o: int) -> List[Tuple[int, int]]:
-        if not self._delta.has_changes():
-            return self._base.sp_for_o(o)
-        return [(s, p) for s, p, _ in self.scan(o=o)]
-
-    def _predicate_sets(self, p: int) -> Tuple[SortedIdSet, SortedIdSet]:
-        delta = self._delta
-        if not delta.has_changes():
-            return self._base._predicate_sets(p)
-        sealed_adds = delta.sealed_adds()
-        sealed_dels = delta.sealed_dels()
-        touched = (sealed_adds is not None and sealed_adds.count(p=p)) or (
-            sealed_dels is not None and sealed_dels.count(p=p)
-        )
-        if not touched:
-            return self._base._predicate_sets(p)
-        cache = self._cache()
-        hit = cache.get(("pred", p))
-        if hit is None:
-            subjects: Set[int] = set()
-            objects: List[int] = []
-            previous = -1
-            # scan(p=p) enumerates in (o, s) order, so the object
-            # column arrives ascending — dedup in one pass, no sort.
-            for s, _, o in self.scan(p=p):
-                subjects.add(s)
-                if o != previous:
-                    objects.append(o)
-                    previous = o
-            hit = (SortedIdSet.from_ids(subjects), SortedIdSet.from_sorted(objects))
-            cache[("pred", p)] = hit
-        return hit  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # compaction substrate

@@ -28,10 +28,10 @@ from bisect import bisect_left
 from itertools import islice
 from operator import eq
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.dictionary import EncodedTriple
-from .runs import SortedIdSet, SortedRun
+from .runs import SortedRun
 
 __all__ = ["FrozenTripleIndexes", "PACK_SHIFT", "sorted_scan_position"]
 
@@ -87,7 +87,6 @@ class FrozenTripleIndexes:
         "_pos_key", "_pos_s",
         "_osp_key", "_osp_p",
         "_all",
-        "_pred_sets",
     )
 
     def __init__(
@@ -106,7 +105,6 @@ class FrozenTripleIndexes:
         self._pos_key, self._pos_s = pos_key, pos_s
         self._osp_key, self._osp_p = osp_key, osp_p
         self._all: Optional[List[EncodedTriple]] = None
-        self._pred_sets: Dict[int, Tuple[SortedIdSet, SortedIdSet]] = {}
 
     @classmethod
     def from_columns(
@@ -249,32 +247,10 @@ class FrozenTripleIndexes:
         spo_o = self._spo_o
         return any(spo_o[i] == o for i in range(lo, hi))
 
-    def objects_for_sp(self, s: int, p: int) -> List[int]:
-        lo, hi = self._pair_range(self._spo_key, s, p)
-        return list(self._spo_o[lo:hi])
-
-    def subjects_for_po(self, p: int, o: int) -> List[int]:
-        lo, hi = self._pair_range(self._pos_key, p, o)
-        return list(self._pos_s[lo:hi])
-
-    def predicates_for_so(self, s: int, o: int) -> List[int]:
-        lo, hi = self._pair_range(self._osp_key, o, s)
-        return list(self._osp_p[lo:hi])
-
-    def po_for_s(self, s: int) -> List[Tuple[int, int]]:
-        lo, hi = self._prefix_range(self._spo_key, s)
-        keys, thirds = self._spo_key, self._spo_o
-        return [(keys[i] & _PACK_MASK, thirds[i]) for i in range(lo, hi)]
-
     def so_for_p(self, p: int) -> List[Tuple[int, int]]:
         lo, hi = self._prefix_range(self._pos_key, p)
         keys, thirds = self._pos_key, self._pos_s
         return [(thirds[i], keys[i] & _PACK_MASK) for i in range(lo, hi)]
-
-    def sp_for_o(self, o: int) -> List[Tuple[int, int]]:
-        lo, hi = self._prefix_range(self._osp_key, o)
-        keys, thirds = self._osp_key, self._osp_p
-        return [(keys[i] & _PACK_MASK, thirds[i]) for i in range(lo, hi)]
 
     def all_triples(self) -> List[EncodedTriple]:
         if self._all is None:
@@ -353,33 +329,3 @@ class FrozenTripleIndexes:
         else:
             return self._count
         return hi - lo
-
-    def _predicate_sets(self, p: int) -> Tuple[SortedIdSet, SortedIdSet]:
-        cached = self._pred_sets.get(p)
-        if cached is None:
-            lo, hi = self._prefix_range(self._pos_key, p)
-            keys = self._pos_key
-            # The POS prefix is sorted on o, so the masked object column
-            # is already ascending — dedup in one pass, no sort.
-            objects: List[int] = []
-            previous = -1
-            for i in range(lo, hi):
-                o = keys[i] & _PACK_MASK
-                if o != previous:
-                    objects.append(o)
-                    previous = o
-            cached = (
-                SortedIdSet.from_ids(self._pos_s[lo:hi]),
-                SortedIdSet.from_sorted(objects),
-            )
-            self._pred_sets[p] = cached
-        return cached
-
-    def subjects_of_predicate(self, p: int) -> SortedIdSet:
-        """Distinct subjects with predicate ``p`` (cached sorted array —
-        no per-call ``set()`` rebuild)."""
-        return self._predicate_sets(p)[0]
-
-    def objects_of_predicate(self, p: int) -> SortedIdSet:
-        """Distinct objects with predicate ``p`` (cached sorted array)."""
-        return self._predicate_sets(p)[1]

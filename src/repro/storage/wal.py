@@ -1,13 +1,15 @@
 """Durable writes: an append-only, CRC-per-record write-ahead log.
 
-PR 7 made the store writable, but an acked ``POST /update`` lived only
-in the in-memory delta overlay (and the pool's replay list) until
-background compaction folded it into the snapshot — a parent crash or
-plain restart silently lost acknowledged writes.  This module closes
-that hole with the standard ARIES-shaped discipline: every committed
-update is appended to the log and fsynced *before* the client sees its
-2xx ack, and startup replays the log tail into the delta overlay, so
-an acked update survives ``kill -9`` at any point.
+Without a durable log an acked ``POST /update`` lives only in the
+in-memory delta overlay until background compaction folds it into the
+snapshot — a parent crash or plain restart silently loses acknowledged
+writes.  This module closes that hole with the standard ARIES-shaped
+discipline: every committed update is appended to the log and fsynced
+*before* the client sees its 2xx ack, and startup replays the log tail
+into the delta overlay, so an acked update survives ``kill -9`` at any
+point.  The same log is the worker pool's respawn-replay source; a
+server without ``--wal`` keeps a temporary one (policy ``off``) for
+that alone.
 
 File layout (all integers little-endian)::
 

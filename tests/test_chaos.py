@@ -420,6 +420,49 @@ class TestWriteChaos:
                 cold.close()
             assert_roster_heals(server)
 
+    @pytest.mark.parametrize("wal_name", ["", "replay.wal"], ids=["temporary_log", "wal"])
+    def test_short_replay_scan_never_publishes_a_lagging_worker(
+        self, snap, tmp_path, wal_name
+    ):
+        """A read error mid-scan hands respawn replay a prefix of the
+        log.  The replacement must not serve until it has reached the
+        fleet generation: the heal thread retries, and every read after
+        the roster heals sees both committed updates."""
+        import shutil
+
+        from repro import faults
+
+        live = str(tmp_path / "rchaos.snap")
+        shutil.copy(snap, live)
+        config = chaos_config(
+            live,
+            "wal.replay:io_error@1",
+            workers=2,
+            cache_entries=0,  # every read reaches a worker
+            wal=str(tmp_path / wal_name) if wal_name else "",
+        )
+        with SparqlServer(config) as server:
+            for i in range(2):
+                status, _ = post_update(server, insert_stmt(i))
+                assert status == 200
+            victim = server.pool._workers[0]
+            victim.proc.kill()
+            victim.proc.join(10)
+
+            def healed_after_fault():
+                try:
+                    sparql_get(server, LIVE_QUERY)  # surfaces the corpse
+                except urllib.error.HTTPError:
+                    pass
+                return (
+                    faults.injected_counts().get("wal.replay") == 1
+                    and server.pool.stats()["alive"] == 2
+                )
+
+            assert wait_for(healed_after_fault, deadline=60.0, interval=0.1)
+            for _ in range(8):
+                assert live_count(server) == 2
+
 
 # ----------------------------------------------------------------------
 # crash recovery: kill -9 a real `repro serve` after acked updates

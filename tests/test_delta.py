@@ -76,17 +76,8 @@ def _assert_equivalent(overlay, reference):
             )
             values, start, stop = overlay.object_span(a, b)
             assert list(values[start:stop]) == list(overlay.object_run(a, b))
-            assert overlay.objects_for_sp(a, b) == reference.objects_for_sp(a, b)
-            assert overlay.subjects_for_po(a, b) == reference.subjects_for_po(a, b)
-            assert overlay.predicates_for_so(a, b) == reference.predicates_for_so(a, b)
     for x in IDS:
-        assert overlay.po_for_s(x) == reference.po_for_s(x)
         assert overlay.so_for_p(x) == reference.so_for_p(x)
-        assert overlay.sp_for_o(x) == reference.sp_for_o(x)
-        got_s, got_o = overlay._predicate_sets(x)
-        want_s, want_o = reference._predicate_sets(x)
-        assert list(got_s) == list(want_s)
-        assert list(got_o) == list(want_o)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -52,35 +52,40 @@ class TestInsert:
 
 @BUILDERS
 class TestLookups:
+    """One case per access pattern of the module table, each answered
+    through the read path the engines and the statistics use."""
+
     @pytest.fixture
     def idx(self, build):
         return build([(0, 1, 2), (0, 1, 3), (4, 1, 2), (0, 5, 2), (4, 5, 3)])
 
     def test_objects_for_sp(self, idx):
-        assert sorted(idx.objects_for_sp(0, 1)) == [2, 3]
+        assert list(idx.object_run(0, 1)) == [2, 3]
 
     def test_subjects_for_po(self, idx):
-        assert sorted(idx.subjects_for_po(1, 2)) == [0, 4]
+        assert list(idx.subject_run(1, 2)) == [0, 4]
 
     def test_predicates_for_so(self, idx):
-        assert sorted(idx.predicates_for_so(0, 2)) == [1, 5]
+        assert list(idx.predicate_run(0, 2)) == [1, 5]
 
     def test_po_for_s(self, idx):
-        assert sorted(idx.po_for_s(4)) == [(1, 2), (5, 3)]
+        assert [(p, o) for _, p, o in idx.scan(s=4)] == [(1, 2), (5, 3)]
 
     def test_so_for_p(self, idx):
         assert sorted(idx.so_for_p(5)) == [(0, 2), (4, 3)]
 
     def test_sp_for_o(self, idx):
-        assert sorted(idx.sp_for_o(3)) == [(0, 1), (4, 5)]
+        assert [(s, p) for s, p, _ in idx.scan(o=3)] == [(0, 1), (4, 5)]
 
     def test_missing_keys_give_empty(self, idx):
-        assert idx.objects_for_sp(9, 9) == []
-        assert idx.po_for_s(9) == []
+        assert list(idx.object_run(9, 9)) == []
+        assert list(idx.scan(s=9)) == []
+        assert idx.so_for_p(9) == []
 
     def test_subjects_objects_of_predicate(self, idx):
-        assert idx.subjects_of_predicate(1) == {0, 4}
-        assert idx.objects_of_predicate(1) == {2, 3}
+        pairs = idx.so_for_p(1)
+        assert {s for s, _ in pairs} == {0, 4}
+        assert {o for _, o in pairs} == {2, 3}
 
 
 @BUILDERS

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import statistics
 import threading
 import time
@@ -945,9 +946,7 @@ class TestDurability:
         data, wal = live_paths
         with SparqlServer(self._config(data, wal)) as instance:
             post_update(instance, f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}")
-            # WAL attached: the in-memory replay list stays empty — the
-            # unbounded-growth fix — while pending_replay reads the log.
-            assert instance.pool._replay == []
+            # pending_replay reads the log's depth.
             assert instance.pool.pending_replay == 1
             victim = instance.pool._workers[0]
             victim.proc.kill()
@@ -969,28 +968,24 @@ class TestDurability:
             for _ in range(4):
                 assert len(_live_rows(instance)) == 1
 
-    def test_replay_list_bounded_without_wal(self, snapshot_path, tmp_path, monkeypatch):
-        """WAL off: the in-memory respawn log no longer grows without
-        bound between compactions — it is capped, and the floor tracks
-        what was dropped so a stale respawn is refused, not wrong."""
-        import shutil
+    def test_replay_log_without_wal_is_temporary(self, snapshot_path, tmp_path, monkeypatch):
+        """WAL off: respawns replay from a temporary log that neither a
+        failed startup nor a normal shutdown leaves behind."""
+        import tempfile
 
-        from repro.server import pool as pool_module
+        from repro.server.pool import PoolError
 
-        monkeypatch.setattr(pool_module, "_REPLAY_CAP", 3)
-        data = str(tmp_path / "cap.snap")
-        shutil.copy(snapshot_path, data)
-        config = ServerConfig(data=data, port=0, workers=1, timeout=15.0)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def leftovers():
+            return sorted(path.name for path in tmp_path.glob("repro-replay-*"))
+
+        missing = ServerConfig(data=str(tmp_path / "missing.snap"), port=0, workers=1)
+        with pytest.raises(PoolError):
+            SparqlServer(missing)
+        assert leftovers() == []
+
+        config = ServerConfig(data=snapshot_path, port=0, workers=1, timeout=15.0)
         with SparqlServer(config) as instance:
-            for i in range(5):
-                status, outcome = post_update(
-                    instance, f"INSERT DATA {{ <{EX}n{i}> <{EX}linked> <{EX}o> }}"
-                )
-                assert status == 200 and outcome["changed"] is True
-            assert len(instance.pool._replay) == 3
-            # The floor is the generation of the newest dropped entry:
-            # replay can only serve respawns at or past it.
-            assert instance.pool._replay_floor == instance.pool._replay[0][0] - 1
-            # The cap is a memory bound, not a data loss: the live
-            # worker saw every broadcast and keeps serving all 5 rows.
-            assert len(_live_rows(instance)) == 5
+            assert leftovers() == [os.path.basename(instance.wal.path)]
+        assert leftovers() == []

@@ -325,39 +325,8 @@ class TestEnginePaths:
 
 
 # ----------------------------------------------------------------------
-# satellites: cached predicate sets, index shape, batch decode, verification
+# satellites: index shape, batch decode, verification
 # ----------------------------------------------------------------------
-class TestPredicateSetCaches:
-    def _store(self):
-        d = Dataset()
-        d.add_spo(IRI(EX + "a"), P, IRI(EX + "b"))
-        d.add_spo(IRI(EX + "c"), P, IRI(EX + "b"))
-        d.add_spo(IRI(EX + "a"), Q, IRI(EX + "d"))
-        return TripleStore.from_dataset(d)
-
-    def test_frozen_returns_cached_sorted_sets(self):
-        store = self._store()
-        p = store.lookup(P)
-        indexes = store.indexes
-        first = indexes.subjects_of_predicate(p)
-        assert first is indexes.subjects_of_predicate(p)  # cached object
-        assert first == {store.lookup(IRI(EX + "a")), store.lookup(IRI(EX + "c"))}
-        assert list(first) == sorted(first.ids)
-        objects = indexes.objects_of_predicate(p)
-        assert objects is indexes.objects_of_predicate(p)
-        assert objects == {store.lookup(IRI(EX + "b"))}
-
-    def test_cache_invalidated_on_insert(self):
-        store = self._store()
-        p = store.lookup(P)
-        before = store.indexes.subjects_of_predicate(p)
-        from repro.rdf import Triple
-
-        store.add(Triple(IRI(EX + "z"), P, IRI(EX + "b")))
-        after = store.indexes.subjects_of_predicate(store.lookup(P))
-        assert len(after) == len(before) + 1
-
-
 class TestOneIndexShape:
     def test_cold_builds_are_frozen(self, tmp_path):
         d = Dataset()
