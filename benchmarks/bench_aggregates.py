@@ -2,8 +2,8 @@
 
 Three comparisons on the LUBM store, each across both BGP engines:
 
-1. **Kernel filters** — the filter-heavy shapes from the pushdown
-   bench (a selective equality FILTER over a high-fanout BGP).
+1. **Kernel filters** — filter-heavy shapes (a selective equality
+   FILTER over a high-fanout BGP).
    Eligible predicates run as vectorized compare-and-compact passes
    over encoded-id columns; ``rows_kernel_filtered`` counts the rows
    screened and must be non-zero.

@@ -4,9 +4,8 @@
 Usage (what the CI ``bench-regression`` job runs)::
 
     python benchmarks/check_regression.py \\
-        --baseline BENCH_pr1.json --baseline BENCH_pr2.json --baseline BENCH_pr3.json \\
-        --fresh BENCH_bags_micro.json --fresh BENCH_filter_pushdown.json \\
-        --fresh BENCH_snapshot_load.json
+        --baseline BENCH_pr1.json --baseline BENCH_pr3.json \\
+        --fresh BENCH_bags_micro.json --fresh BENCH_snapshot_load.json
 
 Records pair up on (bench, query, engine, mode) plus any scale knobs
 present (universities / articles).  For each pair the gate checks, in

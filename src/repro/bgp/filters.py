@@ -97,8 +97,8 @@ class CompiledFilter:
         return keep
 
     def apply(self, bag: Bag) -> Bag:
-        """σ over an id-level bag (used at group end and by post-filter
-        reference paths)."""
+        """σ over an id-level bag (used at group end and for filters
+        whose variables are certainly bound in the accumulated bag)."""
         from ..obs import trace as _trace  # lazy: obs ↔ bgp layering
 
         tracer = _trace.ACTIVE

@@ -110,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="host BGP engine; default: wco (gStore-style)",
     )
     query.add_argument(
-        "--no-pushdown",
-        action="store_true",
-        help="disable FILTER pushdown / DISTINCT-before-decode / LIMIT "
-        "short-circuit (reference pipeline, for comparison)",
-    )
-    query.add_argument(
         "--explain",
         action="store_true",
         help="print the plan: BE-tree, transform report, BGP cost estimates",
@@ -328,12 +322,7 @@ def _command_query(args, out) -> int:
     load_seconds = time.perf_counter() - load_start
 
     engine = SparqlUOEngine(
-        store,
-        options=EngineOptions(
-            bgp_engine=args.engine,
-            mode=args.mode,
-            pushdown=not args.no_pushdown,
-        ),
+        store, options=EngineOptions(bgp_engine=args.engine, mode=args.mode)
     )
     text = _read_query(args)
 

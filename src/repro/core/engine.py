@@ -225,7 +225,8 @@ class SparqlUOEngine:
 
         Configuration lives in one :class:`EngineOptions` value —
         passed whole via ``options=``, as per-knob keyword overrides
-        (``mode="cp"``, ``pushdown=False``, …), or both (keywords win).
+        (``mode="cp"``, ``bgp_engine="hashjoin"``, …), or both
+        (keywords win).
         """
         options = resolve_options(options, kwargs)
         #: The resolved configuration (frozen; shared safely).
@@ -245,14 +246,7 @@ class SparqlUOEngine:
         self.mode = ExecutionMode(mode) if not isinstance(mode, ExecutionMode) else mode
         self.cost_model = CostModel(self.bgp_engine)
         self.policy = self._make_policy(options.fixed_fraction)
-        #: ``pushdown=False`` turns off filter-into-pipeline evaluation,
-        #: DISTINCT-before-decode and LIMIT short-circuiting — the
-        #: reference configuration for equivalence testing and the
-        #: post-filter side of the pushdown benchmark.
-        self.pushdown = options.pushdown
-        self.evaluator = BGPBasedEvaluator(
-            self.bgp_engine, self.policy, pushdown=options.pushdown
-        )
+        self.evaluator = BGPBasedEvaluator(self.bgp_engine, self.policy)
         #: parsed-query → BE-tree plan cache, keyed on query text and
         #: invalidated by the store's plan token (write generation plus
         #: cheap content counts, see :meth:`_plan_token`).  Complements
@@ -335,9 +329,7 @@ class SparqlUOEngine:
         self.store = store
         self.bgp_engine = type(self.bgp_engine)(store)
         self.cost_model = CostModel(self.bgp_engine)
-        self.evaluator = BGPBasedEvaluator(
-            self.bgp_engine, self.policy, pushdown=self.pushdown
-        )
+        self.evaluator = BGPBasedEvaluator(self.bgp_engine, self.policy)
 
     def _make_policy(self, fixed_fraction: float) -> CandidatePolicy:
         if self.mode is ExecutionMode.CP:
@@ -418,7 +410,7 @@ class SparqlUOEngine:
 
         Solution modifiers follow SPARQL 1.1's pipeline (ORDER BY →
         projection → DISTINCT/REDUCED → OFFSET → LIMIT) with three
-        pushdown optimizations when enabled:
+        pushdown optimizations:
 
         - a LIMIT without ORDER BY / DISTINCT short-circuits pipelined
           solution production inside the BGP engines (``limit_hint``);
@@ -460,8 +452,7 @@ class SparqlUOEngine:
         trace = EvaluationTrace()
         limit_hint = None
         if (
-            self.pushdown
-            and parsed.limit is not None
+            parsed.limit is not None
             and not parsed.order_by
             and not parsed.deduplicates
             and not parsed.groups
@@ -506,7 +497,7 @@ class SparqlUOEngine:
             if parsed.deduplicates:
                 projected = distinct_bag(projected)
             projected = slice_bag(projected, parsed.offset, parsed.limit)
-        elif self.pushdown:
+        else:
             page = solutions.project(names)
             if parsed.deduplicates:
                 page = distinct_bag(page)  # on encoded rows, pre-decode
@@ -514,15 +505,6 @@ class SparqlUOEngine:
                     check()
             page = slice_bag(page, parsed.offset, parsed.limit)
             projected = self.bgp_engine.decode_bag(page, checkpoint=check)
-        else:
-            projected = self.bgp_engine.decode_bag(solutions, checkpoint=check).project(
-                names
-            )
-            if check is not None:
-                check()
-            if parsed.deduplicates:
-                projected = distinct_bag(projected)
-            projected = slice_bag(projected, parsed.offset, parsed.limit)
         execute_seconds = time.perf_counter() - execute_start
 
         return QueryResult(

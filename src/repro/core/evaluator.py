@@ -32,7 +32,9 @@ that merely fail to join later — to empty, and ⟕ would then wrongly
 keep the bare left row), so they receive candidates only from actual
 current results.
 
-FILTER pushdown (with ``pushdown=True``, the default):
+FILTER pushdown (the only pipeline; ``tests/oracle.py`` and
+:func:`repro.sparql.semantics.execute_query` are the post-filter
+references it is tested against):
 
 - a filter whose variables are all covered by a sibling BGP node is
   evaluated *inside* that BGP's scan/join pipeline (every solution of
@@ -80,8 +82,6 @@ class EvaluationTrace:
         self.bgp_evaluations: int = 0
         #: Number of filters evaluated inside BGP pipelines (pushdown).
         self.pushed_filters: int = 0
-        #: Number of filters applied at (or before) group end on bags.
-        self.bag_filters: int = 0
 
     def record(self, node_id: int, size: int, pruned: bool) -> None:
         self.bgp_result_sizes[node_id] = size
@@ -98,23 +98,11 @@ class EvaluationTrace:
 
 
 class BGPBasedEvaluator:
-    """Algorithm 1 over a BE-tree, parameterized by engine and policy.
+    """Algorithm 1 over a BE-tree, parameterized by engine and policy."""
 
-    ``pushdown=False`` disables filter-into-pipeline evaluation and
-    early application (filters then run only at group end) as well as
-    LIMIT short-circuiting — the reference configuration the property
-    tests and the pushdown benchmark compare against.
-    """
-
-    def __init__(
-        self,
-        engine: BGPEngine,
-        policy: Opt[CandidatePolicy] = None,
-        pushdown: bool = True,
-    ):
+    def __init__(self, engine: BGPEngine, policy: Opt[CandidatePolicy] = None):
         self.engine = engine
         self.policy = policy or CandidatePolicy()
-        self.pushdown = pushdown
 
     def evaluate(
         self,
@@ -135,8 +123,6 @@ class BGPBasedEvaluator:
         deadline hook raises :class:`~repro.sparql.errors.QueryTimeoutError`)
         aborts the evaluation at the next check.
         """
-        if not self.pushdown:
-            limit_hint = None
         return self.evaluate_group(
             tree.root, None, trace, limit_hint=limit_hint, checkpoint=checkpoint
         )
@@ -180,12 +166,11 @@ class BGPBasedEvaluator:
             if isinstance(child, BGPNode):
                 pushed: Sequence[CompiledFilter] = ()
                 bgp_limit: Opt[int] = None
-                if self.pushdown and pending and not child.is_empty():
+                if pending and not child.is_empty():
                     bgp_vars = child.variables()
                     pushed = [f for f in pending if f.variables <= bgp_vars]
                 if (
                     limit_hint is not None
-                    and self.pushdown
                     and r is None
                     and position == len(operators) - 1
                     and len(pushed) == len(pending)
@@ -250,14 +235,12 @@ class BGPBasedEvaluator:
                     tracer.end(rows=len(r))
             else:  # pragma: no cover - tree constructor validates
                 raise TypeError(f"not a BE-tree node: {child!r}")
-            if pending and r is not None and self.pushdown:
-                pending, r = self._apply_certain(pending, r, trace)
+            if pending and r is not None:
+                pending, r = self._apply_certain(pending, r)
         if r is None:
             r = Bag.identity()
         for compiled in pending:
             r = compiled.apply(r)
-            if trace is not None:
-                trace.bag_filters += 1
         return r
 
     @staticmethod
@@ -277,12 +260,8 @@ class BGPBasedEvaluator:
             tracer.end(rows=len(r))
         return r
 
-    def _apply_certain(
-        self,
-        pending: List[CompiledFilter],
-        r: Bag,
-        trace: Opt[EvaluationTrace],
-    ):
+    @staticmethod
+    def _apply_certain(pending: List[CompiledFilter], r: Bag):
         """Apply every pending filter whose variables are certainly bound
         in ``r`` — sound early, and it shrinks candidate bags."""
         if not len(r):
@@ -292,8 +271,6 @@ class BGPBasedEvaluator:
         for compiled in pending:
             if compiled.variables <= certain:
                 r = compiled.apply(r)
-                if trace is not None:
-                    trace.bag_filters += 1
             else:
                 still.append(compiled)
         return still, r
@@ -316,18 +293,13 @@ class BGPBasedEvaluator:
         tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.annotate(pruned=candidates is not None)
-        if filters or limit is not None or checkpoint is not None:
-            result = self.engine.evaluate(
-                node.patterns,
-                candidates,
-                filters=filters or None,
-                limit=limit,
-                checkpoint=checkpoint,
-            )
-        else:
-            # Keyword-free call keeps minimal BGPEngine implementations
-            # (adapters, test doubles) working for filter-free queries.
-            result = self.engine.evaluate(node.patterns, candidates)
+        result = self.engine.evaluate(
+            node.patterns,
+            candidates,
+            filters=filters or None,
+            limit=limit,
+            checkpoint=checkpoint,
+        )
         if trace is not None:
             trace.record(node.node_id, len(result), candidates is not None)
         return result

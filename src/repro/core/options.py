@@ -1,11 +1,11 @@
 """EngineOptions — one frozen configuration object for the whole stack.
 
-The paper's configurations are ``mode`` × ``bgp_engine`` (§7.1);
-:class:`EngineOptions` carries those plus the two reference knobs the
-evaluation compares against (``fixed_fraction`` for CP's threshold,
-``pushdown=False`` for the post-filter pipeline).  It is a frozen
-dataclass that pickles through ``spawn`` (worker pools), prints its
-non-defaults, and is the one place a knob is declared.
+The paper's configurations are ``mode`` × ``bgp_engine`` (§7.1), with
+``fixed_fraction`` as CP's threshold; :class:`EngineOptions` carries
+exactly those three knobs.  FILTER / DISTINCT / LIMIT pushdown is not a
+knob: it is the only query pipeline.  It is a frozen dataclass that
+pickles through ``spawn`` (worker pools), prints its non-defaults, and
+is the one place a knob is declared.
 
 Construction::
 
@@ -42,8 +42,6 @@ class EngineOptions:
     mode: U[str, object] = "full"
     #: CP-mode fixed candidate threshold (fraction of the store).
     fixed_fraction: float = 0.01
-    #: FILTER/DISTINCT/LIMIT pushdown (off = reference configuration).
-    pushdown: bool = True
 
     def replace(self, **changes) -> "EngineOptions":
         """A copy with ``changes`` applied (dataclasses.replace)."""

@@ -392,10 +392,15 @@ class WriteAheadLog:
         The surviving tail is republished atomically (tmp + fsync +
         rename), so a crash mid-truncation leaves either the old
         complete log or the new complete log — never a torn file.
-        Returns the number of frames dropped.
+        Returns the number of frames dropped.  A torn scan (a read
+        error partway through) leaves the log untouched and returns 0:
+        republishing it would drop the acked frames past the tear, and
+        the next compaction retries.
         """
         with self._lock:
             scan = scan_wal(self.path)
+            if scan.torn is not None:
+                return 0
             survivors = [r for r in scan.records if r.generation > generation]
             dropped = len(scan.records) - len(survivors)
             if dropped == 0:

@@ -247,22 +247,21 @@ class TestKernels:
 # ----------------------------------------------------------------------
 class TestEngineOptions:
     def test_keyword_construction(self, store):
-        engine = SparqlUOEngine(store, bgp_engine="hashjoin", mode="cp", pushdown=False)
-        assert engine.mode.value == "cp" and engine.pushdown is False
+        engine = SparqlUOEngine(store, bgp_engine="hashjoin", mode="cp")
+        assert engine.mode.value == "cp" and engine.bgp_engine.name == "hashjoin"
 
     def test_options_are_the_paper_configurations(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(EngineOptions)] == [
-            "bgp_engine", "mode", "fixed_fraction", "pushdown",
+            "bgp_engine", "mode", "fixed_fraction",
         ]
 
     def test_options_object(self, store):
-        options = EngineOptions(mode="tt", pushdown=False)
+        options = EngineOptions(mode="tt", fixed_fraction=0.05)
         engine = SparqlUOEngine(store, options=options)
         assert engine.options == options
         assert engine.mode.value == "tt"
-        assert engine.evaluator.pushdown is False
 
     def test_keywords_override_options(self, store):
         engine = SparqlUOEngine(
@@ -273,6 +272,8 @@ class TestEngineOptions:
     def test_unknown_option_rejected(self, store):
         with pytest.raises(TypeError, match="turbo"):
             SparqlUOEngine(store, turbo=True)
+        with pytest.raises(TypeError, match="pushdown"):
+            SparqlUOEngine(store, pushdown=False)  # one pipeline, no knob
         with pytest.raises(TypeError):
             SparqlUOEngine(store, "hashjoin")  # configuration is keyword-only
 
@@ -281,7 +282,7 @@ class TestEngineOptions:
             SparqlUOEngine(store, bgp_engine="mystery")
 
     def test_options_pickle_roundtrip(self):
-        options = EngineOptions(bgp_engine="hashjoin", pushdown=False)
+        options = EngineOptions(bgp_engine="hashjoin", mode="cp")
         assert pickle.loads(pickle.dumps(options)) == options
 
     def test_repr_shows_only_non_defaults(self):

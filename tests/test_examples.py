@@ -46,11 +46,12 @@ def test_filter_limit():
     assert "UndergraduateStudent0" in out
     assert "FILTER REGEX" in out  # the filter shows up in the plan
     # LIMIT early termination materializes strictly fewer BGP rows.
-    push_line = next(l for l in out.splitlines() if l.strip().startswith("pushdown:"))
-    post_line = next(l for l in out.splitlines() if l.strip().startswith("post-filter:"))
-    push_rows = int(push_line.split("results,")[1].split("BGP rows")[0].strip())
-    post_rows = int(post_line.split("results,")[1].split("BGP rows")[0].strip())
-    assert push_rows < post_rows
+    page_line = next(l for l in out.splitlines() if l.strip().startswith("LIMIT 8:"))
+    full_line = next(l for l in out.splitlines() if l.strip().startswith("no LIMIT:"))
+    page_rows = int(page_line.split("results,")[1].split("BGP rows")[0].strip())
+    full_rows = int(full_line.split("results,")[1].split("BGP rows")[0].strip())
+    assert page_line.split(":")[1].split()[0] == "8"
+    assert page_rows < full_rows
 
 
 @pytest.mark.slow

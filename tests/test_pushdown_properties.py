@@ -1,21 +1,25 @@
 """Property tests: pushdown never changes the result multiset.
 
-``SparqlUOEngine(pushdown=False)`` runs the reference pipeline —
-filters only at group end, decode before DISTINCT, no LIMIT
-short-circuit — while ``pushdown=True`` (the default) enables
-filter-into-scan evaluation, DISTINCT on encoded rows before decode,
-and LIMIT early termination.  These properties assert the two always
-produce the same solution multiset (modulo the page freedom SPARQL
-grants an un-ORDERed LIMIT), across both BGP engines and with
-transformations + candidate pruning enabled.
+The engine's one pipeline evaluates filters inside scans, runs
+DISTINCT on encoded rows before decode and stops LIMIT queries early.
+Definition 7's bottom-up evaluator (``execute_query``) filters only
+after full evaluation; these properties assert the two always produce
+the same solution multiset (modulo the page freedom SPARQL grants an
+un-ORDERed LIMIT), across both BGP engines and with transformations +
+candidate pruning enabled.  Two deterministic LUBM tests pin the work
+pushdown saves: LIMIT stops BGP production early, and a selective
+FILTER drops rows inside the scan.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import SparqlUOEngine
+from repro.datasets import generate_lubm
 from repro.sparql.algebra import SelectQuery
+from repro.sparql.expressions import order_key_for_binding
 from repro.sparql.semantics import execute_query
 from repro.storage import TripleStore
 
@@ -35,62 +39,34 @@ def _rows(result) -> list:
     return [dict(mu) for mu in result]
 
 
-def _assert_same_result(query: SelectQuery, optimized, reference, context: str) -> None:
-    opt_rows, ref_rows = _rows(optimized), _rows(reference)
-    if query.limit is None and not query.offset:
-        assert oracle.as_counter(opt_rows) == oracle.as_counter(ref_rows), context
-        return
-    # An un-ORDERed LIMIT may legally return a different page; with
-    # ORDER BY the sort-key sequence pins the page down.
-    assert len(opt_rows) == len(ref_rows), context
-    if query.order_by:
-        from repro.sparql.expressions import order_key_for_binding
-
-        keys = lambda rows: [
-            tuple(order_key_for_binding(c.expression, mu) for c in query.order_by)
-            for mu in rows
-        ]
-        assert keys(opt_rows) == keys(ref_rows), context
-
-
-@settings(**_SETTINGS)
-@given(query=modifier_queries(), data=datasets())
-def test_pushdown_matches_reference_pipeline(query, data):
-    """Full pushdown vs. the post-filter pipeline, both engines.
-
-    Covers all three pushdown mechanisms at once: filter-into-scan,
-    DISTINCT-before-decode, and LIMIT short-circuit.
-    """
-    store = TripleStore.from_dataset(data)
-    for engine_name in ENGINES:
-        optimized = SparqlUOEngine(store, bgp_engine=engine_name, mode="full").execute(query)
-        reference = SparqlUOEngine(
-            store, bgp_engine=engine_name, mode="base", pushdown=False
-        ).execute(query)
-        _assert_same_result(query, optimized, reference, engine_name)
+def _sort_keys(query: SelectQuery, rows: list) -> list:
+    return [
+        tuple(order_key_for_binding(c.expression, mu) for c in query.order_by)
+        for mu in rows
+    ]
 
 
 @settings(**_SETTINGS)
 @given(group=groups_with_filters(), data=datasets())
 def test_filter_pushdown_exact_bag_equality(group, data):
     """Filters alone (no paging): results must be *exactly* bag-equal
-    across pushdown on/off, engines, and the reference evaluator."""
+    across engines and the reference evaluator."""
     query = SelectQuery(None, group)
     store = TripleStore.from_dataset(data)
     reference = execute_query(query, data)
     for engine_name in ENGINES:
-        for pushdown in (True, False):
-            result = SparqlUOEngine(
-                store, bgp_engine=engine_name, mode="full", pushdown=pushdown
-            ).execute(query)
-            assert result.solutions == reference, (engine_name, pushdown)
+        result = SparqlUOEngine(store, bgp_engine=engine_name, mode="full").execute(query)
+        assert result.solutions == reference, engine_name
 
 
 @settings(**_SETTINGS)
 @given(query=modifier_queries(), data=datasets())
 def test_engine_matches_reference_semantics(query, data):
     """The optimized stack vs. Definition 7's bottom-up evaluator with
-    the modifier pipeline applied on top (binary-form FilterOp path)."""
+    the modifier pipeline applied on top (binary-form FilterOp path).
+
+    Covers all three pushdown mechanisms at once: filter-into-scan,
+    DISTINCT-before-decode, and LIMIT short-circuit."""
     reference_rows = _rows(execute_query(query, data))
     store = TripleStore.from_dataset(data)
     for engine_name in ENGINES:
@@ -98,8 +74,12 @@ def test_engine_matches_reference_semantics(query, data):
         opt_rows = _rows(result)
         if query.limit is None and not query.offset:
             assert oracle.as_counter(opt_rows) == oracle.as_counter(reference_rows), engine_name
-        else:
-            assert len(opt_rows) == len(reference_rows), engine_name
+            continue
+        # An un-ORDERed LIMIT may legally return a different page; with
+        # ORDER BY the sort-key sequence pins the page down.
+        assert len(opt_rows) == len(reference_rows), engine_name
+        if query.order_by:
+            assert _sort_keys(query, opt_rows) == _sort_keys(query, reference_rows), engine_name
 
 
 @settings(**_SETTINGS)
@@ -122,3 +102,39 @@ def test_limit_short_circuit_returns_a_valid_page(query, data):
         page = _rows(engine.execute(query))
         full = _rows(engine.execute(full_query))
         assert oracle.contained_in(page, full), engine_name
+
+
+# ----------------------------------------------------------------------
+# deterministic work counts on LUBM (one university)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def lubm_store():
+    return TripleStore.from_dataset(generate_lubm(universities=1))
+
+
+def _bgp_rows(result) -> int:
+    """Rows the BGP leaves materialized (the evaluator's work proxy)."""
+    return sum(result.trace.bgp_result_sizes.values())
+
+
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_limit_stops_bgp_production_early(lubm_store, engine_name):
+    limited = "SELECT ?s ?c WHERE { ?s ub:takesCourse ?c . ?s ub:memberOf ?d } LIMIT 10"
+    engine = SparqlUOEngine(lubm_store, bgp_engine=engine_name)
+    page = engine.execute(limited)
+    full = engine.execute(limited.replace("LIMIT 10", ""))
+    assert len(page) == 10
+    assert _bgp_rows(page) < _bgp_rows(full)
+
+
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_selective_filter_runs_inside_the_scan(lubm_store, engine_name):
+    query = (
+        "SELECT ?s ?c WHERE { ?s ub:name ?n . ?s ub:takesCourse ?c . "
+        'FILTER (?n = "UndergraduateStudent42") }'
+    )
+    result = SparqlUOEngine(lubm_store, bgp_engine=engine_name).execute(query)
+    assert len(result) > 0
+    assert result.trace.pushed_filters == 1
+    # Rows failing the filter never leave the scan.
+    assert _bgp_rows(result) == len(result)

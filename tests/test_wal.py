@@ -310,6 +310,17 @@ class TestTruncation:
             assert wal.truncate_below(3) == 0
             assert open(wal_path, "rb").read() == before
 
+    def test_truncate_below_leaves_log_alone_on_torn_scan(self, wal_path):
+        # A read error partway through the scan must not republish the
+        # frames before the tear as the whole log: 2 and 3 were acked.
+        with WriteAheadLog(wal_path, policy="off") as wal:
+            for generation in (1, 2, 3):
+                wal.append(generation, insert_stmt(generation))
+            faults.arm("wal.replay:io_error@2")
+            assert wal.truncate_below(1) == 0
+            faults.disarm()
+        assert [r.generation for r in scan_wal(wal_path).records] == [1, 2, 3]
+
 
 # ----------------------------------------------------------------------
 # fault sites
