@@ -352,14 +352,13 @@ def _command_query(args, out) -> int:
         return 2
 
     if args.format != "table":
-        from itertools import islice
-
+        from .sparql.bags import Bag
         from .sparql.results import WRITERS
 
         solutions = result.solutions
         if args.limit is not None:
-            solutions = islice(iter(solutions), args.limit)
-        # Streamed row by row: no second in-memory copy of the payload.
+            solutions = Bag.from_rows(solutions.schema, solutions.rows[: args.limit])
+        # Streamed chunk by chunk: no second in-memory copy of the payload.
         WRITERS[args.format](out, result.variables, solutions)
         if args.format == "json":
             out.write("\n")

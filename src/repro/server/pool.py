@@ -115,11 +115,17 @@ def _worker_main(
     :class:`~repro.core.options.EngineOptions` — one pickled value
     instead of a drifting list of per-knob spawn args.
 
+    Requests are ``("query", text, format, timeout, extras)`` tuples,
+    ``("update", text, timeout)`` broadcasts or ``None`` (shut down).
     Replies are small tuples (tag first) rather than rich objects so
     the pipe traffic stays cheap to pickle.  The serialized result
     payload is produced *in the worker* — the parent relays bytes and
     never re-serializes, which also makes responses byte-identical to
-    the single-process CLI path (both call the same serializers).
+    the single-process CLI path (both call the same serializers).  The
+    worker hands the columnar result bag straight to
+    :data:`~repro.sparql.results.SERIALIZERS`, which render each
+    distinct term once and call the query's deadline checkpoint once
+    per 4096 rows, so one budget spans evaluation and serialization.
 
     ``fault_plan`` is the parent's parsed :class:`~repro.faults.FaultPlan`
     (pickled through the spawn args, fresh trigger state per worker) —
@@ -158,8 +164,6 @@ def _worker_main(
         finally:
             conn.close()
         return
-
-    from ..bgp.interface import ticked_rows
 
     conn.send(("ready", store.generation))
     fault_seen: Dict[str, int] = {}
@@ -217,11 +221,7 @@ def _worker_main(
                 # and respawns it through the replay path.
                 conn.send(("error", f"internal error: {type(exc).__name__}: {exc}"))
             continue
-        # Requests grew a fifth element (an extras dict: request id,
-        # trace flag) — tolerate the old 4-tuple so a mid-upgrade
-        # parent/worker mix keeps serving.
-        _, query, fmt, timeout = request[:4]
-        extras: Dict[str, object] = request[4] if len(request) > 4 else {}
+        _, query, fmt, timeout, extras = request
         started = time.perf_counter()
         tracer = None
         if extras.get("trace"):
@@ -248,7 +248,7 @@ def _worker_main(
             if tracer is not None:
                 tracer.begin("serialize", format=fmt)
             payload = serializers[fmt](
-                result.variables, ticked_rows(iter(result.solutions), check)
+                result.variables, result.solutions, checkpoint=check
             ).encode("utf-8")
             if tracer is not None:
                 tracer.end(bytes=len(payload))

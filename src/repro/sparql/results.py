@@ -15,25 +15,43 @@ literals with ``xml:lang`` / ``datatype`` where present, blank nodes as
 TSV).  CSV renders bare lexical values (lossy by design); TSV renders
 full N-Triples term syntax, so terms survive a round trip.
 
-Each format has an incremental writer (``write_json`` / ``write_csv``
-/ ``write_tsv``) that renders row by row into any ``.write()``-able
-object, plus a ``to_*`` convenience wrapper that collects the same
-output into a string — the form the CLI and the protocol server's
-workers consume via :data:`SERIALIZERS` (the server ships whole
-payload strings over the worker pipe so they can be cached and
-relayed verbatim).
+**One fragment per distinct term.**  A decoded bag maps every distinct
+id to one shared term object, so a result repeats a few hundred terms
+across its cells.  Each format therefore has one chunk generator that
+walks ``bag.rows`` by slot and renders each distinct term once into a
+memo keyed by ``id(term)`` — one memo per column for JSON (the fragment
+includes its ``"var": `` prefix), one shared memo for CSV/TSV — then
+assembles rows by joining cached fragments.  The key is sound because
+the bag keeps every term alive for the whole call; value-equal terms
+that are distinct objects (e.g. grouped aggregates) just render twice.
+JSON fragments are escaped with :func:`json.encoder.encode_basestring`,
+the escaper behind ``json.dumps(ensure_ascii=False)``, so the output is
+byte-identical to dumping one binding object per row.
+
+**Chunks and deadlines.**  The generators yield one string per
+:data:`CHUNK_ROWS` rows and call the optional ``checkpoint`` before
+each, the amortisation of ``ticked_rows``' default mask: the protocol
+server's workers pass the query's deadline hook, so serializing a huge
+result stays abortable.  ``write_json`` / ``write_csv`` / ``write_tsv``
+write the chunks into any ``.write()``-able object (the CLI streams to
+its output); ``to_*`` joins them into one string (the form the server's
+workers ship over the pipe and the result cache stores), reached via
+:data:`SERIALIZERS`.  Input that is not a :class:`~repro.sparql.bags.Bag`
+is wrapped once with ``Bag(solutions)``.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from json.encoder import encode_basestring
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..rdf.terms import BlankNode, GroundTerm, IRI, Literal, XSD_STRING
-from .bags import Bag, Mapping, UNBOUND
+from .bags import Bag, Mapping, Row, UNBOUND
 
 __all__ = [
+    "CHUNK_ROWS",
     "to_json",
     "to_json_dict",
     "to_csv",
@@ -45,56 +63,89 @@ __all__ = [
     "WRITERS",
 ]
 
+#: Rows per yielded chunk (and per ``checkpoint`` call).
+CHUNK_ROWS = 4096
 
-def _iter_bindings(variables: Sequence[str], solutions: Iterable[Mapping]):
-    """Yield (position, variable, term) triples per solution.
-
-    ``position`` indexes into ``variables``; unbound variables are
-    simply skipped.  Columnar bags are walked row-by-row through
-    precomputed slots — no per-row dict is ever built; anything else
-    falls back to the mapping-level protocol.
-    """
-    if isinstance(solutions, Bag):
-        slots = [(i, var, solutions.slot(var)) for i, var in enumerate(variables)]
-        for row in solutions.rows:
-            yield [
-                (i, var, row[slot])
-                for i, var, slot in slots
-                if slot is not None and row[slot] is not UNBOUND
-            ]
-    else:
-        for mapping in solutions:
-            yield [
-                (i, var, mapping[var])
-                for i, var in enumerate(variables)
-                if var in mapping
-            ]
+Checkpoint = Optional[Callable[[], None]]
 
 
-def _encode_term(term: GroundTerm) -> Dict[str, str]:
+def _as_bag(solutions: Iterable[Mapping]) -> Bag:
+    return solutions if isinstance(solutions, Bag) else Bag(solutions)
+
+
+def _row_chunks(bag: Bag, checkpoint: Checkpoint) -> Iterator[List[Row]]:
+    rows = bag.rows
+    for start in range(0, len(rows), CHUNK_ROWS):
+        if checkpoint is not None:
+            checkpoint()
+        yield rows[start : start + CHUNK_ROWS]
+
+
+def _column(
+    rows: List[Row], slot: int, memo: Dict[int, str], render: Callable[[GroundTerm], str]
+) -> List[str]:
+    """The fragments of column ``slot`` over ``rows``, each distinct term
+    rendered once into ``memo`` (keyed by ``id(term)``)."""
+    try:
+        return [memo[id(row[slot])] for row in rows]
+    except KeyError:
+        for row in rows:
+            term = row[slot]
+            if id(term) not in memo:
+                memo[id(term)] = render(term)
+        return [memo[id(row[slot])] for row in rows]
+
+
+def _json_term(term: GroundTerm) -> str:
+    """One binding value, as ``json.dumps(..., ensure_ascii=False)`` renders it."""
     if isinstance(term, IRI):
-        return {"type": "uri", "value": term.value}
+        return '{"type": "uri", "value": ' + encode_basestring(term.value) + "}"
     if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": term.label}
+        return '{"type": "bnode", "value": ' + encode_basestring(term.label) + "}"
     if isinstance(term, Literal):
-        out: Dict[str, str] = {"type": "literal", "value": term.lexical}
+        out = '{"type": "literal", "value": ' + encode_basestring(term.lexical)
         if term.language:
-            out["xml:lang"] = term.language
-        elif term.datatype != XSD_STRING:
-            out["datatype"] = term.datatype
-        return out
+            return out + ', "xml:lang": ' + encode_basestring(term.language) + "}"
+        if term.datatype != XSD_STRING:
+            return out + ', "datatype": ' + encode_basestring(term.datatype) + "}"
+        return out + "}"
     raise TypeError(f"cannot serialize {term!r} as a result binding")
+
+
+def _json_member(prefix: str, term: GroundTerm) -> str:
+    return prefix + _json_term(term)
 
 
 def to_json_dict(variables: Sequence[str], solutions: Iterable[Mapping]) -> dict:
     """The results document as a plain dict (for programmatic use)."""
-    bindings: List[Dict[str, Dict[str, str]]] = []
-    for triples in _iter_bindings(variables, solutions):
-        bindings.append({var: _encode_term(term) for _, var, term in triples})
-    return {
-        "head": {"vars": list(variables)},
-        "results": {"bindings": bindings},
-    }
+    return json.loads(to_json(variables, solutions))
+
+
+def _json_chunks(
+    variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
+) -> Iterator[str]:
+    bag = _as_bag(solutions)
+    head = json.dumps({"head": {"vars": list(variables)}}, ensure_ascii=False)
+    yield head[:-1] + ', "results": {"bindings": ['  # reopen: strip the closing brace
+    # Every fragment carries its leading ", " so an unbound cell is ""
+    # and a row's first separator is sliced off after the join.  A
+    # binding object names each variable once, at its first position.
+    columns = []
+    for var in dict.fromkeys(variables):
+        slot = bag.slot(var)
+        if slot is not None:
+            render = partial(_json_member, f", {encode_basestring(var)}: ")
+            columns.append((slot, {id(UNBOUND): ""}, render))
+    separator = ""
+    for rows in _row_chunks(bag, checkpoint):
+        if columns:
+            cells = zip(*[_column(rows, slot, memo, render) for slot, memo, render in columns])
+            objects = ["".join(row)[2:] for row in cells]
+        else:
+            objects = [""] * len(rows)
+        yield separator + "{" + "}, {".join(objects) + "}"
+        separator = ", "
+    yield "]}}"
 
 
 def write_json(
@@ -106,80 +157,98 @@ def write_json(
     """Stream SPARQL 1.1 Query Results JSON into ``out``.
 
     With ``indent=None`` (the streaming default) the head is written
-    first and each binding object is serialized and flushed as its row
-    is consumed, so the whole document never has to exist at once.
-    Indented output delegates to :func:`to_json_dict` for exact
-    ``json.dumps`` formatting.
+    first and the bindings follow one chunk of rows at a time, so the
+    whole document never has to exist at once.  Indented output
+    delegates to :func:`to_json_dict` for exact ``json.dumps``
+    formatting.
     """
     if indent is not None:
-        out.write(
-            json.dumps(to_json_dict(variables, solutions), indent=indent, ensure_ascii=False)
-        )
+        out.write(to_json(variables, solutions, indent=indent))
         return
-    head = json.dumps({"head": {"vars": list(variables)}}, ensure_ascii=False)
-    out.write(head[:-1])  # reopen the document: strip the closing brace
-    out.write(', "results": {"bindings": [')
-    first = True
-    for triples in _iter_bindings(variables, solutions):
-        if not first:
-            out.write(", ")
-        first = False
-        binding = {var: _encode_term(term) for _, var, term in triples}
-        out.write(json.dumps(binding, ensure_ascii=False))
-    out.write("]}}")
+    for chunk in _json_chunks(variables, solutions):
+        out.write(chunk)
 
 
 def to_json(
-    variables: Sequence[str], solutions: Iterable[Mapping], indent: Optional[int] = None
+    variables: Sequence[str],
+    solutions: Iterable[Mapping],
+    indent: Optional[int] = None,
+    checkpoint: Checkpoint = None,
 ) -> str:
     """SPARQL 1.1 Query Results JSON text."""
     if indent is not None:
         return json.dumps(to_json_dict(variables, solutions), indent=indent, ensure_ascii=False)
-    buffer = io.StringIO()
-    write_json(buffer, variables, solutions)
-    return buffer.getvalue()
+    return "".join(_json_chunks(variables, solutions, checkpoint))
+
+
+def _delimited_chunks(
+    header: str,
+    separator: str,
+    newline: str,
+    render: Callable[[GroundTerm], str],
+    variables: Sequence[str],
+    solutions: Iterable[Mapping],
+    checkpoint: Checkpoint,
+) -> Iterator[str]:
+    bag = _as_bag(solutions)
+    yield header + newline
+    memo: Dict[int, str] = {id(UNBOUND): ""}
+    slots = [bag.slot(var) for var in variables]
+    for rows in _row_chunks(bag, checkpoint):
+        blank = [""] * len(rows)
+        columns = [blank if slot is None else _column(rows, slot, memo, render) for slot in slots]
+        lines = map(separator.join, zip(*columns)) if columns else blank
+        yield newline.join(lines) + newline
 
 
 def _csv_cell(term: GroundTerm) -> str:
     # The CSV results format renders the plain value: IRIs bare,
     # literals as their lexical form, blank nodes prefixed "_:".
     if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        return term.lexical
-    raise TypeError(f"cannot serialize {term!r} as a CSV cell")
-
-
-def _csv_escape(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n\r'):
+        cell = term.value
+    elif isinstance(term, BlankNode):
+        cell = f"_:{term.label}"
+    elif isinstance(term, Literal):
+        cell = term.lexical
+    else:
+        raise TypeError(f"cannot serialize {term!r} as a CSV cell")
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
+def _csv_chunks(
+    variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
+) -> Iterator[str]:
+    return _delimited_chunks(
+        ",".join(variables), ",", "\r\n", _csv_cell, variables, solutions, checkpoint
+    )
+
+
 def write_csv(out, variables: Sequence[str], solutions: Iterable[Mapping]) -> None:
     """Stream SPARQL 1.1 Query Results CSV into ``out`` (CRLF per spec)."""
-    out.write(",".join(variables) + "\r\n")
-    width = len(variables)
-    for triples in _iter_bindings(variables, solutions):
-        cells = [""] * width
-        for position, _, term in triples:
-            cells[position] = _csv_escape(_csv_cell(term))
-        out.write(",".join(cells) + "\r\n")
+    for chunk in _csv_chunks(variables, solutions):
+        out.write(chunk)
 
 
-def to_csv(variables: Sequence[str], solutions: Iterable[Mapping]) -> str:
+def to_csv(
+    variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
+) -> str:
     """SPARQL 1.1 Query Results CSV text (CRLF line endings per spec)."""
-    buffer = io.StringIO()
-    write_csv(buffer, variables, solutions)
-    return buffer.getvalue()
+    return "".join(_csv_chunks(variables, solutions, checkpoint))
 
 
 def _tsv_cell(term: GroundTerm) -> str:
     if isinstance(term, (IRI, BlankNode, Literal)):
         return term.n3()
     raise TypeError(f"cannot serialize {term!r} as a TSV cell")
+
+
+def _tsv_chunks(
+    variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
+) -> Iterator[str]:
+    header = "\t".join(f"?{var}" for var in variables)
+    return _delimited_chunks(header, "\t", "\n", _tsv_cell, variables, solutions, checkpoint)
 
 
 def write_tsv(out, variables: Sequence[str], solutions: Iterable[Mapping]) -> None:
@@ -192,25 +261,20 @@ def write_tsv(out, variables: Sequence[str], solutions: Iterable[Mapping]) -> No
     ``\\n``, …) is what keeps embedded delimiters unambiguous, so no
     additional quoting layer exists; terms round-trip losslessly.
     """
-    out.write("\t".join(f"?{var}" for var in variables) + "\n")
-    width = len(variables)
-    for triples in _iter_bindings(variables, solutions):
-        cells = [""] * width
-        for position, _, term in triples:
-            cells[position] = _tsv_cell(term)
-        out.write("\t".join(cells) + "\n")
+    for chunk in _tsv_chunks(variables, solutions):
+        out.write(chunk)
 
 
-def to_tsv(variables: Sequence[str], solutions: Iterable[Mapping]) -> str:
+def to_tsv(
+    variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
+) -> str:
     """SPARQL 1.1 Query Results TSV text."""
-    buffer = io.StringIO()
-    write_tsv(buffer, variables, solutions)
-    return buffer.getvalue()
+    return "".join(_tsv_chunks(variables, solutions, checkpoint))
 
 
 #: Format key → string serializer (the protocol server's workers ship
-#: whole payload strings over the worker pipe) and format key →
-#: incremental writer (the CLI streams straight to its output); media
-#: types live in ``repro.server.protocol.FORMAT_MEDIA_TYPES``.
+#: whole payload strings over the worker pipe, passing ``checkpoint=``)
+#: and format key → incremental writer (the CLI streams straight to its
+#: output); media types live in ``repro.server.protocol.FORMAT_MEDIA_TYPES``.
 SERIALIZERS = {"json": to_json, "csv": to_csv, "tsv": to_tsv}
 WRITERS = {"json": write_json, "csv": write_csv, "tsv": write_tsv}

@@ -137,6 +137,34 @@ class TestQueryFormats:
         assert code == 0
         assert len(json.loads(output)["results"]["bindings"]) == 3
 
+    @staticmethod
+    def _split_rows(fmt, text):
+        """(head, rows, separator, tail) of a formatted result, rows as raw text."""
+        if fmt != "json":
+            newline = "\r\n" if fmt == "csv" else "\n"
+            head, *rows = text.split(newline)[:-1]
+            return head + newline, [row + newline for row in rows], "", ""
+        import json
+
+        start = text.index('"bindings": [') + len('"bindings": [')
+        decoder = json.JSONDecoder()
+        rows, position = [], start
+        while text[position] != "]":
+            _, end = decoder.raw_decode(text, position)
+            rows.append(text[position:end])
+            position = end + 2 if text.startswith(", ", end) else end
+        return text[:start], rows, ", ", text[position:]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "tsv"])
+    def test_limit_is_a_byte_prefix_of_the_rows(self, data_file, fmt):
+        code, full = run(["query", data_file, self.QUERY, "--format", fmt])
+        assert code == 0
+        code, limited = run(["query", data_file, self.QUERY, "--format", fmt, "--limit", "3"])
+        assert code == 0
+        head, rows, separator, tail = self._split_rows(fmt, full)
+        assert len(rows) == 10
+        assert limited == head + separator.join(rows[:3]) + tail
+
     def test_stats_do_not_corrupt_formatted_output(self, data_file, capsys):
         import json
 
