@@ -26,22 +26,17 @@ import uuid
 from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .. import faults as _faults
 from ..obs import SlowQueryLog, TemplateRegistry
 from ..obs import trace as _obs_trace
-from ..sparql.errors import (
-    QueryTimeoutError,
-    SparqlError,
-    SparqlSyntaxError,
-    UnsupportedFeatureError,
-)
+from ..sparql.errors import SparqlError
 from ..storage.wal import WalCorruptError, WriteAheadLog
 from .cache import CachedResult, ResultCache
 from .config import ServerConfig
 from .metrics import ServerMetrics
-from .pool import PoolError, WorkerPool, WorkerReply, _open_store
+from .pool import PoolError, WorkerPool, _open_store, failure_reply
 from .protocol import (
     FORMAT_MEDIA_TYPES,
     ProtocolError,
@@ -51,7 +46,8 @@ from .protocol import (
 
 __all__ = ["AdmissionController", "SparqlServer", "serve"]
 
-#: WorkerReply.kind → HTTP status for non-ok outcomes.
+#: WorkerReply.kind → HTTP status for non-ok outcomes; the one such
+#: table (exceptions map to kinds in :func:`~.pool.failure_reply`).
 _REPLY_STATUS = {
     "timeout": 504,
     "syntax": 400,
@@ -59,6 +55,11 @@ _REPLY_STATUS = {
     "error": 500,
     "shed": 503,
 }
+
+#: Per-connection socket timeout in seconds: a client that trickles
+#: headers or never sends its promised body cannot park a handler
+#: thread (and its fd) forever.
+_SOCKET_TIMEOUT = 60.0
 
 #: Characters a client-supplied ``X-Request-Id`` may contain; anything
 #: else (or an over-long id) is replaced with a minted one, so log
@@ -83,6 +84,44 @@ def _splice_extensions(payload: bytes, repro: dict) -> Optional[bytes]:
         return None
     extensions["repro"] = repro
     return (json.dumps(document) + "\n").encode("utf-8")
+
+
+class _Outcome(NamedTuple):
+    """One query request's answer, whichever path produced it:
+    ``cache`` is ``"hit"``, ``"miss"``, ``"stale"`` or None (an error
+    reply); the rest feeds /metrics, templates, the slow-query log and
+    the traced ``extensions.repro`` document."""
+
+    status: int
+    content_type: str
+    body: bytes
+    extra: Tuple[Tuple[str, str], ...] = ()
+    cache: Optional[str] = None
+    rows: int = 0
+    join_space: float = 0.0
+    counters: Optional[dict] = None
+    template: Optional[dict] = None
+    generation: Optional[int] = None
+
+
+def _error_outcome(status: int, message: str) -> _Outcome:
+    """The one error-body shape: ``{"error": message}`` as JSON."""
+    body = (json.dumps({"error": message}) + "\n").encode("utf-8")
+    extra = (("Retry-After", "1"),) if status == 503 else ()
+    return _Outcome(status, "application/json", body, extra)
+
+
+def _entry_outcome(
+    entry: CachedResult,
+    cache: str,
+    generation: Optional[int],
+    extra: Tuple[Tuple[str, str], ...] = (),
+) -> _Outcome:
+    """A 200 from a result entry (fresh miss, cache hit or stale)."""
+    return _Outcome(
+        200, entry.content_type, entry.payload, extra, cache, entry.row_count,
+        entry.join_space, entry.exec_counters, entry.template, generation,
+    )
 
 
 class AdmissionController:
@@ -117,11 +156,6 @@ class AdmissionController:
     def release(self) -> None:
         self._slots.release()
 
-    @property
-    def waiting(self) -> int:
-        with self._lock:
-            return self._waiting
-
 
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``self.server`` is the :class:`_HTTPServer` below."""
@@ -141,11 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.state  # type: ignore[attr-defined]
 
     def setup(self) -> None:
-        # Arm the per-connection socket timeout before any read: slow
-        # or stalled clients get disconnected instead of parking this
-        # handler thread (and its fd) forever — admission control only
-        # guards execution, this guards ingestion.
-        self.timeout = self.state.config.socket_timeout
+        # Armed before any read: admission control only guards
+        # execution, this guards ingestion.
+        self.timeout = _SOCKET_TIMEOUT
         super().setup()
 
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
@@ -159,7 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
         status: int,
         content_type: str,
         body: bytes,
-        extra: Optional[Tuple[Tuple[str, str], ...]] = None,
+        extra: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         # wfile is unbuffered, so even the status line hits the socket:
         # the whole emission is guarded against clients that hung up
@@ -179,7 +211,7 @@ class _Handler(BaseHTTPRequestHandler):
             request_id = getattr(self, "repro_request_id", None)
             if request_id:
                 self.send_header("X-Repro-Request-Id", request_id)
-            for name, value in extra or ():
+            for name, value in extra:
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
@@ -188,9 +220,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.state.metrics.record_response(status)
 
     def _respond_error(self, status: int, message: str) -> None:
-        body = json.dumps({"error": message}) + "\n"
-        extra = (("Retry-After", "1"),) if status == 503 else None
-        self._respond(status, "application/json", body.encode("utf-8"), extra)
+        outcome = _error_outcome(status, message)
+        self._respond(outcome.status, outcome.content_type, outcome.body, outcome.extra)
 
     def _mint_request_id(self) -> str:
         """Honor a well-formed client ``X-Request-Id``, else mint one."""
@@ -239,12 +270,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._respond_error(400, "bad Content-Length")
-            self.close_connection = True
-            return
+            length = -1
         if length < 0:
-            # read(-1) would block on the open socket until the client
-            # hangs up — refuse instead.
+            # Unparseable, or negative: read(-1) would block on the open
+            # socket until the client hangs up — refuse instead.
             self._respond_error(400, "bad Content-Length")
             self.close_connection = True
             return
@@ -271,14 +300,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_sparql(self, method: str, query_string: str, body: bytes) -> None:
         state = self.state
         try:
-            request = parse_sparql_request(
-                method, query_string, self.headers, body, state.config.formats
-            )
+            request = parse_sparql_request(method, query_string, self.headers, body)
         except ProtocolError as exc:
             self._respond_error(exc.status, str(exc))
             return
 
-        request_id = self.repro_request_id
         trace_header = self.headers.get("X-Repro-Trace", "")
         trace_requested = trace_header.strip().lower() in ("1", "true", "yes")
         sampled = (
@@ -295,7 +321,7 @@ class _Handler(BaseHTTPRequestHandler):
             # under this tree.
             tracer = _obs_trace.Tracer(
                 "request",
-                request_id=request_id,
+                request_id=self.repro_request_id,
                 method=method,
                 format=request.format,
             )
@@ -304,113 +330,52 @@ class _Handler(BaseHTTPRequestHandler):
         # The cache is consulted *before* admission control: a hit
         # costs microseconds and no worker, so popular queries keep
         # answering precisely when the execution slots are saturated.
-        if not state.generation_mixed:
-            if tracer is not None:
-                tracer.begin("cache_lookup")
-            try:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.fire("cache.get")
-                cached = state.cache.get(
-                    state.generation, request.format, request.query
-                )
-            except OSError:
-                # A failing cache lookup degrades to a miss — the cache
-                # is an accelerator, never a dependency.
-                cached = None
-            if tracer is not None:
-                tracer.end(outcome="hit" if cached is not None else "miss")
-            if cached is not None:
-                self._finish_cached(request, cached, started, tracer, trace_requested, sampled)
-                return
-        if not state.admission.acquire():
-            state.metrics.record_shed()
-            self._respond_error(503, "server saturated; request shed")
-            return
-        state.metrics.enter()
+        # Once generations are mixed the cache itself refuses.
+        if tracer is not None:
+            tracer.begin("cache_lookup")
+        generation = state.generation
         try:
-            if tracer is not None:
-                tracer.begin("pool")
-            reply = state.pool.execute(
-                request.query,
-                request.format,
-                request_id=request_id,
-                trace=tracer is not None,
-            )
-            if tracer is not None:
-                # The worker's span tree nests under the pool span; the
-                # pool span's extra time is lease, pipe and relay cost.
-                tracer.graft(reply.meta.get("trace") if reply.meta else None)
-                tracer.end(kind=reply.kind)
-            self._finish_executed(request, reply, started, tracer, trace_requested, sampled)
-        finally:
-            state.metrics.leave()
-            state.admission.release()
+            if _faults.ACTIVE is not None:
+                _faults.ACTIVE.fire("cache.get")
+            cached = state.cache.get(generation, request.format, request.query)
+        except OSError:
+            # A failing cache lookup degrades to a miss — the cache
+            # is an accelerator, never a dependency.
+            cached = None
+        if tracer is not None:
+            tracer.end(outcome="hit" if cached is not None else "miss")
+        if cached is not None:
+            outcome = _entry_outcome(cached, "hit", generation)
+            self._finish(request, outcome, started, tracer, sampled)
+        elif not state.admission.acquire():
+            state.metrics.record_shed()
+            outcome = _error_outcome(503, "server saturated; request shed")
+            self._finish(request, outcome, started, tracer, sampled)
+        else:
+            state.metrics.enter()
+            try:
+                outcome = self._execute(request, tracer)
+                self._finish(request, outcome, started, tracer, sampled)
+            finally:
+                state.metrics.leave()
+                state.admission.release()
 
-    def _finish_cached(
-        self,
-        request,
-        cached: CachedResult,
-        started: float,
-        tracer: "Optional[_obs_trace.Tracer]",
-        trace_requested: bool,
-        sampled: bool,
-    ) -> None:
-        """Serve a result-cache hit, with counters and trace attached."""
+    def _execute(self, request, tracer: "Optional[_obs_trace.Tracer]") -> _Outcome:
+        """Run the query on a leased worker: a miss, stale or error outcome."""
         state = self.state
-        trace_tree = tracer.finish() if tracer is not None else None
-        payload = cached.payload
-        if trace_requested and request.format == "json":
-            spliced = _splice_extensions(
-                payload,
-                {
-                    "request_id": self.repro_request_id,
-                    "cache": "hit",
-                    "generation": state.generation,
-                    "exec_counters": cached.exec_counters or {},
-                    "trace": trace_tree,
-                },
-            )
-            if spliced is not None:
-                payload = spliced
-        self._respond(200, cached.content_type, payload, (("X-Repro-Cache", "hit"),))
-        seconds = perf_counter() - started
-        # The entry's recorded counters go to the *client* (hot queries
-        # no longer silently under-report) but are not folded into the
-        # /metrics exec totals again: the miss that computed the entry
-        # already counted that work once.
-        state.metrics.record_query(
-            "hit", seconds, cached.row_count, cached.join_space
-        )
-        template = cached.template if isinstance(cached.template, dict) else None
-        if template is not None:
-            state.templates.observe(
-                template.get("hash"),
-                template.get("text"),  # type: ignore[arg-type]
-                seconds,
-                cached.row_count,
-                cached.exec_counters,
-            )
-        self._maybe_slowlog(
+        if tracer is not None:
+            tracer.begin("pool")
+        reply = state.pool.execute(
             request.query,
-            seconds * 1000.0,
-            rows=cached.row_count,
-            template=template.get("hash") if template else None,  # type: ignore[union-attr]
-            counters=cached.exec_counters,
-            trace=trace_tree,
-            sampled=sampled,
+            request.format,
+            request_id=self.repro_request_id,
+            trace=tracer is not None,
         )
-
-    def _finish_executed(
-        self,
-        request,
-        reply: WorkerReply,
-        started: float,
-        tracer: "Optional[_obs_trace.Tracer]" = None,
-        trace_requested: bool = False,
-        sampled: bool = False,
-    ) -> None:
-        state = self.state
-        request_id = getattr(self, "repro_request_id", None)
+        if tracer is not None:
+            # The worker's span tree nests under the pool span; the
+            # pool span's extra time is lease, pipe and relay cost.
+            tracer.graft(reply.meta.get("trace") if reply.meta else None)
+            tracer.end(kind=reply.kind)
         if reply.kind != "ok":
             if reply.kind == "timeout":
                 state.metrics.record_timeout()
@@ -424,128 +389,99 @@ class _Handler(BaseHTTPRequestHandler):
             if state.config.stale_while_error and reply.kind in ("error", "shed"):
                 stale = state.cache.get_stale(request.format, request.query)
                 if stale is not None:
-                    # Counted before the reply leaves: a client that has
-                    # the stale answer must already see it in /metrics.
-                    state.metrics.record_stale_served()
-                    self._respond(
-                        200,
-                        stale.content_type,
-                        stale.payload,
-                        (("X-Repro-Stale", "1"),),
-                    )
-                    state.metrics.record_query(
-                        "stale", perf_counter() - started, stale.row_count, stale.join_space
-                    )
-                    return
-            trace_tree = tracer.finish() if tracer is not None else None
-            self._maybe_slowlog(
-                request.query,
-                (perf_counter() - started) * 1000.0,
-                trace=trace_tree,
-                sampled=sampled,
-                timed_out=(reply.kind == "timeout"),
-            )
-            if trace_requested and trace_tree is not None:
-                # A timed-out query's reply meta carried the worker's
-                # *partial* trace (open spans marked aborted); return it
-                # with the error so "what did it manage to do" is
-                # answerable from the 504 itself.
-                body = json.dumps(
-                    {
-                        "error": reply.message,
-                        "extensions": {
-                            "repro": {"request_id": request_id, "trace": trace_tree}
-                        },
-                    }
-                ) + "\n"
-                self._respond(
-                    _REPLY_STATUS.get(reply.kind, 500),
-                    "application/json",
-                    body.encode("utf-8"),
-                )
-                return
-            self._respond_error(_REPLY_STATUS.get(reply.kind, 500), reply.message)
-            return
+                    return _entry_outcome(stale, "stale", None, (("X-Repro-Stale", "1"),))
+            return _error_outcome(_REPLY_STATUS.get(reply.kind, 500), reply.message)
+        meta = reply.meta
         content_type = FORMAT_MEDIA_TYPES[request.format]
-        rows = int(reply.meta.get("rows", 0))  # type: ignore[arg-type]
-        join_space = float(reply.meta.get("join_space", 0.0))  # type: ignore[arg-type]
-        exec_counters = reply.meta.get("exec")
-        if not isinstance(exec_counters, dict):
-            exec_counters = None
-        template = reply.meta.get("template")
-        if not isinstance(template, dict):
-            template = None
-        # Cache under the generation the worker *actually served* (a
-        # respawned worker may have reopened a rebuilt snapshot); once
-        # drift is detected the cache is disabled entirely, so mixed
-        # data versions are never served from it.
-        served_generation = int(reply.meta.get("generation", state.generation))  # type: ignore[arg-type]
-        if not state.generation_mixed:
-            try:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.fire("cache.put")
-                state.cache.put(
-                    served_generation,
-                    request.format,
-                    request.query,
-                    # The original payload (never the trace-spliced
-                    # variant) plus the counters/template a future hit
-                    # replays to its client.
-                    CachedResult(
-                        reply.payload,
-                        content_type,
-                        rows,
-                        join_space,
-                        exec_counters=exec_counters,
-                        template=template,
-                    ),
-                )
-            except OSError:
-                pass  # a result that cannot be cached is still served
-        trace_tree = tracer.finish() if tracer is not None else None
-        payload = reply.payload
-        if trace_requested and request.format == "json":
-            spliced = _splice_extensions(
-                payload,
-                {
-                    "request_id": request_id,
-                    "cache": "miss",
-                    "generation": served_generation,
-                    "exec_counters": exec_counters or {},
-                    "trace": trace_tree,
-                },
-            )
-            if spliced is not None:
-                payload = spliced
-        self._respond(200, content_type, payload, (("X-Repro-Cache", "miss"),))
-        fault_counts = reply.meta.get("faults")
+        rows = int(meta.get("rows", 0))  # type: ignore[arg-type]
+        join_space = float(meta.get("join_space", 0.0))  # type: ignore[arg-type]
+        counters = meta.get("exec")
+        template = meta.get("template")
+        fault_counts = meta.get("faults")
         if isinstance(fault_counts, dict) and fault_counts:
             state.metrics.record_fault_injections(fault_counts)
-        seconds = perf_counter() - started
-        state.metrics.record_query(
-            "miss",
-            seconds,
+        # Cache under the generation the worker *actually served* (a
+        # respawned worker may have reopened a rebuilt snapshot).
+        served_generation = int(meta.get("generation", state.generation))  # type: ignore[arg-type]
+        entry = CachedResult(
+            reply.payload,
+            content_type,
             rows,
             join_space,
-            exec_counters,
+            exec_counters=counters if isinstance(counters, dict) else None,
+            template=template if isinstance(template, dict) else None,
+        )
+        try:
+            if _faults.ACTIVE is not None:
+                _faults.ACTIVE.fire("cache.put")
+            state.cache.put(served_generation, request.format, request.query, entry)
+        except OSError:
+            pass  # a result that cannot be cached is still served
+        return _entry_outcome(entry, "miss", served_generation)
+
+    def _finish(
+        self,
+        request,
+        outcome: _Outcome,
+        started: float,
+        tracer: "Optional[_obs_trace.Tracer]",
+        sampled: bool,
+    ) -> None:
+        """The one exit of every query outcome: trace, reply, record."""
+        state = self.state
+        trace_tree = tracer.finish() if tracer is not None else None
+        body = outcome.body
+        # An unsampled tracer was asked for by the client: it goes back
+        # in the body, error documents included.
+        if tracer is not None and not sampled and outcome.content_type.endswith("json"):
+            repro: dict = {"request_id": self.repro_request_id}
+            if outcome.cache is not None:
+                repro["cache"] = outcome.cache
+                repro["generation"] = outcome.generation
+                repro["exec_counters"] = outcome.counters or {}
+            repro["trace"] = trace_tree
+            body = _splice_extensions(body, repro) or body
+        extra = outcome.extra
+        if outcome.cache is not None:
+            extra = (("X-Repro-Cache", outcome.cache),) + extra
+        if outcome.cache == "stale":
+            # Counted before the reply leaves: a client that has the
+            # stale answer must already see it in /metrics.
+            state.metrics.record_stale_served()
+        template = outcome.template
+        # Logged before the reply leaves too, so a client holding a
+        # reply (a 504 in particular) can already find its entry.
+        self._maybe_slowlog(
+            request.query,
+            (perf_counter() - started) * 1000.0,
+            rows=outcome.rows if outcome.cache is not None else None,
+            template=template.get("hash") if template else None,
+            counters=outcome.counters,
+            trace=trace_tree,
+            sampled=sampled,
+            timed_out=outcome.status == 504,
+        )
+        self._respond(outcome.status, outcome.content_type, body, extra)
+        if outcome.cache is None:
+            return
+        seconds = perf_counter() - started
+        # Only a miss folds its counters into the /metrics totals: a
+        # hit's or stale answer's work was counted by its own miss.
+        state.metrics.record_query(
+            outcome.cache,
+            seconds,
+            outcome.rows,
+            outcome.join_space,
+            outcome.counters if outcome.cache == "miss" else None,
         )
         if template is not None:
             state.templates.observe(
                 template.get("hash"),
                 template.get("text"),  # type: ignore[arg-type]
                 seconds,
-                rows,
-                exec_counters,
+                outcome.rows,
+                outcome.counters,
             )
-        self._maybe_slowlog(
-            request.query,
-            seconds * 1000.0,
-            rows=rows,
-            template=template.get("hash") if template else None,  # type: ignore[union-attr]
-            counters=exec_counters,
-            trace=trace_tree,
-            sampled=sampled,
-        )
 
     def _maybe_slowlog(
         self,
@@ -597,23 +533,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             document = state.apply_update(text)
-        except SparqlSyntaxError as exc:
-            self._respond_error(400, f"syntax error: {exc}")
-            return
-        except UnsupportedFeatureError as exc:
-            self._respond_error(400, str(exc))
-            return
-        except QueryTimeoutError as exc:
-            self._respond_error(504, str(exc))
-            return
-        except SparqlError as exc:
-            self._respond_error(400, str(exc))
-            return
-        except (OSError, PoolError) as exc:
-            # Includes injected delta.apply faults: the write-path site
-            # fires before any mutation, so the store is unchanged and
-            # the client may simply retry.
-            self._respond_error(500, f"update failed: {exc}")
+        except (SparqlError, OSError, PoolError) as exc:
+            # OSError includes injected delta.apply faults: the
+            # write-path site fires before any mutation, so the store is
+            # unchanged and the client may simply retry.
+            kind, message = failure_reply(exc)
+            self._respond_error(_REPLY_STATUS[kind], message)
             return
         # Write observability: what changed, plus how deep the unpersisted
         # delta and the respawn replay log currently run.
@@ -901,8 +826,7 @@ class SparqlServer:
         an injected ``delta.apply`` fault rejects the request before
         any worker has seen it.  Only a request that actually changed
         at least one triple is broadcast — a no-op commits nothing,
-        bumps no generation, and therefore invalidates no caches
-        (the write-path invalidation fix this PR carries).
+        bumps no generation, and therefore invalidates no caches.
         """
         wal_seq: Optional[int] = None
         durability_error: Optional[OSError] = None

@@ -7,11 +7,12 @@ exposes.  Invalidation therefore needs no TTLs and no explicit flush:
 pointing the server at a newer snapshot changes the generation, every
 old key simply stops matching, and stale entries age out of the LRU
 tail.  This is the server-side payoff of persisting the generation in
-PR 3.
+the snapshot.
 
 Entries are whole serialized response payloads (bytes), so a hit
-bypasses the worker pool, the engine *and* the serializer — the
-difference the throughput benchmark's hit/miss p50 ratio measures.
+bypasses the worker pool, the engine *and* the serializer — why the
+end-to-end benchmark's ``entity_zipf`` workload, half of whose
+requests are hits, spends half its wall time in the server layers.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ class ResultCache:
     oversized result (bigger than the byte budget) is never admitted,
     so a single huge SELECT cannot evict the whole working set.
     ``max_entries == 0`` disables the cache (every ``get`` misses and
-    ``put`` is a no-op) — the configuration the scaling benchmark runs
-    under.
+    ``put`` is a no-op) — how the end-to-end benchmark runs its
+    ``paper_uo`` and ``bulk_rows`` workloads.
     """
 
     def __init__(self, max_entries: int = 256, max_bytes: int = 64 * 1024 * 1024):
@@ -147,12 +148,6 @@ class ResultCache:
                     best_generation = entry_generation
                     best = entry
             return best
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
 
     def disable(self) -> None:
         """Permanently clear *and* refuse further entries.

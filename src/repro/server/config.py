@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,11 @@ class ServerConfig:
     #: this guards request *ingestion* the way admission control
     #: guards execution.
     max_body_bytes: int = 2 * 1024 * 1024
-    #: Per-connection socket timeout: a client that trickles headers or
-    #: never sends its promised body cannot park a handler thread
-    #: forever.
-    socket_timeout: float = 60.0
     #: Engine wiring, forwarded to every worker's SparqlUOEngine.
     engine: str = "wco"
     mode: str = "full"
     #: Log one line per request to stderr (quiet by default).
     log_requests: bool = False
-    #: Result formats served; first entry is the negotiation default.
-    formats: List[str] = field(default_factory=lambda: ["json", "csv", "tsv"])
     #: Fault-injection spec (see :mod:`repro.faults`), armed in the
     #: parent *and* every worker; "" means injection off.  The chaos
     #: harness drives this via ``repro serve --faults``.
@@ -71,9 +64,8 @@ class ServerConfig:
     #: doubling per consecutive failure up to the cap (±20% jitter).
     respawn_backoff_base: float = 0.5
     respawn_backoff_cap: float = 30.0
-    #: Respawn-storm budget: at most this many respawn attempts per
-    #: rolling ``respawn_window`` seconds; excess attempts wait.
-    respawn_budget: int = 8
+    #: The respawn budget's rolling window in seconds (the budget
+    #: itself is fixed in :mod:`.pool`).
     respawn_window: float = 30.0
     #: Probabilistic tracing: this fraction of queries (0.0–1.0) is
     #: traced even without an ``X-Repro-Trace`` header, feeding the

@@ -24,10 +24,10 @@ Recovery discipline — degrade, don't die:
 
 - a dead worker's replacement is attempted at most once inline; every
   further retry runs on the pool's own **heal thread** with
-  exponential backoff plus jitter, under a respawn *budget* (at most N
-  attempts per rolling window), so a snapshot that went bad on disk
-  produces a short roster and a degraded ``/healthz`` — never a
-  respawn storm and never a crash loop;
+  exponential backoff plus jitter, under a respawn *budget* (at most
+  ``_RESPAWN_BUDGET`` attempts per rolling window), so a snapshot that
+  went bad on disk produces a short roster and a degraded
+  ``/healthz`` — never a respawn storm and never a crash loop;
 - a respawn that fails because the *data* cannot be loaded (the
   snapshot was rebuilt in place and is torn or corrupt) is counted as
   a **snapshot fallback**: the surviving workers keep serving the
@@ -45,15 +45,19 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
+from ..sparql.errors import QueryTimeoutError, SparqlError, SparqlSyntaxError
 from .config import ServerConfig
 
-__all__ = ["PoolError", "WorkerPool", "WorkerReply"]
+__all__ = ["PoolError", "WorkerPool", "WorkerReply", "failure_reply"]
 
 #: Wall-clock budget for a worker to open the store and report ready.
 _STARTUP_TIMEOUT = 120.0
+#: Respawn-storm budget: at most this many respawn attempts per rolling
+#: ``respawn_window`` seconds; excess attempts wait.
+_RESPAWN_BUDGET = 8
 
 
 class PoolError(Exception):
@@ -65,6 +69,22 @@ class PoolError(Exception):
         #: (torn/corrupt snapshot, vanished file) — the failure class
         #: the last-good-generation fallback counts and surfaces.
         self.data_load_failure = data_load_failure
+
+
+def failure_reply(exc: BaseException) -> Tuple[str, str]:
+    """The one exception → ``(reply kind, message)`` table, shared by
+    the worker loop and ``POST /update``; ``_REPLY_STATUS`` in
+    :mod:`.app` maps kinds to HTTP statuses.  ``"crashed"`` (the worker
+    is exiting) reaches clients as ``"error"``."""
+    if isinstance(exc, MemoryError):
+        return "crashed", "worker out of memory"
+    if isinstance(exc, QueryTimeoutError):
+        return "timeout", str(exc)
+    if isinstance(exc, SparqlSyntaxError):
+        return "syntax", str(exc)
+    if isinstance(exc, SparqlError):
+        return "unsupported", str(exc)
+    return "error", f"internal error: {type(exc).__name__}: {exc}"
 
 
 class WorkerReply:
@@ -136,12 +156,6 @@ def _worker_main(
     import signal
 
     from ..core.engine import SparqlUOEngine
-    from ..sparql.errors import (
-        QueryTimeoutError,
-        SparqlError,
-        SparqlSyntaxError,
-        UnsupportedFeatureError,
-    )
 
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group, workers included; shutdown is the parent's job (sentinel,
@@ -188,13 +202,14 @@ def _worker_main(
             break
         if request is None:  # orderly shutdown
             break
-        if request[0] == "update":
-            # A write broadcast from the parent: apply it to this
-            # worker's own store (the delta overlay keeps the mmap'd
-            # snapshot frozen) and ack with the resulting generation so
-            # the parent can verify fleet consistency.
-            _, update_text, timeout = request
-            try:
+        tracer = None
+        try:
+            if request[0] == "update":
+                # A write broadcast from the parent: apply it to this
+                # worker's own store (the delta overlay keeps the mmap'd
+                # snapshot frozen) and ack with the resulting generation
+                # so the parent can verify fleet consistency.
+                _, update_text, timeout = request
                 outcome = uo_engine.update(update_text, timeout=timeout)
                 conn.send(
                     (
@@ -207,36 +222,21 @@ def _worker_main(
                         },
                     )
                 )
-            except QueryTimeoutError as exc:
-                conn.send(("timeout", str(exc)))
-            except SparqlError as exc:
-                conn.send(("error", str(exc)))
-            except MemoryError:
-                conn.send(("crashed", "worker out of memory"))
-                break
-            except Exception as exc:  # noqa: BLE001 — the pipe is the error channel
-                # Includes injected delta.apply io_errors: the store is
-                # unchanged (the site fires before any mutation), but
-                # this worker now lags the fleet, so the parent kills
-                # and respawns it through the replay path.
-                conn.send(("error", f"internal error: {type(exc).__name__}: {exc}"))
-            continue
-        _, query, fmt, timeout, extras = request
-        started = time.perf_counter()
-        tracer = None
-        if extras.get("trace"):
-            # One query at a time per worker, so arming the process
-            # global is safe here; the parent stitches this subtree
-            # under its own request span via the reply meta.
-            tracer = _obs_trace.arm(
-                _obs_trace.Tracer(
-                    name="worker", request_id=extras.get("request_id")
+                continue
+            _, query, fmt, timeout, extras = request
+            started = time.perf_counter()
+            if extras.get("trace"):
+                # One query at a time per worker, so arming the process
+                # global is safe here; the parent stitches this subtree
+                # under its own request span via the reply meta.
+                tracer = _obs_trace.arm(
+                    _obs_trace.Tracer(
+                        name="worker", request_id=extras.get("request_id")
+                    )
                 )
-            )
-        # One checkpoint spans both phases — evaluation and result
-        # serialization — so the whole request shares one budget.
-        check = SparqlUOEngine.deadline_checkpoint(timeout)
-        try:
+            # One checkpoint spans both phases — evaluation and result
+            # serialization — so the whole request shares one budget.
+            check = SparqlUOEngine.deadline_checkpoint(timeout)
             # The injection point for "the worker fails on this
             # request": crash exits without a reply (the parent sees a
             # dead pipe), oom exercises the "crashed" tag below, delay
@@ -277,27 +277,21 @@ def _worker_main(
             if tracer is not None:
                 meta["trace"] = tracer.finish()
             conn.send(("ok", payload, meta))
-        except QueryTimeoutError as exc:
-            if tracer is not None:
+        except Exception as exc:  # noqa: BLE001 — the pipe is the error channel
+            # A failed update (injected delta.apply io_errors included:
+            # the site fires before any mutation) leaves this worker
+            # lagging the fleet; the parent respawns it through replay.
+            kind, message = failure_reply(exc)
+            reply: tuple = (kind, message)
+            if kind == "timeout" and tracer is not None:
                 # A partial trace of everything the query managed to do
                 # before the deadline, open spans marked aborted.
-                conn.send(("timeout", str(exc), {"trace": tracer.finish(aborted="timeout")}))
-            else:
-                conn.send(("timeout", str(exc)))
-        except SparqlSyntaxError as exc:
-            conn.send(("syntax", str(exc)))
-        except UnsupportedFeatureError as exc:
-            conn.send(("unsupported", str(exc)))
-        except SparqlError as exc:
-            conn.send(("error", str(exc)))
-        except MemoryError:
-            # "crashed" tells the parent this worker is exiting, so it
-            # is replaced as part of this request rather than handed to
-            # the next client as a dead pipe.
-            conn.send(("crashed", "worker out of memory"))
-            break  # restart with a clean heap
-        except Exception as exc:  # noqa: BLE001 — the pipe is the error channel
-            conn.send(("error", f"internal error: {type(exc).__name__}: {exc}"))
+                reply += ({"trace": tracer.finish(aborted="timeout")},)
+            conn.send(reply)
+            if kind == "crashed":
+                # The parent replaces this worker as part of this
+                # request; the replacement starts with a clean heap.
+                break
         finally:
             if tracer is not None:
                 _obs_trace.disarm()
@@ -500,7 +494,7 @@ class WorkerPool:
         attempts = self._respawn_attempts
         while attempts and now - attempts[0] > window:
             attempts.popleft()
-        if len(attempts) >= max(self.config.respawn_budget, 1):
+        if len(attempts) >= _RESPAWN_BUDGET:
             return False
         return now >= self._backoff_until
 
@@ -605,16 +599,8 @@ class WorkerPool:
             except OSError:
                 return False
             for record in records:
-                try:
-                    worker.conn.send(("update", record.text, self.config.timeout))
-                    if not worker.conn.poll(self.config.hard_timeout):
-                        return False
-                    message = worker.conn.recv()
-                except (EOFError, OSError, ValueError):
+                if self._send_update(worker, record.text) is None:
                     return False
-                if message[0] != "updated":
-                    return False
-                worker.generation = int(message[1]["generation"])
             if worker.generation != self.generation:
                 return False
             worker.published = True
@@ -622,14 +608,11 @@ class WorkerPool:
         return True
 
     def _heal_loop(self) -> None:
-        """Background healer: repay the respawn deficit on a timer.
-
-        Replaces the old request-driven retry (``_try_heal`` in
-        ``execute``), which left an *idle* degraded server degraded
-        forever.  The loop sleeps in short slices so ``close()`` (via
-        the wake event) always exits it promptly, and re-evaluates the
-        backoff/budget gates on every wake.
-        """
+        """Background healer: repay the respawn deficit on a timer, so
+        an *idle* degraded server heals too.  The loop sleeps in short
+        slices so ``close()`` (via the wake event) always exits it
+        promptly, and re-evaluates the backoff/budget gates on every
+        wake."""
         while True:
             with self._spawn_lock:
                 if self._closed:
@@ -777,17 +760,7 @@ class WorkerPool:
             confirmed = 0
             broken: List[_Worker] = []
             for worker in leased:
-                ok = False
-                try:
-                    worker.conn.send(("update", text, self.config.timeout))
-                    if worker.conn.poll(self.config.hard_timeout):
-                        message = worker.conn.recv()
-                        if message[0] == "updated":
-                            worker.generation = int(message[1]["generation"])
-                            ok = worker.generation == expected_generation
-                except (EOFError, OSError, ValueError):
-                    ok = False
-                if ok:
+                if self._send_update(worker, text) == expected_generation:
                     confirmed += 1
                     self._idle.put(worker)
                 else:
@@ -796,6 +769,22 @@ class WorkerPool:
         for worker in broken:
             threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
         return confirmed
+
+    def _send_update(self, worker: _Worker, text: str) -> Optional[int]:
+        """Replay's and broadcast's one update exchange (update lock
+        held): the generation ``worker`` acked, or None when it failed,
+        died or overran the hard timeout."""
+        try:
+            worker.conn.send(("update", text, self.config.timeout))
+            if not worker.conn.poll(self.config.hard_timeout):
+                return None
+            message = worker.conn.recv()
+        except (EOFError, OSError, ValueError):
+            return None
+        if message[0] != "updated":
+            return None
+        worker.generation = int(message[1]["generation"])
+        return worker.generation
 
     def note_snapshot_generation(self, generation: int) -> None:
         """The data file now persists ``generation`` (compaction ran).

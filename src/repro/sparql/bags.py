@@ -541,45 +541,19 @@ def _hash_join(
     checkpoint=None,
 ) -> Bag:
     out_schema, right_only, shared_pairs = _join_layout(build, probe_schema)
-    build_rows = build._rows
     out: List[Row] = []
-    append = out.append
-    tail_of = _tail_getter(right_only)
-    wrapped = False
-
-    if keep is not None or stop_at is not None:
-        # Guarded emission replaces the plain append on the (rare)
-        # filtered / limited path; the hot unfiltered loops below run
-        # with the raw list append as before.
-        if stop_at is not None and stop_at <= 0:
-            return Bag.from_rows(out_schema, out)
-        raw_append = append
-
-        def append(row, _raw=raw_append):
-            if keep is None or keep(row):
-                _raw(row)
-                if stop_at is not None and len(out) >= stop_at:
-                    raise _StopJoin
-
-        wrapped = True
-
-    if checkpoint is not None:
-        # The tick wrapper goes *outside* the keep/stop guard so the
-        # cancellation hook fires per produced row even when a filter
-        # drops every one of them.
-        append = _ticked_append(append, checkpoint)
-        wrapped = True
-
-    if wrapped:
-        try:
-            return _hash_join_loops(
-                build_rows, probe_rows, out_schema, out, append, tail_of, shared_pairs
-            )
-        except _StopJoin:
-            return Bag.from_rows(out_schema, out)
-    return _hash_join_loops(
-        build_rows, probe_rows, out_schema, out, append, tail_of, shared_pairs
-    )
+    if stop_at is not None and stop_at <= 0:
+        return Bag.from_rows(out_schema, out)
+    # Without keep / stop_at / checkpoint this is the raw list append,
+    # so the hot unfiltered loops pay no wrapper call per row.
+    append = _emit_guard(out, keep, stop_at, checkpoint)
+    try:
+        return _hash_join_loops(
+            build._rows, probe_rows, out_schema, out, append,
+            _tail_getter(right_only), shared_pairs,
+        )
+    except _StopJoin:
+        return Bag.from_rows(out_schema, out)
 
 
 def _hash_join_loops(
@@ -755,9 +729,7 @@ def left_join(bag1: Bag, bag2: Bag, checkpoint=None) -> Bag:
         return Bag.from_rows(out_schema, [row + pad for row in bag1._rows])
 
     out: List[Row] = []
-    append = out.append
-    if checkpoint is not None:
-        append = _ticked_append(append, checkpoint)
+    append = _emit_guard(out, None, None, checkpoint)
     tail_of = _tail_getter(right_only)
     if not shared_pairs:  # cartesian extension
         tails = [tail_of(row2) for row2 in bag2._rows]

@@ -203,18 +203,53 @@ class TestStaleWhileError:
             assert first == expected[QUERY_HEADOF]
             # Kill the only worker; the dead-pipe error reply triggers
             # the stale path for the cached query.  The *cache hit*
-            # would normally answer first — bypass it by disabling
-            # generation-keyed gets while keeping entries resident.
+            # would normally answer first — bypass it by moving the
+            # generation on: the entry stays resident for get_stale.
             victim = server.pool._workers[0]
             victim.proc.kill()
             victim.proc.join(10)
-            server.generation_mixed = True  # skip the fresh-hit fast path
+            server.generation += 1  # skip the fresh-hit fast path
             status, headers, body = sparql_get(server, QUERY_HEADOF)
             assert status == 200
             assert headers.get("X-Repro-Stale") == "1"
             assert body == first
             assert server.metrics.stale_served_total >= 1
-            server.generation_mixed = False
+            assert_roster_heals(server)
+
+    def test_stale_answer_is_traced_logged_and_counted(self, snap, tmp_path):
+        log_path = tmp_path / "slow.jsonl"
+        config = chaos_config(
+            snap,
+            "",
+            workers=1,
+            stale_while_error=True,
+            slow_query_ms=0.001,  # every request qualifies as slow
+            slow_query_log=str(log_path),
+        )
+        with SparqlServer(config) as server:
+            sparql_get(server, QUERY_HEADOF)
+            victim = server.pool._workers[0]
+            victim.proc.kill()
+            victim.proc.join(10)
+            server.generation += 1
+            url = server.url + "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+            request = urllib.request.Request(
+                url, headers={"X-Repro-Trace": "1", "X-Request-Id": "stale-trace-1"}
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                headers, body = dict(response.headers), response.read()
+            assert headers.get("X-Repro-Stale") == "1"
+            assert headers.get("X-Repro-Cache") == "stale"
+            repro = json.loads(body)["extensions"]["repro"]
+            assert repro["cache"] == "stale"
+            assert repro["request_id"] == "stale-trace-1"
+            assert repro["trace"]["name"] == "request"
+            logged = [json.loads(line) for line in open(log_path) if line.strip()]
+            assert "stale-trace-1" in [entry["request_id"] for entry in logged]
+            with urllib.request.urlopen(server.url + "/debug/templates", timeout=30) as r:
+                templates = json.loads(r.read())["templates"]
+            # The miss that filled the cache, then the stale answer.
+            assert [entry["count"] for entry in templates] == [2]
             assert_roster_heals(server)
 
     def test_stale_is_off_by_default(self, snap):
@@ -224,11 +259,10 @@ class TestStaleWhileError:
             victim = server.pool._workers[0]
             victim.proc.kill()
             victim.proc.join(10)
-            server.generation_mixed = True
+            server.generation += 1
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 sparql_get(server, QUERY_HEADOF)
             assert excinfo.value.code == 500
-            server.generation_mixed = False
             assert_roster_heals(server)
 
 

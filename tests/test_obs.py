@@ -743,6 +743,68 @@ class TestServerObservability:
         timeouts = [e for e in entries if e["reason"] == "timeout"]
         assert timeouts and timeouts[-1]["trace"] is not None
 
+    @pytest.mark.parametrize(
+        ("outcome", "status", "cache"),
+        [
+            ("miss", 200, "miss"),
+            ("hit", 200, "hit"),
+            ("syntax", 400, None),
+            ("timeout", 504, None),
+            ("shed", 503, None),
+            ("admission", 503, None),
+        ],
+    )
+    def test_response_contract(self, obs_server, monkeypatch, outcome, status, cache):
+        """Every query outcome answers with the same headers and, when
+        traced, the same ``extensions.repro`` keys."""
+        server, _ = obs_server
+        query = {
+            "miss": self.QUERY + " #contract-miss",
+            "hit": self.QUERY + " #contract-hit",
+            "syntax": "SELECT ?x WHERE { ?x",
+            "timeout": QUERY_SLOW,
+            "shed": self.QUERY + " #contract-shed",
+            "admission": self.QUERY + " #contract-admission",
+        }[outcome]
+        if outcome == "hit":
+            self.get(server, query)
+        if outcome == "shed":
+            from repro.server.pool import WorkerReply
+
+            monkeypatch.setattr(
+                server.pool,
+                "execute",
+                lambda *args, **kwargs: WorkerReply("shed", message="no worker"),
+            )
+        if outcome == "admission":
+            monkeypatch.setattr(server.admission, "acquire", lambda: False)
+        for traced in (False, True):
+            request_id = f"contract-{outcome}-{int(traced)}"
+            headers = {"X-Request-Id": request_id}
+            if traced:
+                headers["X-Repro-Trace"] = "1"
+            text = query if outcome != "miss" else f"{query}-{int(traced)}"
+            try:
+                got, got_headers, body = self.get(server, text, headers=headers)
+            except urllib.error.HTTPError as exc:
+                got, got_headers, body = exc.code, dict(exc.headers), exc.read()
+            assert got == status
+            assert got_headers.get("X-Repro-Cache") == cache
+            assert got_headers["X-Repro-Generation"] == str(server.generation)
+            assert got_headers["X-Repro-Request-Id"] == request_id
+            document = json.loads(body)
+            if status >= 400:
+                assert "error" in document
+            if status == 503:
+                assert got_headers["Retry-After"] == "1"
+            if not traced:
+                assert "repro" not in document.get("extensions", {})
+                continue
+            repro = document["extensions"]["repro"]
+            assert repro["request_id"] == request_id
+            assert repro.get("cache") == cache
+            assert_well_formed(repro["trace"])
+
     def test_live_metrics_exposition_lints(self, obs_server):
         server, _ = obs_server
         self.get(server, self.QUERY + " #metrics-traffic")
