@@ -31,6 +31,7 @@ from .transform import (
     multi_level_transform,
     perform_inject,
     perform_merge,
+    reorder_children,
     single_level_transform,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "decide_inject",
     "single_level_transform",
     "multi_level_transform",
+    "reorder_children",
     "InvalidBETreeError",
     "validate_tree",
     "validate_node",

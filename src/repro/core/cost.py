@@ -24,8 +24,7 @@ several nodes at once.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional as Opt, Sequence, Tuple
+from typing import Optional as Opt, Sequence, Tuple
 
 from ..bgp.interface import BGPEngine, PlanEstimate
 from .betree import BENode, BGPNode, FilterNode, GroupNode, OptionalNode, UnionNode
@@ -51,13 +50,13 @@ def f_optional(left_size: float, right_size: float) -> float:
 class CostModel:
     """Estimates node result sizes and local transformation costs.
 
-    BGP estimates are delegated to the engine and memoized on the
-    pattern list, so repeated perform/undo probing stays cheap.
+    BGP estimates are delegated to the engine, whose estimate cache is
+    keyed on the store's write generation: repeated perform/undo probing
+    stays cheap, and a write never leaves a stale estimate behind.
     """
 
     def __init__(self, engine: BGPEngine):
         self.engine = engine
-        self._memo: Dict[Tuple, PlanEstimate] = {}
 
     # ------------------------------------------------------------------
     # per-node estimates
@@ -65,12 +64,7 @@ class CostModel:
     def bgp_estimate(self, node: BGPNode) -> PlanEstimate:
         if node.is_empty():
             return PlanEstimate(0.0, 1.0)
-        key = tuple(node.patterns)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self.engine.estimate(node.patterns)
-            self._memo[key] = cached
-        return cached
+        return self.engine.estimate(node.patterns)
 
     def result_size(self, node: BENode) -> float:
         """Estimated |res(node)| under the paper's simple distribution
@@ -91,6 +85,24 @@ class CostModel:
             # selectivity statistics, stay neutral in the products.
             return 1.0
         raise TypeError(f"not a BE-tree node: {node!r}")
+
+    def join_size(self, node: BENode) -> float:
+        """Estimated |res(node)| for ordering a group's children.
+
+        Unlike :meth:`result_size`, an OPTIONAL (like a FILTER) counts
+        as factor 1, since a left join keeps its left side, and nothing
+        is floored at 1: a child estimated empty must sort first.
+        """
+        if isinstance(node, BGPNode):
+            return self.bgp_estimate(node).cardinality
+        if isinstance(node, GroupNode):
+            size = 1.0
+            for child in node.children:
+                size *= self.join_size(child)
+            return size
+        if isinstance(node, UnionNode):
+            return f_union([self.join_size(b) for b in node.branches])
+        return 1.0
 
     def bgp_cost(self, node: BGPNode) -> float:
         return self.bgp_estimate(node).cost

@@ -675,8 +675,10 @@ class SparqlUOEngine:
 
     def explain(self, query: U[str, SelectQuery]) -> str:
         """The full plan as indented text: configuration header, the
-        transform report, per-BGP cost/cardinality estimates, the
-        (transformed) BE-tree and the grouping plan when present.
+        transform report and each reordered group's placed order (its
+        children's written positions, from 0), per-BGP cost/cardinality
+        estimates, the (transformed) BE-tree and the grouping plan when
+        present.
 
         Public API (also behind ``repro query --explain``): the
         rendering is for humans and its exact shape is not stable, but
@@ -688,6 +690,9 @@ class SparqlUOEngine:
         lines = [f"mode={self.mode.value} engine={self.bgp_engine.name}"]
         if report is not None:
             lines.append(f"transform: {report!r}")
+            for group_id, placed in report.placements:
+                order = " ".join(str(position) for position in placed)
+                lines.append(f"reorder GROUP[{group_id}]: written children {order}")
         for node in tree.bgp_nodes():
             if node.is_empty():
                 continue

@@ -213,6 +213,7 @@ class BGPBasedEvaluator:
                             branch, child_cand, trace, checkpoint=checkpoint
                         ),
                     )
+                EXEC_COUNTERS.join_rows += len(u)
                 if tracer is not None:
                     tracer.end(rows=len(u))
                 r = self._join(r, u, tracer, checkpoint)
@@ -231,6 +232,7 @@ class BGPBasedEvaluator:
                 o = self.evaluate_group(child.group, r, trace, checkpoint=checkpoint)
                 left = r if r is not None else Bag.identity()
                 r = left_join(left, o, checkpoint=checkpoint)
+                EXEC_COUNTERS.join_rows += len(r)
                 if tracer is not None:
                     tracer.end(rows=len(r))
             else:  # pragma: no cover - tree constructor validates
@@ -256,6 +258,7 @@ class BGPBasedEvaluator:
         if tracer is not None:
             tracer.begin("join", left=len(r), right=len(evaluated))
         r = join(r, evaluated, checkpoint=checkpoint)
+        EXEC_COUNTERS.join_rows += len(r)
         if tracer is not None:
             tracer.end(rows=len(r))
         return r

@@ -61,6 +61,7 @@ EXEC_COUNTER_FIELDS = (
     "rows_kernel_filtered",  # rows screened by batch compare-and-compact kernels
     "terms_decoded",     # ids materialized into terms anywhere (0 = zero-decode)
     "operators_skipped_empty",  # group children never evaluated: left side was ∅
+    "join_rows",         # rows emitted by the evaluator's bag join / left join / union
 )
 
 

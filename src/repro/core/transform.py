@@ -1,8 +1,9 @@
-"""BE-tree transformations: merge, inject, and cost-driven selection.
+"""BE-tree transformations: merge, inject, reorder, and cost-driven selection.
 
 Implements Definitions 9–10 (the transformation primitives), Algorithm 2
 (single-level decision), Algorithm 3 (Δ-cost probing subroutines) and
-Algorithm 4 (multi-level greedy, post-order traversal).
+Algorithm 4 (multi-level greedy, post-order traversal), followed by a
+greedy join order of each group's children (:func:`reorder_children`).
 
 Both primitives are *undoable*: :func:`perform_merge` /
 :func:`perform_inject` return an undo closure, which Algorithm 3's
@@ -16,12 +17,20 @@ the two, which is only semantics-preserving when intervening OPTIONAL
 bodies share with P1 only variables that are certainly bound earlier
 (see :mod:`repro.core.betree`'s module docstring).  Inject never moves
 P1, so only Definition 10's own conditions apply.
+
+Reorder permutes only BGP, group and UNION children, and only within the
+stretch between two OPTIONAL siblings: joins commute, so any order of a
+stretch gives the same bag.  OPTIONALs, FILTERs, retained empty BGPs
+(the join identity) and BGPs a sibling FILTER is pushed into keep their
+slots.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional as Opt, Set, Tuple
+from typing import Callable, List, Optional as Opt, Sequence, Set, Tuple
 
+from ..bgp.plans import connected_components
+from ..rdf.triple import TriplePattern
 from .betree import (
     BENode,
     BETree,
@@ -44,6 +53,7 @@ __all__ = [
     "decide_inject",
     "single_level_transform",
     "multi_level_transform",
+    "reorder_children",
     "TransformReport",
 ]
 
@@ -58,15 +68,24 @@ class TransformReport:
         self.injects: int = 0
         self.considered: int = 0
         self.total_delta: float = 0.0
+        #: (group node id, written child positions in placed order), one
+        #: entry per group whose children :func:`reorder_children` moved.
+        self.placements: List[Tuple[int, List[int]]] = []
 
     @property
     def transformations(self) -> int:
+        """Merges + injects; reorders are counted apart."""
         return self.merges + self.injects
+
+    @property
+    def reorders(self) -> int:
+        return len(self.placements)
 
     def __repr__(self) -> str:
         return (
             f"TransformReport(merges={self.merges}, injects={self.injects}, "
-            f"considered={self.considered}, total_delta={self.total_delta:.1f})"
+            f"reorders={self.reorders}, considered={self.considered}, "
+            f"total_delta={self.total_delta:.1f})"
         )
 
 
@@ -385,20 +404,126 @@ def multi_level_transform(
 
     Lower levels are fully transformed before their parents, so each
     single-level decision sees stable child costs — the greedy strategy
-    that keeps the exponential multi-level plan space tractable.
+    that keeps the exponential multi-level plan space tractable.  A
+    second post-order pass then reorders every group's children.
     """
     report = TransformReport()
+    _post_order(
+        tree.root,
+        lambda group: single_level_transform(
+            cost_model, group, report, skip_cp_equivalent
+        ),
+    )
 
-    def traverse(group: GroupNode) -> None:
-        for child in group.children:
-            if isinstance(child, GroupNode):
-                traverse(child)
-            elif isinstance(child, UnionNode):
-                for branch in child.branches:
-                    traverse(branch)
-            elif isinstance(child, OptionalNode):
-                traverse(child.group)
-        single_level_transform(cost_model, group, report, skip_cp_equivalent)
+    def reorder(group: GroupNode) -> None:
+        placed = reorder_children(cost_model, group)
+        if placed is not None:
+            report.placements.append((group.node_id, placed))
 
-    traverse(tree.root)
+    _post_order(tree.root, reorder)
     return report
+
+
+def _post_order(group: GroupNode, visit: Callable[[GroupNode], None]) -> None:
+    for child in group.children:
+        if isinstance(child, GroupNode):
+            _post_order(child, visit)
+        elif isinstance(child, UnionNode):
+            for branch in child.branches:
+                _post_order(branch, visit)
+        elif isinstance(child, OptionalNode):
+            _post_order(child.group, visit)
+    visit(group)
+
+
+# ----------------------------------------------------------------------
+# reorder: greedy join order of a group's children
+# ----------------------------------------------------------------------
+def reorder_children(cost_model: CostModel, group: GroupNode) -> Opt[List[int]]:
+    """Order each OPTIONAL-delimited stretch of ``group``'s movable
+    children greedily by estimated join size, in place.
+
+    Returns the written positions of the children in their new order,
+    or None when nothing moved.  A stretch with fewer than two movable
+    children costs no estimate.
+    """
+    children = group.children
+    written = list(children)
+    filters = [c.variables() for c in children if isinstance(c, FilterNode)]
+    stretches: List[List[int]] = [[]]
+    for index, child in enumerate(children):
+        if isinstance(child, OptionalNode):
+            stretches.append([])
+        elif _movable(child, filters):
+            stretches[-1].append(index)
+    for stretch in stretches:
+        if len(stretch) >= 2:
+            placed = _place(cost_model, [children[i] for i in stretch])
+            for slot, node in zip(stretch, placed):
+                children[slot] = node
+    if all(a is b for a, b in zip(children, written)):
+        return None
+    return [written.index(child) for child in children]
+
+
+def _movable(child: BENode, filters: Sequence[Set[str]]) -> bool:
+    """BGP, group and UNION children move.  A BGP a sibling FILTER is
+    pushed into stays: its estimate cannot see the filter's selectivity."""
+    if isinstance(child, BGPNode):
+        if child.is_empty():
+            return False
+        variables = child.variables()
+        return not any(f <= variables for f in filters)
+    return isinstance(child, (GroupNode, UnionNode))
+
+
+def _certain_patterns(node: BENode) -> List[TriplePattern]:
+    """The triple patterns every solution of ``node`` matches: a BGP's
+    own and a group's BGP and group children's; none under a UNION,
+    OPTIONAL or FILTER."""
+    if isinstance(node, BGPNode):
+        return list(node.patterns)
+    if isinstance(node, GroupNode):
+        return [p for child in node.children for p in _certain_patterns(child)]
+    return []
+
+
+def _connected(patterns: Sequence[TriplePattern]) -> bool:
+    return len(connected_components(patterns)) == 1
+
+
+def _place(cost_model: CostModel, nodes: List[BENode]) -> List[BENode]:
+    """Greedy join order of one stretch.
+
+    Lead with the smallest standalone estimate, then repeatedly take,
+    among the children sharing a certainly-bound variable with those
+    placed, the one whose join with them is estimated smallest: one
+    estimate over the placed children's certain patterns plus the
+    candidate's.  A concatenation that would be a cartesian product is
+    never estimated (the candidate's standalone size stands in), and
+    children that share no certain variable go last by standalone size.
+    """
+    sizes = {id(node): cost_model.join_size(node) for node in nodes}
+    pending = sorted(nodes, key=lambda node: sizes[id(node)])
+    placed: List[BENode] = []
+    bound: Set[str] = set()
+    patterns: List[TriplePattern] = []  # empty or one connected component
+
+    def join_estimate(node: BENode) -> float:
+        combined = patterns + _certain_patterns(node)
+        if not _connected(combined):
+            return sizes[id(node)]
+        return cost_model.engine.estimate(combined).cardinality
+
+    best = pending[0]
+    while True:
+        pending.remove(best)
+        placed.append(best)
+        bound |= certain_variables([best], 1)
+        combined = patterns + _certain_patterns(best)
+        if _connected(combined):
+            patterns = combined
+        joined = [node for node in pending if certain_variables([node], 1) & bound]
+        if not joined:
+            return placed + pending
+        best = joined[0] if len(joined) == 1 else min(joined, key=join_estimate)

@@ -7,6 +7,10 @@ compares it bag-equal with ``tests/oracle.py``.  The parts shipped here
 form the empty-left matrix (every left is empty on :func:`dataset`);
 other matrices pass their own parts to :func:`cases`.  All parts share
 ``?a``, so the pieces join instead of forming cartesian products.
+
+The permutation matrix (:func:`permutations`) writes groups of three or
+four :data:`SIBLINGS` in every order, so whatever order the reorder
+transformation places a group's children in is also checked as written.
 """
 
 from __future__ import annotations
@@ -89,6 +93,37 @@ def cases(
             right,
             placement,
         )
+
+
+#: Children of the permutation matrix: every operator kind, an empty
+#: left side, and an OPTIONAL whose ``?b`` only the ``bgp`` sibling binds.
+SIBLINGS: Tuple[Part, ...] = (
+    Part("bgp", f"?a <{EX}p> ?b .", bgp=True),
+    Part("empty", f"<{EX}absent> <{EX}p> ?a .", bgp=True),
+    Part("group", f"{{ ?a <{EX}name> ?n }}"),
+    Part("union", f"{{ ?a <{EX}q> ?c }} UNION {{ ?a <{EX}r> ?c }}"),
+    Part("optional", f"OPTIONAL {{ ?b <{EX}q> ?c }}"),
+    Part("filter", f"FILTER(!BOUND(?c) || ?c != <{EX}o2>)"),
+)
+
+
+class Permutation(NamedTuple):
+    id: str
+    text: str
+
+
+def permutations(
+    siblings: Sequence[Part] = SIBLINGS, sizes: Sequence[int] = (3, 4)
+) -> Iterator[Permutation]:
+    """Every order of every ``sizes``-subset of ``siblings`` as the root
+    group of a ``SELECT *`` query."""
+    for size in sizes:
+        for subset in itertools.combinations(siblings, size):
+            for order in itertools.permutations(subset):
+                yield Permutation(
+                    "-".join(part.name for part in order),
+                    "SELECT * WHERE { " + " ".join(p.text for p in order) + " }",
+                )
 
 
 def dataset() -> Dataset:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp import WCOJoinEngine
 from repro.core import BETree, BGPNode, CostModel, f_and, f_optional, f_union
-from repro.rdf import Dataset, IRI, Literal
+from repro.rdf import Dataset, IRI, Literal, Triple
 from repro.sparql import parse_group
 from repro.storage import TripleStore
 
@@ -70,6 +70,20 @@ class TestResultSizes:
         (bgp,) = tree.root.children
         first = cost_model.bgp_estimate(bgp)
         assert cost_model.bgp_estimate(bgp) is first
+
+    def test_estimates_follow_writes(self):
+        p = IRI(EX + "p")
+        d = Dataset()
+        for i in range(3):
+            d.add_spo(IRI(EX + f"s{i}"), p, IRI(EX + f"o{i}"))
+        store = TripleStore.from_dataset(d)
+        model = CostModel(WCOJoinEngine(store))
+        (bgp,) = BETree.from_group(parse_group("{ ?x <http://x/p> ?y }")).root.children
+        assert model.bgp_estimate(bgp).cardinality == 3
+        store.apply_update(
+            inserts=[Triple(IRI(EX + f"n{i}"), p, Literal(str(i))) for i in range(500)]
+        )
+        assert model.bgp_estimate(bgp).cardinality == 503
 
 
 class TestLocalCosts:
