@@ -130,6 +130,7 @@ class QueryResult:
         execute_seconds: float,
         exec_counters: Opt[dict] = None,
         template: Opt[dict] = None,
+        query: Opt[SelectQuery] = None,
     ):
         self.solutions = solutions
         self.variables = variables
@@ -146,6 +147,8 @@ class QueryResult:
         #: The query's constant-lifted template (see
         #: :func:`repro.obs.templates.lift_template`), or None.
         self.template: Opt[dict] = template
+        #: The parsed query that ran (the plan cache's copy on a hit).
+        self.query = query
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -179,6 +182,7 @@ class UpdateResult:
         "generation",
         "parse_seconds",
         "apply_seconds",
+        "requested",
     )
 
     def __init__(
@@ -189,6 +193,7 @@ class UpdateResult:
         generation: int,
         parse_seconds: float,
         apply_seconds: float,
+        requested: Tuple[Triple, ...] = (),
     ):
         #: Triples actually inserted (net of duplicates already present).
         self.added = added
@@ -199,6 +204,12 @@ class UpdateResult:
         self.generation = generation
         self.parse_seconds = parse_seconds
         self.apply_seconds = apply_seconds
+        #: Every ground triple the operations asked to insert or delete:
+        #: a DATA form's own triples, a DELETE/INSERT WHERE's
+        #: instantiations.  A superset of what actually changed, so
+        #: no triple pattern matching none of them can see the change
+        #: (the result cache's revalidation relies on this).
+        self.requested = requested
 
     @property
     def total_seconds(self) -> float:
@@ -520,6 +531,7 @@ class SparqlUOEngine:
             # in one process may bleed into each other's deltas.
             exec_counters=EXEC_COUNTERS.delta_since(counters_before),
             template=prepared.template,
+            query=parsed,
         )
 
     # ------------------------------------------------------------------
@@ -562,20 +574,23 @@ class SparqlUOEngine:
             tracer.begin("apply")
 
         added = removed = 0
+        requested: List[Triple] = []
         apply_start = time.perf_counter()
         for operation in request.operations:
             if check is not None:
                 check()
             if isinstance(operation, InsertData):
-                got, gone = self.store.apply_update(
-                    inserts=[_as_triple(t) for t in operation.triples]
-                )
+                inserts = [_as_triple(t) for t in operation.triples]
+                requested += inserts
+                got, gone = self.store.apply_update(inserts=inserts)
             elif isinstance(operation, DeleteData):
-                got, gone = self.store.apply_update(
-                    deletes=[_as_triple(t) for t in operation.triples]
-                )
+                deletes = [_as_triple(t) for t in operation.triples]
+                requested += deletes
+                got, gone = self.store.apply_update(deletes=deletes)
             else:
-                got, gone = self._apply_modify(operation, request.prefixes, check)
+                got, gone = self._apply_modify(
+                    operation, request.prefixes, check, requested
+                )
             added += got
             removed += gone
         apply_seconds = time.perf_counter() - apply_start
@@ -591,6 +606,7 @@ class SparqlUOEngine:
             generation=self.store.generation,
             parse_seconds=parse_seconds,
             apply_seconds=apply_seconds,
+            requested=tuple(requested),
         )
 
     def _apply_modify(
@@ -598,8 +614,10 @@ class SparqlUOEngine:
         operation: ModifyUpdate,
         prefixes: Opt[dict],
         check: Opt[Callable[[], None]],
+        requested: List[Triple],
     ) -> Tuple[int, int]:
-        """Evaluate one ``DELETE/INSERT ... WHERE`` against current state."""
+        """Evaluate one ``DELETE/INSERT ... WHERE`` against current state,
+        appending its instantiated triples to ``requested``."""
         where_query = SelectQuery(None, operation.where, prefixes)
         solutions = self.execute(where_query, checkpoint=check)
         deletes: List[Triple] = []
@@ -616,6 +634,8 @@ class SparqlUOEngine:
                     inserts.append(ground)
         if not deletes and not inserts:
             return 0, 0
+        requested += deletes
+        requested += inserts
         return self.store.apply_update(inserts=inserts, deletes=deletes)
 
     @classmethod

@@ -11,9 +11,9 @@ wrapped in the production controls a public endpoint needs:
   bounded wait queue; excess load is shed immediately with ``503``;
 - **per-query timeouts** (:mod:`.pool`): a cooperative engine deadline
   first, and a hard kill-and-respawn of the worker as the backstop;
-- **a generation-keyed result cache** (:mod:`.cache`): entries are
-  keyed on the snapshot's persisted store generation, so invalidation
-  across data versions is structural rather than scheduled;
+- **a pattern-aware result cache** (:mod:`.cache`): entries are
+  stamped with the store generation and survive every write that
+  changes no triple matching one of the query's patterns;
 - **per-query metrics** (:mod:`.metrics`): latency quantiles, row and
   join-space counters, aggregated into a Prometheus-style ``/metrics``;
 - **live writes** (``POST /update``): SPARQL 1.1 UPDATE applied to the

@@ -4,7 +4,7 @@
 each connection is handled on its own thread, which (1) parses the
 protocol request, (2) passes admission control — a bounded in-flight
 limit plus a bounded wait queue, everything beyond which is shed with
-an immediate 503 — (3) consults the generation-keyed result cache, and
+an immediate 503 — (3) consults the result cache, and
 only then (4) leases a worker.  Cache hits therefore cost no worker,
 no engine and no serializer; sheds cost almost nothing at all, which
 is what keeps an overloaded endpoint responsive.
@@ -192,6 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         body: bytes,
         extra: Tuple[Tuple[str, str], ...] = (),
+        generation: Optional[int] = None,
     ) -> None:
         # wfile is unbuffered, so even the status line hits the socket:
         # the whole emission is guarded against clients that hung up
@@ -205,9 +206,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             # Every response names the store generation it was served
-            # against (clients correlate reads with their writes) and
+            # against (clients correlate reads with their writes): an
+            # answer's own generation, else the current one.  It also
             # echoes the request id minted/honored at ingress.
-            self.send_header("X-Repro-Generation", str(self.state.generation))
+            if generation is None:
+                generation = self.state.generation
+            self.send_header("X-Repro-Generation", str(generation))
             request_id = getattr(self, "repro_request_id", None)
             if request_id:
                 self.send_header("X-Repro-Request-Id", request_id)
@@ -397,6 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
         join_space = float(meta.get("join_space", 0.0))  # type: ignore[arg-type]
         counters = meta.get("exec")
         template = meta.get("template")
+        patterns = meta.get("patterns")
         fault_counts = meta.get("faults")
         if isinstance(fault_counts, dict) and fault_counts:
             state.metrics.record_fault_injections(fault_counts)
@@ -410,6 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
             join_space,
             exec_counters=counters if isinstance(counters, dict) else None,
             template=template if isinstance(template, dict) else None,
+            patterns=patterns if isinstance(patterns, tuple) else (),
         )
         try:
             if _faults.ACTIVE is not None:
@@ -461,7 +467,7 @@ class _Handler(BaseHTTPRequestHandler):
             sampled=sampled,
             timed_out=outcome.status == 504,
         )
-        self._respond(outcome.status, outcome.content_type, body, extra)
+        self._respond(outcome.status, outcome.content_type, body, extra, outcome.generation)
         if outcome.cache is None:
             return
         seconds = perf_counter() - started
@@ -832,10 +838,14 @@ class SparqlServer:
         durability_error: Optional[OSError] = None
         with self._update_lock:
             engine = self._writer()
+            before = engine.store.generation
             result = engine.update(text, timeout=self.config.timeout)
             confirmed = 0
             changed = bool(result.added or result.removed)
             if changed:
+                # Logged before any worker or lookup can reach the new
+                # generation, so revalidation never misses a change.
+                self.cache.record_update(before, result.generation, result.requested)
                 # The append happens under the update lock so frame
                 # order matches commit order; the fsync wait happens
                 # *outside* it (below), so concurrent committers share a
@@ -851,10 +861,10 @@ class SparqlServer:
                     # and a respawn cannot replay it.
                     durability_error = exc
                 confirmed = self.pool.broadcast_update(text, result.generation)
-                # Advance the cache key only after the fleet confirmed:
-                # queries racing the broadcast keep hitting the old
-                # generation's entries, which still describe the data
-                # their worker served.
+                # Advance the served generation only after the fleet
+                # confirmed: queries racing the broadcast keep hitting
+                # entries valid at the old generation, which still
+                # describe the data their worker served.
                 self.generation = result.generation
                 self.metrics.record_update(result.added, result.removed)
                 self._maybe_compact()

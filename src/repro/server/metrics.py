@@ -12,10 +12,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from .. import faults as _faults
 from ..core.metrics import EXEC_COUNTER_FIELDS
+from .cache import INVALIDATION_REASONS
 
 __all__ = ["HISTOGRAM_BUCKETS", "LatencySummary", "ServerMetrics"]
 
@@ -183,7 +184,7 @@ class ServerMetrics:
         self,
         generation: int,
         pool_stats: Mapping[str, float],
-        cache_stats: Dict[str, int],
+        cache_stats: Mapping[str, Any],
         wal_stats: Optional[Mapping[str, object]] = None,
     ) -> str:
         """The ``/metrics`` document (Prometheus text exposition v0).
@@ -357,6 +358,23 @@ class ServerMetrics:
                 cache_stats.get("misses", 0),
                 "Result-cache misses.",
             )
+            emit(
+                "repro_cache_revalidated_total",
+                cache_stats.get("revalidated", 0),
+                "Result-cache hits served across at least one generation "
+                "(no write since the entry was computed matched its patterns).",
+            )
+            lines.append(
+                "# HELP repro_cache_invalidated_total Result-cache lookups at a "
+                "newer generation that missed, by reason."
+            )
+            lines.append("# TYPE repro_cache_invalidated_total counter")
+            invalidated = cache_stats.get("invalidated") or {}
+            for reason in INVALIDATION_REASONS:
+                lines.append(
+                    f'repro_cache_invalidated_total{{reason="{reason}"}} '
+                    f"{invalidated.get(reason, 0)}"
+                )
             emit(
                 "repro_cache_entries",
                 cache_stats.get("entries", 0),

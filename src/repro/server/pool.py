@@ -164,6 +164,7 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from ..obs import trace as _obs_trace
     from ..sparql.results import SERIALIZERS as serializers
+    from .cache import query_patterns
 
     try:
         if fault_plan is not None:
@@ -267,6 +268,10 @@ def _worker_main(
                 # drift from the pool's startup generation, and cache
                 # writes must be keyed on the data that produced them.
                 "generation": store.generation,
+                # The answer depends only on these patterns' match sets:
+                # the parent's cache keeps it across writes that match
+                # none of them, without parsing the query itself.
+                "patterns": query_patterns(result.query),
                 # Worker-side injections ride home with each reply so
                 # the parent can aggregate them into /metrics.
                 "faults": _fault_delta(),

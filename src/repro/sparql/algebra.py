@@ -16,7 +16,7 @@ attaching to everything accumulated so far.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional as Opt, Sequence, Union as U
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional as Opt, Sequence, Union as U
 
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
@@ -45,6 +45,7 @@ __all__ = [
     "FilterOp",
     "to_binary",
     "pattern_variables",
+    "triple_patterns",
     "format_group",
 ]
 
@@ -710,6 +711,23 @@ def pattern_variables(node) -> FrozenSet[str]:
     if isinstance(node, _BinaryOp):
         return pattern_variables(node.left) | pattern_variables(node.right)
     raise TypeError(f"not a graph pattern: {node!r}")
+
+
+def triple_patterns(group: GroupGraphPattern) -> Iterator[TriplePattern]:
+    """Every triple pattern of a syntax-form group, in text order:
+    nested groups, UNION branches and OPTIONAL bodies included.  FILTER
+    expressions hold none (this fragment has no EXISTS), so these are
+    all the patterns whose match sets an answer depends on."""
+    for element in group.elements:
+        if isinstance(element, TriplePattern):
+            yield element
+        elif isinstance(element, GroupGraphPattern):
+            yield from triple_patterns(element)
+        elif isinstance(element, UnionExpression):
+            for branch in element.branches:
+                yield from triple_patterns(branch)
+        elif isinstance(element, OptionalExpression):
+            yield from triple_patterns(element.pattern)
 
 
 def format_group(group: GroupGraphPattern, indent: int = 0) -> str:

@@ -1,7 +1,8 @@
 """Tests for the SPARQL protocol server subsystem.
 
-Unit tests exercise the protocol parser, the generation-keyed cache,
-admission control and metrics without a socket; the HTTP tests run a
+Unit tests exercise the protocol parser, the result cache and its
+revalidation across writes, admission control and metrics without a
+socket; the HTTP tests run a
 real :class:`~repro.server.app.SparqlServer` (spawned worker processes,
 ephemeral port) and drive it with urllib, including the timeout,
 worker-death and shedding paths.
@@ -13,6 +14,7 @@ import http.client
 import json
 import os
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -32,7 +34,8 @@ from repro.server import (
     parse_update_request,
 )
 from repro.server.app import AdmissionController
-from repro.server.cache import CachedResult
+from repro.rdf import IRI, BlankNode, Literal, Triple, TriplePattern, Variable
+from repro.server.cache import CachedResult, matches, triple_key
 from repro.server.metrics import LatencySummary, ServerMetrics
 from repro.server.pool import WorkerPool
 from repro.server.protocol import ProtocolError
@@ -186,8 +189,16 @@ class TestParseRequest:
 # ----------------------------------------------------------------------
 # cache unit tests
 # ----------------------------------------------------------------------
-def _entry(payload: bytes = b"x") -> CachedResult:
-    return CachedResult(payload, "application/json", 1, 0.0)
+def _entry(payload: bytes = b"x", patterns=()) -> CachedResult:
+    return CachedResult(payload, "application/json", 1, 0.0, patterns=patterns)
+
+
+def _iri(name: str) -> IRI:
+    return IRI("http://example.org/c#" + name)
+
+
+#: ``?s <p> <o>`` as the worker sends it.
+_PATTERN = (None, "<http://example.org/c#p>", "<http://example.org/c#o>")
 
 
 class TestResultCache:
@@ -234,6 +245,125 @@ class TestResultCache:
         cache = ResultCache(max_entries=0)
         assert not cache.put(1, "json", "a", _entry())
         assert cache.get(1, "json", "a") is None
+
+
+class TestRevalidation:
+    def test_unmatched_write_keeps_the_entry(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        # Same predicate, other object: cannot be in ?s <p> <o>'s matches.
+        cache.record_update(1, 2, [Triple(_iri("s"), _iri("p"), _iri("other"))])
+        assert cache.get(2, "json", "q").payload == b"a"
+        assert cache.stats()["revalidated"] == 1
+        # Re-stamped: the next lookup at 2 is a plain hit.
+        assert cache.get(2, "json", "q") is not None
+        assert cache.stats()["revalidated"] == 1
+
+    def test_matching_write_misses_and_keeps_the_stale_fallback(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        cache.record_update(1, 2, [Triple(_iri("x"), _iri("p"), _iri("o"))])
+        assert cache.get(2, "json", "q") is None
+        assert cache.stats()["invalidated"]["changed"] == 1
+        assert cache.get_stale("json", "q").payload == b"a"
+
+    def test_blank_nodes_match_anything_on_either_side(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        cache.put(1, "json", "b", _entry(b"b", [(None, "<http://example.org/c#p>", None)]))
+        cache.record_update(1, 2, [Triple(_iri("s"), _iri("p"), BlankNode("b0"))])
+        assert cache.get(2, "json", "q") is None
+        assert cache.get(2, "json", "b") is None
+        assert cache.stats()["invalidated"]["changed"] == 2
+
+    def test_a_multi_operation_commit_covers_every_generation(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        cache.record_update(1, 3, [Triple(_iri("s"), _iri("p"), _iri("other"))])
+        assert cache.get(3, "json", "q") is not None
+        cache.put(3, "json", "r", _entry(b"r", [_PATTERN]))
+        cache.record_update(3, 5, [Triple(_iri("s"), _iri("p"), _iri("o"))])
+        assert cache.get(5, "json", "r") is None
+
+    def test_a_gap_in_the_log_misses(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        cache.record_update(2, 3, [])  # generation 2 was never logged
+        assert cache.get(3, "json", "q") is None
+        assert cache.stats()["invalidated"]["log_gap"] == 1
+
+    def test_an_oversized_commit_is_a_gap(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a", [_PATTERN]))
+        unrelated = [Triple(_iri(f"s{i}"), _iri("other"), _iri("o")) for i in range(5000)]
+        cache.record_update(1, 2, unrelated)
+        assert cache.get(2, "json", "q") is None
+        assert cache.stats()["invalidated"]["log_gap"] == 1
+
+    def test_an_entry_without_patterns_misses_on_any_write(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(1, "json", "q", _entry(b"a"))
+        cache.record_update(1, 2, [])
+        assert cache.get(2, "json", "q") is None
+        assert cache.stats()["invalidated"]["no_patterns"] == 1
+
+    def test_an_entry_newer_than_the_lookup_is_not_served(self):
+        cache = ResultCache(max_entries=4)
+        cache.put(2, "json", "q", _entry(b"a", [_PATTERN]))
+        assert cache.get(1, "json", "q") is None
+        assert cache.get(2, "json", "q") is not None
+        assert sum(cache.stats()["invalidated"].values()) == 0
+
+    def test_concurrent_writes_never_serve_a_touched_entry(self):
+        """Readers revalidate while a writer logs changes and advances the
+        generation; every third change matches.  An entry's payload is
+        the generation it was computed at, so a hit is wrong exactly
+        when a matching change lies between that and the lookup's."""
+        cache = ResultCache(max_entries=8)
+        current = [0]
+        wrong: list = []
+        done = threading.Event()
+        touch = [Triple(_iri("s"), _iri("p"), _iri("o"))]
+        other = [Triple(_iri("s"), _iri("p"), _iri("other"))]
+
+        def writer() -> None:
+            for generation in range(1, 1500):
+                cache.record_update(generation - 1, generation, touch if generation % 3 == 0 else other)
+                current[0] = generation
+                time.sleep(0.0002)  # let readers see most generations
+            done.set()
+
+        def reader() -> None:
+            while not done.is_set():
+                generation = current[0]
+                entry = cache.get(generation, "json", "q")
+                if entry is None:
+                    cache.put(generation, "json", "q", _entry(b"%d" % generation, [_PATTERN]))
+                    continue
+                computed = int(entry.payload)
+                if any(g % 3 == 0 for g in range(computed + 1, generation + 1)):
+                    wrong.append((computed, generation))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert cache.stats()["revalidated"] > 0
+
+    def test_triple_keys(self):
+        pattern = TriplePattern(Variable("s"), _iri("p"), Literal("v", language="EN"))
+        assert triple_key(pattern) == (None, "<http://example.org/c#p>", '"v"@en')
+        assert matches(triple_key(pattern), ("<x>", "<http://example.org/c#p>", '"v"@en'))
+        assert not matches(triple_key(pattern), ("<x>", "<http://example.org/c#p>", '"v"'))
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +663,26 @@ class TestGenerationDrift:
             assert json.loads(body)["generation_mixed"] is True
 
 
+class TestGenerationHeader:
+    def test_a_miss_names_the_generation_it_was_served_at(self, snapshot_path, monkeypatch):
+        """An update that commits while a miss executes must not relabel
+        the miss: the client would believe the read includes that write."""
+        config = ServerConfig(data=snapshot_path, port=0, workers=1, cache_entries=8)
+        with SparqlServer(config) as instance:
+            served = instance.generation
+            execute = instance.pool.execute
+
+            def execute_then_commit(*args, **kwargs):
+                reply = execute(*args, **kwargs)
+                instance.generation += 1  # a racing update commits
+                return reply
+
+            monkeypatch.setattr(instance.pool, "execute", execute_then_commit)
+            _, headers, _ = sparql_get(instance, QUERY_HEADOF)
+            assert headers["X-Repro-Cache"] == "miss"
+            assert headers["X-Repro-Generation"] == str(served)
+
+
 class TestWorkerRecovery:
     def test_killed_worker_is_respawned(self, snapshot_path):
         config = ServerConfig(data=snapshot_path, port=0, workers=1, timeout=5.0)
@@ -562,15 +712,16 @@ class TestWorkerRecovery:
 # ----------------------------------------------------------------------
 class TestStaleLookup:
     def test_get_stale_prefers_highest_generation(self):
-        """get_stale must return the freshest *generation*, not the most
-        recently *used* entry.  Before the fix the LRU-order scan let a
-        client re-touching an old-generation entry shadow a newer one."""
+        """get_stale must return the freshest *generation*'s answer.  The
+        cache holds one entry per (format, query), so a late put from an
+        older generation (a slow worker finishing after a faster one
+        served newer data) must not displace the newer answer, and a
+        client asking at the older generation must not touch it."""
         cache = ResultCache(max_entries=8)
         cache.put(1, "json", "q", _entry(b"gen1"))
         cache.put(3, "json", "q", _entry(b"gen3"))
-        cache.put(2, "json", "q", _entry(b"gen2"))
-        # Make the oldest generation the most recently used.
-        assert cache.get(1, "json", "q").payload == b"gen1"
+        assert not cache.put(2, "json", "q", _entry(b"gen2"))
+        assert cache.get(1, "json", "q") is None
         stale = cache.get_stale("json", "q")
         assert stale is not None
         assert stale.payload == b"gen3"
@@ -718,6 +869,27 @@ class TestLiveUpdates:
         assert outcome["changed"] is False
         assert outcome["workers_confirmed"] == 0
         assert rw_server.generation == generation
+
+    def test_unrelated_write_keeps_cached_answers(self, rw_server):
+        assert _live_rows(rw_server) == []
+        other = f"SELECT ?o WHERE {{ <{EX}a> <{EX}other> ?o }}"
+        sparql_get(rw_server, other)
+        post_update(rw_server, f"INSERT DATA {{ <{EX}a> <{EX}other> <{EX}b> }}")
+        # LIVE_QUERY's only pattern, ?s <linked> ?o, cannot match the write.
+        _, headers, body = sparql_get(rw_server, LIVE_QUERY)
+        assert headers["X-Repro-Cache"] == "hit"
+        assert headers["X-Repro-Generation"] == str(rw_server.generation)
+        assert json.loads(body)["results"]["bindings"] == []
+        _, headers, body = sparql_get(rw_server, other)
+        assert headers["X-Repro-Cache"] == "miss"
+        assert len(json.loads(body)["results"]["bindings"]) == 1
+        text = http_get(rw_server.url + "/metrics")[2].decode()
+        assert "repro_cache_revalidated_total 1\n" in text
+        assert 'repro_cache_invalidated_total{reason="changed"} 1\n' in text
+        assert 'repro_cache_invalidated_total{reason="log_gap"} 0\n' in text
+        health = json.loads(http_get(rw_server.url + "/healthz")[2])
+        assert health["cache"]["revalidated"] == 1
+        assert health["cache"]["invalidated"]["changed"] == 1
 
     def test_where_driven_modify(self, rw_server):
         post_update(
