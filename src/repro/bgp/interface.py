@@ -15,12 +15,14 @@ Both concrete engines (:mod:`repro.bgp.wco`, :mod:`repro.bgp.hashjoin`)
 implement this interface; so could an adapter around an external store.
 
 All engine-level mappings bind variable *names* to dictionary-encoded
-integer ids; :meth:`BGPEngine.decode_bag` converts to term-level
-mappings at projection time.
+integer ids.  :func:`decode_page` decodes a result page's distinct ids
+for rendering straight from the id rows; :meth:`BGPEngine.decode_bag`
+converts whole bags to term-level mappings (ordered results).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -33,7 +35,7 @@ from typing import (
 
 from ..obs import trace as _trace
 from ..rdf.triple import TriplePattern
-from ..sparql.bags import Bag, UNBOUND
+from ..sparql.bags import Bag, EncodedPage, UNBOUND
 from ..storage.runs import SortedIdSet
 from ..storage.store import TripleStore
 
@@ -42,6 +44,7 @@ __all__ = [
     "PlanEstimate",
     "BGPEngine",
     "decode_bag",
+    "decode_page",
     "ground_pattern_present",
     "ticked_rows",
 ]
@@ -62,6 +65,32 @@ def ticked_rows(rows: Iterable, checkpoint: Callable[[], None], mask: int = 4095
         if not (tick & mask):
             checkpoint()
         yield row
+
+
+def _decode_ids(
+    store: TripleStore, distinct: set, checkpoint: Optional[Callable[[], None]]
+) -> Dict[object, object]:
+    """id → term for ``distinct`` in one dictionary batch (plus
+    UNBOUND → UNBOUND), counted as ``terms_decoded``."""
+    distinct.discard(UNBOUND)
+    cache: Dict[object, object]
+    if checkpoint is None:
+        cache = store.decode_many(distinct)
+    else:
+        # Chunked batches keep the cooperative deadline's amortized-tick
+        # bound through the dictionary sweep (a huge result's decode must
+        # stay abortable).
+        ordered = sorted(distinct)
+        cache = {}
+        for start in range(0, len(ordered), 2048):
+            checkpoint()
+            cache.update(store.decode_many(ordered[start : start + 2048]))
+    cache[UNBOUND] = UNBOUND
+    from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
+
+    EXEC_COUNTERS.batch_decoded_ids += len(distinct)
+    EXEC_COUNTERS.terms_decoded += len(distinct)
+    return cache
 
 
 def decode_bag(
@@ -88,24 +117,9 @@ def decode_bag(
     distinct: set = set()
     for row in rows:
         distinct.update(row)
-    distinct.discard(UNBOUND)
-    cache: Dict[object, object]
-    if checkpoint is None:
-        cache = store.decode_many(distinct)
-    else:
-        # Chunked batches keep the cooperative deadline's amortized-tick
-        # bound through the dictionary sweep (a huge result's decode must
-        # stay abortable, not just its row translation below).
-        ordered = sorted(distinct)
-        cache = {}
-        for start in range(0, len(ordered), 2048):
-            checkpoint()
-            cache.update(store.decode_many(ordered[start : start + 2048]))
-    cache[UNBOUND] = UNBOUND
+    cache = _decode_ids(store, distinct, checkpoint)
     from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
 
-    EXEC_COUNTERS.batch_decoded_ids += len(distinct)
-    EXEC_COUNTERS.terms_decoded += len(distinct)
     EXEC_COUNTERS.decoded_cells += len(rows) * len(bag.schema)
     source = rows if checkpoint is None else ticked_rows(rows, checkpoint)
     decoded = Bag.from_rows(
@@ -114,6 +128,45 @@ def decode_bag(
     if tracer is not None:
         tracer.end(distinct_ids=len(distinct))
     return decoded
+
+
+def decode_page(
+    store: TripleStore,
+    bag: Bag,
+    names: Sequence[str],
+    offset: int = 0,
+    limit: Optional[int] = None,
+    checkpoint: Optional[Callable[[], None]] = None,
+) -> EncodedPage:
+    """The OFFSET/LIMIT page of ``bag`` projected on ``names``, decoded
+    without touching a cell.
+
+    The page keeps ``bag``'s id rows (sliced, never copied per row)
+    and maps each projected variable to its slot in them.  Only the
+    distinct ids in those slots are decoded, in the same one
+    dictionary batch as :func:`decode_bag` (so ``terms_decoded`` is
+    what decoding the projected page counts); the serializers render
+    from the ids, and term rows are built only for callers that read
+    :attr:`~repro.sparql.bags.Bag.rows`.
+    """
+    rows = bag.rows
+    if offset or limit is not None:
+        rows = rows[offset : None if limit is None else offset + limit]
+    schema = [name for name in dict.fromkeys(names) if bag.slot(name) is not None]
+    slots = {name: bag.slot(name) for name in schema}
+    if not rows or not schema:
+        return EncodedPage(schema, rows, slots, {UNBOUND: UNBOUND})
+    tracer = _trace.ACTIVE
+    if tracer is not None:
+        tracer.begin("decode", rows=len(rows), columns=len(schema))
+    distinct: set = set()
+    for slot in slots.values():
+        distinct.update(map(itemgetter(slot), rows))
+    terms = _decode_ids(store, distinct, checkpoint)
+    if tracer is not None:
+        tracer.end(distinct_ids=len(distinct))
+    return EncodedPage(schema, rows, slots, terms)
+
 
 #: Candidate restriction: variable name → permitted term ids as a
 #: :class:`~repro.storage.runs.SortedIdSet` (sorted array with bisect

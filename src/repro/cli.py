@@ -352,24 +352,25 @@ def _command_query(args, out) -> int:
         return 2
 
     if args.format != "table":
-        from .sparql.bags import Bag
         from .sparql.results import WRITERS
 
         solutions = result.solutions
         if args.limit is not None:
-            solutions = Bag.from_rows(solutions.schema, solutions.rows[: args.limit])
+            solutions = solutions.head(args.limit)  # still id-level: renders N rows
         # Streamed chunk by chunk: no second in-memory copy of the payload.
         WRITERS[args.format](out, result.variables, solutions)
         if args.format == "json":
             out.write("\n")
     else:
         print("\t".join(f"?{v}" for v in result.variables), file=out)
-        for index, row in enumerate(result):
-            if args.limit is not None and index >= args.limit:
-                print(f"… ({len(result) - args.limit} more rows)", file=out)
-                break
+        shown = result.solutions
+        if args.limit is not None:
+            shown = shown.head(args.limit)
+        for row in shown:
             cells = [row[v].n3() if v in row else "" for v in result.variables]
             print("\t".join(cells), file=out)
+        if len(shown) < len(result):
+            print(f"… ({len(result) - len(shown)} more rows)", file=out)
 
     if args.stats:
         report = result.transform_report

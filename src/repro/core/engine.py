@@ -33,7 +33,7 @@ from .. import faults as _faults
 from ..obs import trace as _trace
 from ..obs.templates import lift_template
 from ..bgp.hashjoin import HashJoinEngine
-from ..bgp.interface import BGPEngine
+from ..bgp.interface import BGPEngine, decode_page
 from ..bgp.wco import WCOJoinEngine
 from ..rdf.dataset import Dataset
 from ..rdf.terms import Term, Variable
@@ -132,6 +132,10 @@ class QueryResult:
         template: Opt[dict] = None,
         query: Opt[SelectQuery] = None,
     ):
+        #: The answer as a bag: an id-level
+        #: :class:`~repro.sparql.bags.EncodedPage` on the unordered
+        #: path (term rows built on first read), a term-level bag after
+        #: ORDER BY or GROUP BY.
         self.solutions = solutions
         self.variables = variables
         self.tree = tree
@@ -427,7 +431,13 @@ class SparqlUOEngine:
           solution production inside the BGP engines (``limit_hint``);
         - without ORDER BY, DISTINCT runs on *encoded* columnar rows —
           the dictionary is bijective, so id-row equality is term-row
-          equality — and only the surviving page is decoded;
+          equality — and only the surviving page is decoded: its
+          distinct ids in the projected slots, in one batch.  The
+          result's ``solutions`` is then an
+          :class:`~repro.sparql.bags.EncodedPage` over the evaluator's
+          id rows (no projection copy unless DISTINCT needs one); the
+          serializers render it from the ids, and its term rows are
+          built only for callers that read them;
         - FILTERs are pushed into scans / joins by the evaluator.
 
         ``timeout`` (seconds) arms a cooperative deadline: the
@@ -509,13 +519,14 @@ class SparqlUOEngine:
                 projected = distinct_bag(projected)
             projected = slice_bag(projected, parsed.offset, parsed.limit)
         else:
-            page = solutions.project(names)
             if parsed.deduplicates:
-                page = distinct_bag(page)  # on encoded rows, pre-decode
+                # On encoded rows, pre-decode.
+                solutions = distinct_bag(solutions.project(names))
                 if check is not None:
                     check()
-            page = slice_bag(page, parsed.offset, parsed.limit)
-            projected = self.bgp_engine.decode_bag(page, checkpoint=check)
+            projected = decode_page(
+                self.store, solutions, names, parsed.offset, parsed.limit, check
+            )
         execute_seconds = time.perf_counter() - execute_start
 
         return QueryResult(

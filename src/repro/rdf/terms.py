@@ -12,6 +12,7 @@ its sorted permutation indexes.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Union
 
 __all__ = [
@@ -276,9 +277,12 @@ _LITERAL_ESCAPES = {
 }
 
 
+_NEEDS_ESCAPE = re.compile(r'[\\"\n\r\t]')
+
+
 def _escape_literal(text: str) -> str:
-    """Escape a literal's lexical form for N-Triples output."""
-    out = []
-    for ch in text:
-        out.append(_LITERAL_ESCAPES.get(ch, ch))
-    return "".join(out)
+    """Escape a literal's lexical form for N-Triples output (clean text,
+    the common case, is returned as is after one scan)."""
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
+    return _NEEDS_ESCAPE.sub(lambda match: _LITERAL_ESCAPES[match.group()], text)

@@ -142,10 +142,13 @@ def _worker_main(
     payload is produced *in the worker* — the parent relays bytes and
     never re-serializes, which also makes responses byte-identical to
     the single-process CLI path (both call the same serializers).  The
-    worker hands the columnar result bag straight to
+    worker hands the result's id-level page (an
+    :class:`~repro.sparql.bags.EncodedPage`: the evaluator's id rows
+    plus the id → term map of its one batch decode) straight to
     :data:`~repro.sparql.results.SERIALIZERS`, which render each
-    distinct term once and call the query's deadline checkpoint once
-    per 4096 rows, so one budget spans evaluation and serialization.
+    distinct id once without ever building a term row, and call the
+    query's deadline checkpoint once per 4096 rows, so one budget spans
+    evaluation and serialization.
 
     ``fault_plan`` is the parent's parsed :class:`~repro.faults.FaultPlan`
     (pickled through the spawn args, fresh trigger state per worker) —

@@ -46,6 +46,7 @@ __all__ = [
     "Mapping",
     "Row",
     "Bag",
+    "EncodedPage",
     "compatible",
     "merge_mappings",
     "join",
@@ -251,6 +252,10 @@ class Bag:
             tuple(wanted), [tuple(row[i] for i in idx) for row in self._rows]
         )
 
+    def head(self, count: int) -> "Bag":
+        """The first ``count`` solutions."""
+        return Bag.from_rows(self._schema, self._rows[:count])
+
     def distinct_values(self, variable: str) -> set:
         """The set of values ``variable`` takes across all solutions."""
         i = self._slots.get(variable)
@@ -276,6 +281,65 @@ class Bag:
 
     def __repr__(self) -> str:
         return f"Bag({len(self)} mappings over {sorted(self.variables())})"
+
+
+class EncodedPage(Bag):
+    """A result page kept at id level, with a lazy term-level view.
+
+    ``id_rows`` are the evaluator's id-level rows (possibly wider than
+    the page: SELECT may keep only some of their columns); ``id_slots``
+    maps each variable of ``schema`` to its slot in those rows, and
+    ``terms`` maps every id the page can show to its term (plus
+    :data:`UNBOUND` to itself).  The serializers in
+    :mod:`repro.sparql.results` render straight from the ids; every
+    other caller sees an ordinary term-level :class:`Bag`, whose rows
+    are built from ``terms`` the first time ``rows`` (or anything that
+    reads them: iteration, ``==``, :meth:`project`) is touched.
+    ``len``, ``schema`` and :meth:`head` stay at id level.  Read-only:
+    the mutators (:meth:`add`, :meth:`add_row`) are not supported.
+    """
+
+    __slots__ = ("id_rows", "id_slots", "terms", "_term_rows")
+
+    def __init__(
+        self,
+        schema: Sequence[str],
+        id_rows: List[Row],
+        id_slots: Dict[str, int],
+        terms: Dict[object, object],
+    ):
+        self._schema = tuple(schema)
+        self._slots = {n: i for i, n in enumerate(self._schema)}
+        self._vars = None
+        self._certain = None
+        self.id_rows = id_rows
+        self.id_slots = id_slots
+        self.terms = terms
+        self._term_rows: Optional[List[Row]] = None
+
+    # Shadows Bag's ``_rows`` slot, so every inherited operator reads
+    # the term rows, built on first use.
+    @property
+    def _rows(self) -> List[Row]:
+        if self._term_rows is None:
+            from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
+
+            term = self.terms.__getitem__
+            slots = [self.id_slots[name] for name in self._schema]
+            self._term_rows = [
+                tuple(map(term, map(row.__getitem__, slots))) for row in self.id_rows
+            ]
+            EXEC_COUNTERS.decoded_cells += len(self.id_rows) * len(slots)
+        return self._term_rows
+
+    def __len__(self) -> int:
+        return len(self.id_rows)
+
+    def __bool__(self) -> bool:
+        return bool(self.id_rows)
+
+    def head(self, count: int) -> "EncodedPage":
+        return EncodedPage(self._schema, self.id_rows[:count], self.id_slots, self.terms)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Downstream consumers of a SPARQL engine almost always want results in
 the W3C interchange formats rather than Python objects; this module
-renders a solution bag (term-level, as produced by
-:meth:`repro.core.engine.SparqlUOEngine.execute`) in:
+renders a solution bag — usually the id-level
+:class:`~repro.sparql.bags.EncodedPage` that
+:meth:`repro.core.engine.SparqlUOEngine.execute` returns, or any
+term-level :class:`~repro.sparql.bags.Bag` — in:
 
 - the *SPARQL 1.1 Query Results JSON Format* (``application/sparql-results+json``),
 - the *SPARQL 1.1 Query Results CSV Format* (``text/csv``),
@@ -15,18 +17,22 @@ literals with ``xml:lang`` / ``datatype`` where present, blank nodes as
 TSV).  CSV renders bare lexical values (lossy by design); TSV renders
 full N-Triples term syntax, so terms survive a round trip.
 
-**One fragment per distinct term.**  A decoded bag maps every distinct
-id to one shared term object, so a result repeats a few hundred terms
-across its cells.  Each format therefore has one chunk generator that
-walks ``bag.rows`` by slot and renders each distinct term once into a
-memo keyed by ``id(term)`` — one memo per column for JSON (the fragment
-includes its ``"var": `` prefix), one shared memo for CSV/TSV — then
-assembles rows by joining cached fragments.  The key is sound because
-the bag keeps every term alive for the whole call; value-equal terms
-that are distinct objects (e.g. grouped aggregates) just render twice.
-JSON fragments are escaped with :func:`json.encoder.encode_basestring`,
-the escaper behind ``json.dumps(ensure_ascii=False)``, so the output is
-byte-identical to dumping one binding object per row.
+**One fragment per distinct term.**  A result repeats a few hundred
+terms across its cells.  Each format therefore has one chunk generator
+that walks the rows by slot and renders each distinct cell once into a
+memo — one memo per column for JSON (the fragment includes its
+``"var": `` prefix), one shared memo for CSV/TSV — then assembles rows
+by joining cached fragments.  The two bag forms differ only in how a
+cell reaches its term (:class:`_Cells`): an id-level page's cells are
+term ids in the evaluator's rows, keyed by the id and rendered from the
+page's id → term map (decoded in one batch by ``execute``), so no term
+row is ever built; a term-level bag's cells are terms, keyed by
+``id(term)``, which is sound because the bag keeps every term alive for
+the whole call (value-equal terms that are distinct objects, e.g.
+grouped aggregates, just render twice).  JSON fragments are escaped
+with :func:`json.encoder.encode_basestring`, the escaper behind
+``json.dumps(ensure_ascii=False)``, so the output is byte-identical to
+dumping one binding object per row.
 
 **Chunks and deadlines.**  The generators yield one string per
 :data:`CHUNK_ROWS` rows and call the optional ``checkpoint`` before
@@ -45,10 +51,11 @@ from __future__ import annotations
 import json
 from functools import partial
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..rdf.terms import BlankNode, GroundTerm, IRI, Literal, XSD_STRING
-from .bags import Bag, Mapping, Row, UNBOUND
+from .bags import Bag, EncodedPage, Mapping, Row, UNBOUND
 
 __all__ = [
     "CHUNK_ROWS",
@@ -69,31 +76,53 @@ CHUNK_ROWS = 4096
 Checkpoint = Optional[Callable[[], None]]
 
 
-def _as_bag(solutions: Iterable[Mapping]) -> Bag:
-    return solutions if isinstance(solutions, Bag) else Bag(solutions)
+class _Cells:
+    """How the chunk generators reach a result's cells: the rows, each
+    variable's slot in them, and — for an id-level page — the id → term
+    map (``None`` when the cells are terms; see the module docstring)."""
 
+    __slots__ = ("rows", "slot", "terms")
 
-def _row_chunks(bag: Bag, checkpoint: Checkpoint) -> Iterator[List[Row]]:
-    rows = bag.rows
-    for start in range(0, len(rows), CHUNK_ROWS):
-        if checkpoint is not None:
-            checkpoint()
-        yield rows[start : start + CHUNK_ROWS]
+    def __init__(self, solutions: Iterable[Mapping]):
+        if isinstance(solutions, EncodedPage):
+            self.rows: List[Row] = solutions.id_rows
+            self.slot: Callable[[str], Optional[int]] = solutions.id_slots.get
+            self.terms: Optional[Dict[object, GroundTerm]] = solutions.terms
+        else:
+            bag = solutions if isinstance(solutions, Bag) else Bag(solutions)
+            self.rows, self.slot, self.terms = bag.rows, bag.slot, None
 
+    def memo(self) -> Dict[object, str]:
+        """A fresh fragment memo, with the unbound cell rendered as ``""``."""
+        return {id(UNBOUND) if self.terms is None else UNBOUND: ""}
 
-def _column(
-    rows: List[Row], slot: int, memo: Dict[int, str], render: Callable[[GroundTerm], str]
-) -> List[str]:
-    """The fragments of column ``slot`` over ``rows``, each distinct term
-    rendered once into ``memo`` (keyed by ``id(term)``)."""
-    try:
-        return [memo[id(row[slot])] for row in rows]
-    except KeyError:
-        for row in rows:
-            term = row[slot]
-            if id(term) not in memo:
-                memo[id(term)] = render(term)
-        return [memo[id(row[slot])] for row in rows]
+    def chunks(self, checkpoint: Checkpoint) -> Iterator[List[Row]]:
+        """The rows, :data:`CHUNK_ROWS` at a time, ``checkpoint`` before each."""
+        rows = self.rows
+        for start in range(0, len(rows), CHUNK_ROWS):
+            if checkpoint is not None:
+                checkpoint()
+            yield rows[start : start + CHUNK_ROWS]
+
+    def column(
+        self,
+        rows: List[Row],
+        slot: int,
+        memo: Dict[object, str],
+        render: Callable[[GroundTerm], str],
+    ) -> List[str]:
+        """The fragments of column ``slot`` over ``rows``, each distinct
+        cell rendered once into ``memo``."""
+        terms = self.terms
+        cells = map(itemgetter(slot), rows)
+        try:
+            return list(map(memo.__getitem__, map(id, cells) if terms is None else cells))
+        except KeyError:
+            for cell in map(itemgetter(slot), rows):
+                key = id(cell) if terms is None else cell
+                if key not in memo:
+                    memo[key] = render(cell if terms is None else terms[cell])
+            return self.column(rows, slot, memo, render)
 
 
 def _json_term(term: GroundTerm) -> str:
@@ -124,7 +153,7 @@ def to_json_dict(variables: Sequence[str], solutions: Iterable[Mapping]) -> dict
 def _json_chunks(
     variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
 ) -> Iterator[str]:
-    bag = _as_bag(solutions)
+    cells = _Cells(solutions)
     head = json.dumps({"head": {"vars": list(variables)}}, ensure_ascii=False)
     yield head[:-1] + ', "results": {"bindings": ['  # reopen: strip the closing brace
     # Every fragment carries its leading ", " so an unbound cell is ""
@@ -132,15 +161,17 @@ def _json_chunks(
     # binding object names each variable once, at its first position.
     columns = []
     for var in dict.fromkeys(variables):
-        slot = bag.slot(var)
+        slot = cells.slot(var)
         if slot is not None:
             render = partial(_json_member, f", {encode_basestring(var)}: ")
-            columns.append((slot, {id(UNBOUND): ""}, render))
+            columns.append((slot, cells.memo(), render))
     separator = ""
-    for rows in _row_chunks(bag, checkpoint):
+    for rows in cells.chunks(checkpoint):
         if columns:
-            cells = zip(*[_column(rows, slot, memo, render) for slot, memo, render in columns])
-            objects = ["".join(row)[2:] for row in cells]
+            fragments = zip(
+                *[cells.column(rows, slot, memo, render) for slot, memo, render in columns]
+            )
+            objects = ["".join(row)[2:] for row in fragments]
         else:
             objects = [""] * len(rows)
         yield separator + "{" + "}, {".join(objects) + "}"
@@ -190,13 +221,15 @@ def _delimited_chunks(
     solutions: Iterable[Mapping],
     checkpoint: Checkpoint,
 ) -> Iterator[str]:
-    bag = _as_bag(solutions)
+    cells = _Cells(solutions)
     yield header + newline
-    memo: Dict[int, str] = {id(UNBOUND): ""}
-    slots = [bag.slot(var) for var in variables]
-    for rows in _row_chunks(bag, checkpoint):
+    memo = cells.memo()
+    slots = [cells.slot(var) for var in variables]
+    for rows in cells.chunks(checkpoint):
         blank = [""] * len(rows)
-        columns = [blank if slot is None else _column(rows, slot, memo, render) for slot in slots]
+        columns = [
+            blank if slot is None else cells.column(rows, slot, memo, render) for slot in slots
+        ]
         lines = map(separator.join, zip(*columns)) if columns else blank
         yield newline.join(lines) + newline
 

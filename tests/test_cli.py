@@ -165,6 +165,18 @@ class TestQueryFormats:
         assert len(rows) == 10
         assert limited == head + separator.join(rows[:3]) + tail
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "tsv", "table"])
+    def test_limit_renders_from_ids(self, data_file, fmt):
+        from repro.core.metrics import EXEC_COUNTERS
+
+        before = EXEC_COUNTERS.snapshot()
+        code, _ = run(["query", data_file, self.QUERY, "--format", fmt, "--limit", "3"])
+        assert code == 0
+        # The serializers render the 3 rows from ids; the table builds
+        # term rows for the 3 it shows (two cells each), not for all 10.
+        expected = 3 * 2 if fmt == "table" else 0
+        assert EXEC_COUNTERS.delta_since(before)["decoded_cells"] == expected
+
     def test_stats_do_not_corrupt_formatted_output(self, data_file, capsys):
         import json
 

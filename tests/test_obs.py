@@ -432,9 +432,12 @@ class TestEngineTracing:
     def test_timeout_partial_trace_marked(self, small_store):
         engine = SparqlUOEngine(small_store, bgp_engine="hashjoin")
         tracer = obs_trace.arm(obs_trace.Tracer("query"))
+        # Four patterns: 36**4 rows on this store, far past the budget
+        # (the three-pattern product can finish inside 20 ms).
+        query = QUERY_SLOW.replace(" }", " . ?j ?k ?l }")
         try:
             with pytest.raises(QueryTimeoutError):
-                engine.execute(QUERY_SLOW, timeout=0.02)
+                engine.execute(query, timeout=0.02)
         finally:
             tree = tracer.finish(aborted="timeout")
             obs_trace.disarm()

@@ -16,18 +16,22 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SparqlUOEngine
+from repro.core.evaluator import EvaluationTrace
+from repro.core.metrics import EXEC_COUNTERS
 from repro.datasets import generate_lubm
 from repro.datasets.queries import LUBM_QUERIES
 from repro.rdf import BlankNode, IRI, Literal
 from repro.rdf.terms import XSD_STRING
 from repro.sparql import results
-from repro.sparql.bags import UNBOUND, Bag
+from repro.sparql.algebra import pattern_variables
+from repro.sparql.bags import UNBOUND, Bag, EncodedPage
 from repro.sparql.errors import QueryTimeoutError
-from repro.sparql.results import CHUNK_ROWS, SERIALIZERS, WRITERS
+from repro.sparql.results import CHUNK_ROWS, SERIALIZERS, WRITERS, to_tsv
+from repro.sparql.semantics import distinct_bag, slice_bag
 
 FORMATS = ("json", "csv", "tsv")
 
@@ -270,3 +274,224 @@ def test_checkpoint_timeout_aborts_serialization(fmt):
     with pytest.raises(QueryTimeoutError):
         SERIALIZERS[fmt](["s", "n"], _big_bag(), checkpoint=checkpoint)
     assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# id-level pages: rendered from the ids, never from term rows
+# ----------------------------------------------------------------------
+def check_page(case, chunk_rows) -> None:
+    page, variables, expected_bag = case
+    with mock.patch.object(results, "CHUNK_ROWS", chunk_rows):
+        for fmt in FORMATS:
+            expected = reference(fmt, variables, expected_bag)
+            _same(f"to_{fmt}(page)", SERIALIZERS[fmt](variables, page), expected)
+            _same(f"write_{fmt}(page)", written(fmt, variables, page), expected)
+    assert page._term_rows is None  # rendering never built the term rows
+
+
+@st.composite
+def pages_and_variables(draw):
+    pool = draw(st.lists(terms, min_size=1, max_size=6))
+    pool += [_twin(term) for term in pool if draw(st.booleans())]
+    id_of = draw(st.permutations(range(1000, 1000 + len(pool))))
+    terms_by_id = dict(zip(id_of, pool))
+    terms_by_id[UNBOUND] = UNBOUND
+    cells = st.sampled_from(sorted(id_of) + [UNBOUND])
+    # The id rows are wider than the page: SELECT keeps some columns.
+    id_schema = draw(
+        st.lists(st.sampled_from(["x", "name", "v1", "é", "extra", "more"]), unique=True)
+    )
+    rows = draw(st.lists(st.tuples(*[cells for _ in id_schema]), max_size=12))
+    if rows and draw(st.booleans()):
+        rows = (rows * math.ceil((CHUNK_ROWS + 3) / len(rows)))[: CHUNK_ROWS + len(rows)]
+    schema = draw(st.lists(st.sampled_from(id_schema), unique=True)) if id_schema else []
+    id_slots = {name: id_schema.index(name) for name in schema}
+    # SELECT may repeat a variable, name one the rows never bound, or
+    # name a column the page does not keep.
+    variables = draw(st.lists(st.sampled_from(id_schema + ["absent"]), max_size=6))
+    expected = Bag.from_rows(
+        schema, [tuple(terms_by_id[row[id_slots[name]]] for name in schema) for row in rows]
+    )
+    return EncodedPage(schema, rows, id_slots, terms_by_id), variables, expected
+
+
+_PAGE_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@_PAGE_SETTINGS
+@given(case=pages_and_variables(), chunk_rows=st.sampled_from([2, CHUNK_ROWS]))
+def test_pages_match_row_at_a_time_reference(case, chunk_rows):
+    check_page(case, chunk_rows)
+
+
+def _shared_json_memo():
+    """Mutant: every column of a result shares one memo (wrong for JSON,
+    whose fragments carry their column's key)."""
+    memos = {}
+
+    def memo(self):
+        return memos.setdefault(id(self), {id(UNBOUND) if self.terms is None else UNBOUND: ""})
+
+    return mock.patch.object(results._Cells, "memo", memo)
+
+
+def _positional_memo():
+    """Mutant: fragments keyed by the row's position in its chunk."""
+
+    def column(self, rows, slot, memo, render):
+        cells = [row[slot] for row in rows]
+        keys = [UNBOUND if cell is UNBOUND else ("at", i) for i, cell in enumerate(cells)]
+        for key, cell in zip(keys, cells):
+            if key not in memo:
+                memo[key] = render(cell if self.terms is None else self.terms[cell])
+        return [memo[key] for key in keys]
+
+    return mock.patch.object(results._Cells, "column", column)
+
+
+@pytest.mark.parametrize("mutant", [_shared_json_memo, _positional_memo])
+def test_the_page_property_catches_a_wrong_memo(mutant):
+    @settings(
+        max_examples=300,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        phases=[Phase.generate],
+        report_multiple_bugs=False,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=pages_and_variables(), chunk_rows=st.sampled_from([2, CHUNK_ROWS]))
+    def prop(case, chunk_rows):
+        check_page(case, chunk_rows)
+
+    with mutant(), pytest.raises(AssertionError, match="differs at char"):
+        prop()
+
+
+# ----------------------------------------------------------------------
+# real results: id-level pages against the decode-every-cell path
+# ----------------------------------------------------------------------
+def legacy_execute(engine, text):
+    """The unordered path before id-level rendering, frozen: project,
+    DISTINCT, slice, then decode every cell.  Returns the term bag and
+    the exec counters it accumulated."""
+    prepared = engine.prepare(text)
+    parsed = prepared.query
+    assert not parsed.order_by and not parsed.groups
+    before = EXEC_COUNTERS.snapshot()
+    limit_hint = None
+    if parsed.limit is not None and not parsed.deduplicates:
+        limit_hint = parsed.offset + parsed.limit
+    solutions = engine.evaluator.evaluate(
+        prepared.tree, EvaluationTrace(), limit_hint=limit_hint
+    )
+    names = parsed.projection_names()
+    if names is None:
+        names = sorted(pattern_variables(parsed.where))
+    page = solutions.project(names)
+    if parsed.deduplicates:
+        page = distinct_bag(page)
+    page = slice_bag(page, parsed.offset, parsed.limit)
+    decoded = engine.bgp_engine.decode_bag(page)
+    return decoded, EXEC_COUNTERS.delta_since(before)
+
+
+_LUBM_NS = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
+_NEW = "http://new.example/"
+
+
+def _new_terms_update() -> str:
+    """Pending inserts that bring fresh terms into every bulk shape."""
+    course = "<http://www.Department0.University0.edu/Course0>"
+    lines = []
+    for i in range(5):
+        s = f"<{_NEW}student{i}>"
+        lines.append(f'{s} <{_LUBM_NS}name> "new student {i}" .')
+        if i % 2:
+            lines.append(f'{s} <{_LUBM_NS}emailAddress> "new{i}@example.org" .')
+        lines.append(f"{s} <{_LUBM_NS}takesCourse> {course} .")
+        lines.append(f"{s} <{_LUBM_NS}takesCourse> <{_NEW}course{i}> .")
+        lines.append(f'<{_NEW}course{i}> <{_LUBM_NS}name> "new course {i}"@en .')
+    return "INSERT DATA { " + " ".join(lines) + " }"
+
+
+@pytest.fixture(scope="module", params=["frozen", "overlay"])
+def lubm_store(request, tmp_path_factory):
+    from repro.storage import TripleStore
+
+    path = str(tmp_path_factory.mktemp("lubm") / "u1.snap")
+    TripleStore.from_dataset(generate_lubm(universities=1, seed=42)).save(path)
+    store = TripleStore.load(path)
+    if request.param == "overlay":
+        SparqlUOEngine(store).update(_new_terms_update())
+        assert store.pending_delta != (0, 0)
+    return store
+
+
+PAGE_QUERIES = {**{f"lubm_{name}": text for name, text in LUBM_QUERIES.items()}, **BULK_SHAPES}
+
+
+@pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
+@pytest.mark.parametrize("shape", sorted(PAGE_QUERIES))
+def test_pages_match_the_decoded_path(lubm_store, bgp_engine, shape):
+    engine = SparqlUOEngine(lubm_store, bgp_engine=bgp_engine)
+    result = engine.execute(PAGE_QUERIES[shape])
+    assert isinstance(result.solutions, EncodedPage)
+    decoded, legacy_counters = legacy_execute(engine, PAGE_QUERIES[shape])
+    assert result.exec_counters["decoded_cells"] == 0
+    assert result.exec_counters["terms_decoded"] == legacy_counters["terms_decoded"]
+    for fmt in FORMATS:
+        _same(
+            f"{shape} as {fmt}",
+            SERIALIZERS[fmt](result.variables, result.solutions),
+            reference(fmt, result.variables, decoded),
+        )
+    assert result.solutions._term_rows is None
+
+
+def test_overlay_pages_show_the_new_terms(lubm_store):
+    result = SparqlUOEngine(lubm_store).execute(BULK_SHAPES["names_email"])
+    payload = to_tsv(result.variables, result.solutions)
+    assert ('"new student 3"' in payload) == (lubm_store.pending_delta != (0, 0))
+
+
+# ----------------------------------------------------------------------
+# the lazy term view
+# ----------------------------------------------------------------------
+VIEW_QUERIES = {
+    "select_all": BULK_SHAPES["names_email"],
+    "subset": "SELECT ?n ?x WHERE { ?x ub:takesCourse ?c OPTIONAL { ?c ub:name ?n } }",
+    "distinct": "SELECT DISTINCT ?c WHERE { ?x ub:takesCourse ?c }",
+    "limit_offset": "SELECT * WHERE { ?s ub:name ?n OPTIONAL { ?s ub:emailAddress ?e } } "
+    "LIMIT 25 OFFSET 40",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(VIEW_QUERIES))
+def test_the_term_view_equals_the_decoded_bag(lubm_engine, shape):
+    text = VIEW_QUERIES[shape]
+    result = lubm_engine.execute(text)
+    decoded, legacy_counters = legacy_execute(lubm_engine, text)
+    assert result.exec_counters["terms_decoded"] == legacy_counters["terms_decoded"]
+    page = result.solutions
+    before = EXEC_COUNTERS.snapshot()
+    # Neither the shape nor an id-level slice builds term rows.
+    assert page.schema == decoded.schema
+    assert len(page) == len(decoded) > 0
+    assert bool(page)
+    assert page.head(3).schema == page.schema
+    assert EXEC_COUNTERS.delta_since(before)["decoded_cells"] == 0
+    assert page.rows == decoded.rows
+    assert EXEC_COUNTERS.delta_since(before)["decoded_cells"] == len(page) * len(page.schema)
+    assert page == decoded and decoded == page
+    assert page.head(3).rows == decoded.rows[:3]
+    assert page.project(["n"]) == decoded.project(["n"])
+    # Iteration, like ``rows``, builds them (once per page).
+    fresh = lubm_engine.execute(text).solutions
+    before = EXEC_COUNTERS.snapshot()
+    assert list(fresh) == list(decoded)
+    assert EXEC_COUNTERS.delta_since(before)["decoded_cells"] == len(page) * len(page.schema)

@@ -155,3 +155,33 @@ class TestOrdering:
     def test_comparison_with_non_term_not_supported(self):
         with pytest.raises(TypeError):
             IRI("http://a") < 5
+
+
+class TestLiteralEscaping:
+    """``_escape_literal`` returns clean text untouched and rewrites only
+    the five N-Triples escapes; the per-character loop it replaced is
+    kept here, frozen, as the oracle."""
+
+    ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+    @classmethod
+    def reference(cls, text):
+        return "".join(cls.ESCAPES.get(ch, ch) for ch in text)
+
+    @given(
+        st.text(st.sampled_from('\\"\n\r\t') | st.characters(), max_size=40)
+        | st.text(st.sampled_from("ab é世\u2028\\\"\n\r\t'"), max_size=12)
+    )
+    def test_matches_the_per_character_loop(self, text):
+        from repro.rdf.terms import _escape_literal
+
+        assert _escape_literal(text) == self.reference(text)
+        assert Literal(text).n3() == f'"{self.reference(text)}"'
+
+    def test_edge_cases(self):
+        from repro.rdf.terms import _escape_literal
+
+        for text in ["", "plain", "non-ASCII é世\u2028", *self.ESCAPES, "\\\\\"\"\n\r\t"]:
+            assert _escape_literal(text) == self.reference(text)
+        clean = "no escapes here"
+        assert _escape_literal(clean) is clean
