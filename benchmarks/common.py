@@ -121,12 +121,10 @@ def bench_record(
 def emit_bench_json(name: str, records: List[Dict]) -> Path:
     """Write ``BENCH_<name>.json`` at the repo root and return its path.
 
-    Committing these files gives every PR a durable, diffable record of
-    the perf trajectory (the paper's Figures 10–13 at repro scale).
     Published atomically (the snapshot layer's tmp + fsync + rename
-    helper): an interrupted run can never leave a truncated baseline
-    for ``check_regression.py`` to choke on — the same discipline the
-    ``.snapshots/`` store cache gets from ``cached_store``.
+    helper): an interrupted run can never leave a truncated file — the
+    same discipline the ``.snapshots/`` store cache gets from
+    ``cached_store``.
     """
     from repro.storage import atomic_overwrite
 

@@ -433,7 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
         tracer: "Optional[_obs_trace.Tracer]",
         sampled: bool,
     ) -> None:
-        """The one exit of every query outcome: trace, reply, record."""
+        """The one exit of every query outcome: trace, record, reply."""
         state = self.state
         trace_tree = tracer.finish() if tracer is not None else None
         body = outcome.body
@@ -455,11 +455,13 @@ class _Handler(BaseHTTPRequestHandler):
             # stale answer must already see it in /metrics.
             state.metrics.record_stale_served()
         template = outcome.template
-        # Logged before the reply leaves too, so a client holding a
-        # reply (a 504 in particular) can already find its entry.
+        seconds = perf_counter() - started
+        # Logged, counted and observed before the reply leaves, so a
+        # client holding a reply (a 504 in particular) can already find
+        # it in the slow-query log, /metrics and /debug/templates.
         self._maybe_slowlog(
             request.query,
-            (perf_counter() - started) * 1000.0,
+            seconds * 1000.0,
             rows=outcome.rows if outcome.cache is not None else None,
             template=template.get("hash") if template else None,
             counters=outcome.counters,
@@ -467,27 +469,25 @@ class _Handler(BaseHTTPRequestHandler):
             sampled=sampled,
             timed_out=outcome.status == 504,
         )
-        self._respond(outcome.status, outcome.content_type, body, extra, outcome.generation)
-        if outcome.cache is None:
-            return
-        seconds = perf_counter() - started
-        # Only a miss folds its counters into the /metrics totals: a
-        # hit's or stale answer's work was counted by its own miss.
-        state.metrics.record_query(
-            outcome.cache,
-            seconds,
-            outcome.rows,
-            outcome.join_space,
-            outcome.counters if outcome.cache == "miss" else None,
-        )
-        if template is not None:
-            state.templates.observe(
-                template.get("hash"),
-                template.get("text"),  # type: ignore[arg-type]
+        if outcome.cache is not None:
+            # Only a miss folds its counters into the /metrics totals: a
+            # hit's or stale answer's work was counted by its own miss.
+            state.metrics.record_query(
+                outcome.cache,
                 seconds,
                 outcome.rows,
-                outcome.counters,
+                outcome.join_space,
+                outcome.counters if outcome.cache == "miss" else None,
             )
+            if template is not None:
+                state.templates.observe(
+                    template.get("hash"),
+                    template.get("text"),  # type: ignore[arg-type]
+                    seconds,
+                    outcome.rows,
+                    outcome.counters,
+                )
+        self._respond(outcome.status, outcome.content_type, body, extra, outcome.generation)
 
     def _maybe_slowlog(
         self,

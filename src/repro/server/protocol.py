@@ -94,6 +94,8 @@ def _accept_ranges(accept: str) -> List[Tuple[float, int, str]]:
                     q = float(value.strip())
                 except ValueError:
                     q = 0.0
+                if not 0.0 <= q <= 1.0:  # NaN, inf and out-of-range: unparsable
+                    q = 0.0
         ranges.append((q, order, media))
     # Highest q first; header order breaks ties.
     ranges.sort(key=lambda item: (-item[0], item[1]))
@@ -142,6 +144,22 @@ def negotiate_format(
     )
 
 
+def _parameters(encoded: str, where: str) -> Dict[str, List[str]]:
+    """Parse URL or form parameters; an escape that decodes to invalid
+    UTF-8 is a 400, never a silent U+FFFD in the query text."""
+    try:
+        return parse_qs(encoded, keep_blank_values=True, errors="strict")
+    except UnicodeDecodeError:
+        raise ProtocolError(400, f"{where} is not valid UTF-8") from None
+
+
+def _utf8(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError(400, "request body is not valid UTF-8") from None
+
+
 def _single_parameter(values: Dict[str, List[str]], name: str) -> Optional[str]:
     got = values.get(name)
     if not got:
@@ -164,7 +182,7 @@ def parse_sparql_request(
     (``http.server`` provides that); only ``Content-Type`` and
     ``Accept`` are consulted.
     """
-    url_parameters = parse_qs(query_string, keep_blank_values=True)
+    url_parameters = _parameters(query_string, "query string")
     query: Optional[str] = None
     if method == "GET":
         query = _single_parameter(url_parameters, "query")
@@ -173,10 +191,7 @@ def parse_sparql_request(
     elif method == "POST":
         content_type = (headers.get("Content-Type") or "").split(";")[0].strip().lower()
         if content_type == _FORM_URLENCODED:
-            try:
-                form = parse_qs(body.decode("utf-8"), keep_blank_values=True)
-            except UnicodeDecodeError:
-                raise ProtocolError(400, "request body is not valid UTF-8") from None
+            form = _parameters(_utf8(body), "request body")
             query = _single_parameter(form, "query")
             if query is None:
                 raise ProtocolError(400, "missing required form parameter 'query'")
@@ -185,10 +200,7 @@ def parse_sparql_request(
                 if key == "format":
                     url_parameters.setdefault(key, []).extend(values)
         elif content_type == _SPARQL_QUERY:
-            try:
-                query = body.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ProtocolError(400, "request body is not valid UTF-8") from None
+            query = _utf8(body)
         elif not content_type:
             raise ProtocolError(400, "POST requires a Content-Type header")
         else:
@@ -221,18 +233,11 @@ def parse_update_request(method: str, headers: Mapping[str, str], body: bytes) -
         raise ProtocolError(405, f"method {method} not allowed; updates require POST")
     content_type = (headers.get("Content-Type") or "").split(";")[0].strip().lower()
     if content_type == _FORM_URLENCODED:
-        try:
-            form = parse_qs(body.decode("utf-8"), keep_blank_values=True)
-        except UnicodeDecodeError:
-            raise ProtocolError(400, "request body is not valid UTF-8") from None
-        update = _single_parameter(form, "update")
+        update = _single_parameter(_parameters(_utf8(body), "request body"), "update")
         if update is None:
             raise ProtocolError(400, "missing required form parameter 'update'")
     elif content_type == _SPARQL_UPDATE:
-        try:
-            update = body.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ProtocolError(400, "request body is not valid UTF-8") from None
+        update = _utf8(body)
     elif not content_type:
         raise ProtocolError(400, "POST requires a Content-Type header")
     else:

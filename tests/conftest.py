@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rdf import Dataset, IRI, Literal
+from repro.datasets.lubm import generate_lubm
+from repro.rdf import Dataset, IRI, Literal, Triple
 from repro.storage import TripleStore
 
 EX = "http://example.org/"
@@ -90,3 +91,25 @@ def university_dataset() -> Dataset:
 @pytest.fixture(scope="session")
 def university_store(university_dataset) -> TripleStore:
     return TripleStore.from_dataset(university_dataset)
+
+
+def _lubm_store(universities: int) -> TripleStore:
+    """LUBM, generator seed 42, encoded in sorted triple order.
+
+    A ``Dataset`` iterates in set order, which before Python 3.12
+    follows ``hash(None)`` inside literal hashes and so changes from
+    process to process; sorting fixes every term id, and with them the
+    exact counts (galloping probes, say) the tests pin.  Read-only.
+    """
+    dataset = generate_lubm(universities=universities, seed=42)
+    return TripleStore.from_triples(sorted(dataset, key=Triple.n3))
+
+
+@pytest.fixture(scope="session")
+def lubm_u1_store() -> TripleStore:
+    return _lubm_store(1)
+
+
+@pytest.fixture(scope="session")
+def lubm_u2_store() -> TripleStore:
+    return _lubm_store(2)

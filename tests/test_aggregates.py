@@ -10,6 +10,7 @@ through spawn-style round trips).
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,31 @@ from repro.sparql.errors import SparqlSyntaxError, UnsupportedFeatureError
 from repro.storage import TripleStore
 
 EX = "http://agg.test/"
+UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
+ENGINES = ("wco", "hashjoin")
+
+#: shape → (store fixture, pure COUNT, its count).  No FILTER, so not
+#: even a kernel verdict memo may touch the dictionary.
+PURE_COUNTS = {
+    "toy": ("store", f"SELECT (COUNT(*) AS ?n) WHERE {{ ?s <{EX}score> ?v }}", 12),
+    "lubm": (
+        "lubm_u1_store",
+        f"SELECT (COUNT(*) AS ?n) WHERE {{ ?s <{UB}takesCourse> ?c }}",
+        3240,
+    ),
+}
+
+#: LUBM u1 folds → (WHERE body, group key; None for the implicit group).
+LUBM_FOLDS = {
+    "pure_count": (f"?s <{UB}takesCourse> ?c", None),
+    "filter_heavy_count": (
+        f"?s a <{UB}UndergraduateStudent> . ?s <{UB}takesCourse> ?c . "
+        f"FILTER (?c != <{UB}nothing>)",
+        None,
+    ),
+    "count_by_course": (f"?s <{UB}takesCourse> ?c", "c"),
+}
 
 
 def _int(value: int) -> Literal:
@@ -141,14 +166,27 @@ class TestGroupedExecution:
             {"k": IRI(EX + "K2"), "n": count_literal(4)},
         ]
 
-    def test_pure_count_decodes_nothing(self, store):
-        engine = SparqlUOEngine(store)
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("shape", sorted(PURE_COUNTS))
+    def test_pure_count_decodes_nothing(self, request, shape, engine_name):
+        fixture, query, count = PURE_COUNTS[shape]
+        engine = SparqlUOEngine(request.getfixturevalue(fixture), bgp_engine=engine_name)
         EXEC_COUNTERS.reset()
-        result = engine.execute(
-            f"SELECT (COUNT(*) AS ?n) WHERE {{ ?s <{EX}score> ?v }}"
-        )
-        assert _rows(result) == [{"n": count_literal(12)}]
+        result = engine.execute(query)
+        assert _rows(result) == [{"n": count_literal(count)}]
         assert EXEC_COUNTERS.terms_decoded == 0
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("shape", sorted(LUBM_FOLDS))
+    def test_fold_equals_decode_then_count(self, lubm_u1_store, shape, engine_name):
+        where, key = LUBM_FOLDS[shape]
+        aggregate = f"SELECT (COUNT(*) AS ?n) WHERE {{ {where} }}"
+        if key:
+            aggregate = f"SELECT ?{key} (COUNT(?s) AS ?n) WHERE {{ {where} }} GROUP BY ?{key}"
+        engine = SparqlUOEngine(lubm_u1_store, bgp_engine=engine_name, mode="full")
+        folded = {mu.get(key): int(mu["n"].lexical) for mu in engine.execute(aggregate)}
+        decoded = Counter(mu.get(key) for mu in engine.execute(f"SELECT * WHERE {{ {where} }}"))
+        assert folded == dict(decoded)
 
     def test_numeric_folds(self, store):
         result = SparqlUOEngine(store).execute(
@@ -235,6 +273,33 @@ class TestKernels:
         )
         assert len(result) == 1  # labels are n0,n2,...,n10 — only n10 matches "n1"
         assert EXEC_COUNTERS.rows_kernel_filtered == 0
+
+    #: LUBM u1 filters the kernels must screen → (query, results,
+    #: terms_decoded: the verdict memo's distinct ids plus the output).
+    LUBM_FILTERS = {
+        "name_equality": (
+            f"SELECT ?s ?c WHERE {{ ?s <{UB}name> ?n . ?s <{UB}takesCourse> ?c . "
+            'FILTER (?n = "UndergraduateStudent42") }',
+            6,
+            451,
+        ),
+        "email_disjunction": (
+            f"SELECT ?s ?e WHERE {{ ?s <{UB}emailAddress> ?e . ?s <{UB}takesCourse> ?c . "
+            'FILTER (?e = "UndergraduateStudent3@Department0.University0.edu" || '
+            '?e = "UndergraduateStudent7@Department1.University1.edu") }',
+            2,
+            1742,
+        ),
+    }
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("shape", sorted(LUBM_FILTERS))
+    def test_lubm_filters_reach_kernels(self, lubm_u1_store, shape, engine_name):
+        query, rows, decoded = self.LUBM_FILTERS[shape]
+        result = SparqlUOEngine(lubm_u1_store, bgp_engine=engine_name).execute(query)
+        assert len(result) == rows
+        assert result.exec_counters["rows_kernel_filtered"] > 0
+        assert result.exec_counters["terms_decoded"] == decoded
 
     def test_counters_reach_query_stats(self, store):
         result = SparqlUOEngine(store).execute(self.QUERY)

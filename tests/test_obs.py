@@ -27,6 +27,7 @@ from repro.obs import SlowQueryLog, TemplateRegistry, lift_template, render_trac
 from repro.obs import trace as obs_trace
 from repro.rdf import Dataset, IRI, Literal, dump_ntriples
 from repro.server import ServerConfig, SparqlServer
+from repro.server.app import _Handler
 from repro.sparql.errors import QueryTimeoutError
 from repro.sparql.parser import is_update_request, parse_query
 from repro.storage import TripleStore
@@ -76,6 +77,36 @@ def span_names(node):
     for child in node.get("children", ()):
         names.extend(span_names(child))
     return names
+
+
+class _CountingTracer(obs_trace.Tracer):
+    """A real tracer that also counts every call an armed site makes."""
+
+    ops = 0
+
+    def begin(self, name, **meta):
+        self.ops += 1
+        return super().begin(name, **meta)
+
+    def end(self, **meta):
+        self.ops += 1
+        super().end(**meta)
+
+    def annotate(self, **meta):
+        self.ops += 1
+        super().annotate(**meta)
+
+    def graft(self, subtree):
+        self.ops += 1
+        super().graft(subtree)
+
+
+#: A filter-heavy COUNT over thousands of LUBM rows: scan, kernel
+#: filter and group fold all run per row underneath their sites.
+FILTER_HEAVY_COUNT = (
+    f"SELECT (COUNT(*) AS ?n) WHERE {{ ?s a <{UB}UndergraduateStudent> . "
+    f"?s <{UB}takesCourse> ?c . FILTER (?c != <{UB}nothing>) }}"
+)
 
 
 def find_span(node, name):
@@ -407,6 +438,28 @@ class TestEngineTracing:
         assert "scan" in names and "decode" in names
         assert tree["meta"]["generation"] == small_store.generation
         assert tree["meta"]["template"] == traced.template["hash"]
+
+    @pytest.mark.parametrize("engine_name", ["wco", "hashjoin"])
+    def test_site_census_does_not_grow_with_rows(
+        self, lubm_u1_store, lubm_u2_store, engine_name
+    ):
+        """Sites fire per operator, never per row: the warm query's
+        tracer calls are the same at one and two universities, so the
+        disarmed cost is a constant number of ``is None`` checks."""
+        ops = []
+        for store in (lubm_u1_store, lubm_u2_store):
+            engine = SparqlUOEngine(store, bgp_engine=engine_name)
+            plain = engine.execute(FILTER_HEAVY_COUNT)  # warms the plan cache
+            tracer = obs_trace.arm(_CountingTracer("query"))
+            try:
+                traced = engine.execute(FILTER_HEAVY_COUNT)
+            finally:
+                tree = tracer.finish()
+                obs_trace.disarm()
+            assert traced.solutions == plain.solutions
+            assert {"scan", "group_fold"} <= set(span_names(tree))
+            ops.append(tracer.ops)
+        assert ops == [8, 8]
 
     def test_cold_prepare_spans(self, small_store):
         engine = SparqlUOEngine(small_store, bgp_engine="hashjoin")
@@ -759,7 +812,8 @@ class TestServerObservability:
     )
     def test_response_contract(self, obs_server, monkeypatch, outcome, status, cache):
         """Every query outcome answers with the same headers and, when
-        traced, the same ``extensions.repro`` keys."""
+        traced, the same ``extensions.repro`` keys; an answered query is
+        in /debug/templates before its reply leaves."""
         server, _ = obs_server
         query = {
             "miss": self.QUERY + " #contract-miss",
@@ -781,7 +835,20 @@ class TestServerObservability:
             )
         if outcome == "admission":
             monkeypatch.setattr(server.admission, "acquire", lambda: False)
+
+        def observed():
+            return sum(e["count"] for e in server.templates.snapshot()["templates"])
+
+        at_reply = []
+        respond = _Handler._respond
+
+        def spy(handler, *args, **kwargs):
+            at_reply.append(observed())
+            return respond(handler, *args, **kwargs)
+
+        monkeypatch.setattr(_Handler, "_respond", spy)
         for traced in (False, True):
+            before = observed()
             request_id = f"contract-{outcome}-{int(traced)}"
             headers = {"X-Request-Id": request_id}
             if traced:
@@ -792,6 +859,7 @@ class TestServerObservability:
             except urllib.error.HTTPError as exc:
                 got, got_headers, body = exc.code, dict(exc.headers), exc.read()
             assert got == status
+            assert at_reply[-1] == before + (cache is not None)
             assert got_headers.get("X-Repro-Cache") == cache
             assert got_headers["X-Repro-Generation"] == str(server.generation)
             assert got_headers["X-Repro-Request-Id"] == request_id

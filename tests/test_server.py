@@ -114,9 +114,16 @@ class TestNegotiation:
     def test_q_values_rank(self):
         accept = "text/csv;q=0.3, text/tab-separated-values;q=0.9"
         assert negotiate_format(accept) == "tsv"
+        # q above 1 is out of range, not a higher preference.
+        assert negotiate_format("text/csv;q=5, text/tab-separated-values") == "tsv"
+        assert negotiate_format("text/csv;q=inf, text/tab-separated-values") == "tsv"
 
     def test_zero_q_is_ignored(self):
         assert negotiate_format("text/csv;q=0, */*") == "json"
+        # NaN ranks like an unparsable q in either header order.
+        json_half = "application/sparql-results+json;q=0.5"
+        assert negotiate_format(f"text/csv;q=nan, {json_half}") == "json"
+        assert negotiate_format(f"{json_half}, text/csv;q=nan") == "json"
 
     def test_wildcard_subtype(self):
         assert negotiate_format("text/*") == "csv"  # first text/ offering
@@ -184,6 +191,19 @@ class TestParseRequest:
         with pytest.raises(ProtocolError) as excinfo:
             parse_sparql_request("GET", "query=%20", {}, b"")
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_percent_encoded_invalid_utf8_is_400(self, method):
+        # %E9 is Latin-1 "é": never rewritten to U+FFFD and executed.
+        encoded = "query=SELECT+*+WHERE+%7B+%3Fs+%3Fp+%22caf%E9%22+%7D"
+        form = {"Content-Type": "application/x-www-form-urlencoded"}
+        with pytest.raises(ProtocolError) as excinfo:
+            if method == "GET":
+                parse_sparql_request("GET", encoded, {}, b"")
+            else:
+                parse_sparql_request("POST", "", form, encoded.encode("ascii"))
+        assert excinfo.value.status == 400
+        assert "not valid UTF-8" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -771,6 +791,16 @@ class TestParseUpdateRequest:
             parse_update_request("POST", {"Content-Type": "text/plain"}, b"x")
         assert excinfo.value.status == 415
 
+    def test_percent_encoded_invalid_utf8_is_400(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_update_request(
+                "POST",
+                {"Content-Type": "application/x-www-form-urlencoded"},
+                b"update=INSERT+DATA+%7B+%3Cu%3Aa%3E+%3Cu%3Ab%3E+%22caf%E9%22+%7D",
+            )
+        assert excinfo.value.status == 400
+        assert "not valid UTF-8" in str(excinfo.value)
+
     def test_empty_update_is_400(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_update_request(
@@ -924,6 +954,17 @@ class TestLiveUpdates:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+        generation = rw_server.generation
+        request = urllib.request.Request(
+            rw_server.url + "/update",
+            data=f"update=INSERT+DATA+%7B+%3C{EX}a%3E+%3C{EX}name%3E+%22caf%E9%22+%7D".encode(),
+            headers={"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert b"not valid UTF-8" in excinfo.value.read()
+        assert rw_server.generation == generation
 
     def test_compaction_folds_delta_and_truncates_replay(self, snapshot_path, tmp_path):
         import shutil

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
 from repro.bgp.hashjoin import binary_join_cost, merge_join_cost
+from repro.core import SparqlUOEngine
 from repro.core.metrics import EXEC_COUNTERS
 from repro.rdf import Dataset, IRI, TriplePattern, Variable
 from repro.sparql.algebra import GroupGraphPattern
@@ -258,7 +259,68 @@ def engine_bag(cls, store, patterns, candidates=None):
     return engine.decode_bag(engine.evaluate(patterns, candidates))
 
 
+UB_PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+DEPT = "<http://www.Department0.University0.edu>"
+
+#: Join shapes over LUBM: skewed (a department's members gallop into
+#: the large class runs instead of streaming them) and uniform (both
+#: join sides comparable), with OPTIONAL and UNION feeding candidates.
+LUBM_JOINS = {
+    "skewed_member_type": UB_PREFIX
+    + f"SELECT ?x WHERE {{ ?x ub:memberOf {DEPT} . ?x a ub:UndergraduateStudent . }}",
+    "skewed_member_type_email": UB_PREFIX
+    + f"SELECT ?x ?e WHERE {{ ?x ub:memberOf {DEPT} . ?x a ub:UndergraduateStudent . "
+    "?x ub:emailAddress ?e . }",
+    "skewed_optional_email": UB_PREFIX
+    + f"SELECT ?x ?e WHERE {{ ?x ub:memberOf {DEPT} . ?x a ub:UndergraduateStudent . "
+    "OPTIONAL { ?x ub:emailAddress ?e } }",
+    "uniform_advisor_chain": UB_PREFIX
+    + "SELECT ?x ?a WHERE { ?x a ub:GraduateStudent . ?x ub:advisor ?a . "
+    "?a a ub:FullProfessor . }",
+    "uniform_member_union": UB_PREFIX
+    + f"SELECT ?x WHERE {{ ?x ub:memberOf {DEPT} . "
+    "{ ?x a ub:GraduateStudent } UNION { ?x a ub:UndergraduateStudent } }",
+}
+
+#: (shape, engine, mode) → (results, rows_materialized, gallop_probes,
+#: merge_joins, hash_joins) on LUBM u1, seed 42.  Any growth means a
+#: physical path degraded, e.g. a merge join falling back to a hash join.
+LUBM_JOIN_COUNTS = {
+    ("skewed_member_type", "hashjoin", "base"): (400, 808, 408, 1, 0),
+    ("skewed_member_type", "hashjoin", "full"): (400, 808, 408, 1, 0),
+    ("skewed_member_type", "wco", "base"): (400, 400, 408, 0, 0),
+    ("skewed_member_type", "wco", "full"): (400, 400, 408, 0, 0),
+    ("skewed_member_type_email", "hashjoin", "base"): (400, 1208, 408, 1, 1),
+    ("skewed_member_type_email", "hashjoin", "full"): (400, 1208, 408, 1, 1),
+    ("skewed_member_type_email", "wco", "base"): (400, 800, 408, 0, 0),
+    ("skewed_member_type_email", "wco", "full"): (400, 800, 408, 0, 0),
+    ("skewed_optional_email", "hashjoin", "base"): (400, 2548, 408, 1, 0),
+    ("skewed_optional_email", "hashjoin", "full"): (400, 1208, 408, 1, 0),
+    ("skewed_optional_email", "wco", "base"): (400, 2140, 408, 0, 0),
+    ("skewed_optional_email", "wco", "full"): (400, 800, 408, 0, 0),
+    ("uniform_advisor_chain", "hashjoin", "base"): (60, 324, 0, 1, 1),
+    ("uniform_advisor_chain", "hashjoin", "full"): (60, 324, 0, 1, 1),
+    ("uniform_advisor_chain", "wco", "base"): (60, 120, 204, 0, 0),
+    ("uniform_advisor_chain", "wco", "full"): (60, 120, 204, 0, 0),
+    ("uniform_member_union", "hashjoin", "base"): (408, 2028, 0, 0, 0),
+    ("uniform_member_union", "hashjoin", "full"): (408, 928, 408, 0, 0),
+    ("uniform_member_union", "wco", "base"): (408, 2028, 0, 0, 0),
+    ("uniform_member_union", "wco", "full"): (408, 928, 408, 0, 0),
+}
+
+
 class TestEnginePaths:
+    @pytest.mark.parametrize("shape,engine_name,mode", sorted(LUBM_JOIN_COUNTS))
+    def test_lubm_join_counts(self, lubm_u1_store, shape, engine_name, mode):
+        engine = SparqlUOEngine(lubm_u1_store, bgp_engine=engine_name, mode=mode)
+        result = engine.execute(LUBM_JOINS[shape])
+        counters = result.exec_counters
+        observed = (len(result),) + tuple(
+            counters.get(name, 0)
+            for name in ("rows_materialized", "gallop_probes", "merge_joins", "hash_joins")
+        )
+        assert observed == LUBM_JOIN_COUNTS[shape, engine_name, mode]
+
     def test_merge_join_path_fires(self, chain_store):
         patterns = [
             TriplePattern(X, P, IRI(EX + "hub")),

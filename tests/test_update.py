@@ -218,6 +218,37 @@ class TestEngineUpdate:
         assert counters.get("hash_joins", 0) == 0, counters
 
 
+    @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
+    def test_read_after_compact_equals_overlay_read(self, tmp_path, bgp_engine):
+        """Compaction changes where the triples live, never what a read
+        returns: the join over pending adds and tombstones answers the
+        same from the folded snapshot, in memory and from a cold load."""
+        path = str(tmp_path / "c.snap")
+        TripleStore.from_triples(
+            Triple(IRI(f"{EX}n{i}"), IRI(f"{EX}p" if i % 2 else f"{EX}r"), IRI(f"{EX}o{i % 5}"))
+            for i in range(40)
+        ).save(path)
+        store = TripleStore.load(path)
+        engine = SparqlUOEngine(store, bgp_engine=bgp_engine)
+        engine.update(
+            f"INSERT DATA {{ <{EX}n2> <{EX}p> <{EX}o2> . <{EX}x> <{EX}r> <{EX}o1> . "
+            f"<{EX}x> <{EX}p> <{EX}o1> }} ; "
+            f"DELETE DATA {{ <{EX}n1> <{EX}p> <{EX}o1> . <{EX}n6> <{EX}r> <{EX}o1> }}"
+        )
+        query = f"SELECT ?x ?y ?o WHERE {{ ?x <{EX}p> ?o . ?y <{EX}r> ?o }}"
+        overlay = engine.execute(query).solutions
+        assert len(overlay) > 0 and store.pending_delta == (3, 2)
+        store.compact(path)
+        assert store.pending_delta == (0, 0)
+        assert engine.execute(query).solutions == overlay
+        cold = TripleStore.load(path)
+        try:
+            assert SparqlUOEngine(cold, bgp_engine=bgp_engine).execute(query).solutions == overlay
+        finally:
+            cold.close()
+        store.close()
+
+
 # ----------------------------------------------------------------------
 # write-path invalidation (regression)
 # ----------------------------------------------------------------------

@@ -271,6 +271,47 @@ class TestFsyncPolicies:
         wal.close()
         assert len(scan_wal(wal_path).records) == 40
 
+    @pytest.mark.parametrize("policy", ["off", "interval", "always"])
+    def test_concurrent_committers_write_one_frame_per_batch(self, wal_path, policy):
+        """The server's write discipline, four committers at once:
+        update + append under one lock (frame order = commit order),
+        the fsync wait outside it.  Every policy adds the same triples
+        and logs each committed batch as exactly one complete frame."""
+        engine = SparqlUOEngine(TripleStore())
+        batches = [
+            "INSERT DATA { "
+            + " ".join(f"<{EX}b{b}_{i}> <{EX}tag> <{EX}t{i % 3}> ." for i in range(5))
+            + " }"
+            for b in range(24)
+        ]
+        pending = list(reversed(batches))
+        commit_lock = threading.Lock()
+        added = []
+        wal = WriteAheadLog(wal_path, policy=policy)
+
+        def committer():
+            while True:
+                with commit_lock:
+                    if not pending:
+                        return
+                    text = pending.pop()
+                    result = engine.update(text)
+                    seq = wal.append(result.generation, text)
+                added.append(result.added)
+                wal.sync(seq)
+
+        threads = [threading.Thread(target=committer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        wal.close()
+        assert sum(added) == len(engine.store) == 24 * 5
+        scan = scan_wal(wal_path)
+        assert scan.torn is None
+        assert [r.text for r in scan.records] == batches
+        assert [r.generation for r in scan.records] == list(range(1, 25))
+
     def test_stats_snapshot(self, wal_path):
         with WriteAheadLog(wal_path, policy="always") as wal:
             wal.append(1, insert_stmt(0))
