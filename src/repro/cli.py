@@ -147,16 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=30.0, help="per-query budget in seconds"
     )
     serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=0,
-        help="concurrent queries admitted (0: one per worker)",
-    )
-    serve.add_argument(
         "--queue-size",
         type=int,
         default=0,
-        help="requests allowed to wait for a slot before 503 (0: 2x in-flight)",
+        help="requests allowed to wait for a worker before 503 (0: 2x workers)",
     )
     serve.add_argument(
         "--cache-entries",
@@ -461,7 +455,6 @@ def _command_serve(args, out) -> int:
         port=args.port,
         workers=args.workers,
         timeout=args.timeout,
-        max_inflight=args.max_inflight,
         queue_size=args.queue_size,
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes,

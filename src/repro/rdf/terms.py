@@ -209,7 +209,10 @@ class Literal(Term):
         )
 
     def __hash__(self) -> int:
-        return hash((_KIND_LITERAL, self.lexical, self.language, self.datatype))
+        # ``language or ""``: before Python 3.12, ``hash(None)`` is an
+        # address, which would make set order — and the term ids a
+        # store assigns from it — differ from process to process.
+        return hash((_KIND_LITERAL, self.lexical, self.language or "", self.datatype))
 
     def __repr__(self) -> str:
         if self.language:

@@ -7,8 +7,9 @@ worker processes that each open the same ``.snap`` snapshot mmap-lazily
 — a cold fleet shares page cache and reaches its first answer fast —
 wrapped in the production controls a public endpoint needs:
 
-- **admission control** (:mod:`.app`): a bounded in-flight limit and a
-  bounded wait queue; excess load is shed immediately with ``503``;
+- **admission control** (:mod:`.pool`): each worker runs one query at
+  a time, and a bounded number of requests wait for an idle worker;
+  excess load is shed immediately with ``503``;
 - **per-query timeouts** (:mod:`.pool`): a cooperative engine deadline
   first, and a hard kill-and-respawn of the worker as the backstop;
 - **a pattern-aware result cache** (:mod:`.cache`): entries are

@@ -1,13 +1,14 @@
-"""The HTTP front end: admission control, caching, routing, lifecycle.
+"""The HTTP front end: caching, routing, lifecycle.
 
 ``SparqlServer`` wires a threaded HTTP listener to the worker pool:
 each connection is handled on its own thread, which (1) parses the
-protocol request, (2) passes admission control — a bounded in-flight
-limit plus a bounded wait queue, everything beyond which is shed with
-an immediate 503 — (3) consults the result cache, and
-only then (4) leases a worker.  Cache hits therefore cost no worker,
-no engine and no serializer; sheds cost almost nothing at all, which
-is what keeps an overloaded endpoint responsive.
+protocol request, (2) consults the result cache, and only then
+(3) leases a worker — the pool's one admission point, which bounds the
+requests waiting for a worker and sheds everything beyond them with an
+immediate 503 (:meth:`~.pool.WorkerPool.execute`).  Cache hits
+therefore cost no worker, no engine and no serializer; sheds cost
+almost nothing at all, which is what keeps an overloaded endpoint
+responsive.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .protocol import (
     parse_update_request,
 )
 
-__all__ = ["AdmissionController", "SparqlServer", "serve"]
+__all__ = ["SparqlServer", "serve"]
 
 #: WorkerReply.kind → HTTP status for non-ok outcomes; the one such
 #: table (exceptions map to kinds in :func:`~.pool.failure_reply`).
@@ -124,39 +125,6 @@ def _entry_outcome(
     )
 
 
-class AdmissionController:
-    """Bounded concurrency with a bounded, time-limited wait queue.
-
-    ``max_inflight`` permits execute concurrently; up to ``queue_size``
-    further requests wait (at most ``queue_wait`` seconds) for a slot;
-    everything beyond that is refused instantly — load past the cliff
-    costs a constant-time 503, not a thread parked on a lock.
-    """
-
-    def __init__(self, max_inflight: int, queue_size: int, queue_wait: float):
-        self._slots = threading.Semaphore(max_inflight)
-        self._queue_size = queue_size
-        self._queue_wait = queue_wait
-        self._lock = threading.Lock()
-        self._waiting = 0
-
-    def acquire(self) -> bool:
-        if self._slots.acquire(blocking=False):
-            return True
-        with self._lock:
-            if self._waiting >= self._queue_size:
-                return False
-            self._waiting += 1
-        try:
-            return self._slots.acquire(timeout=self._queue_wait)
-        finally:
-            with self._lock:
-                self._waiting -= 1
-
-    def release(self) -> None:
-        self._slots.release()
-
-
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``self.server`` is the :class:`_HTTPServer` below."""
 
@@ -175,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.state  # type: ignore[attr-defined]
 
     def setup(self) -> None:
-        # Armed before any read: admission control only guards
+        # Armed before any read: the pool's admission only guards
         # execution, this guards ingestion.
         self.timeout = _SOCKET_TIMEOUT
         super().setup()
@@ -282,7 +250,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         if length > self.state.config.max_body_bytes:
-            # Refuse before buffering: admission control guards query
+            # Refuse before buffering: the pool's admission guards query
             # *execution*; this guards request *ingestion*.
             self._respond_error(413, "request body too large")
             self.close_connection = True
@@ -331,9 +299,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
         started = perf_counter()
-        # The cache is consulted *before* admission control: a hit
-        # costs microseconds and no worker, so popular queries keep
-        # answering precisely when the execution slots are saturated.
+        # The cache is consulted *before* admission: a hit costs
+        # microseconds and no worker, so popular queries keep
+        # answering precisely when every worker is busy.
         # Once generations are mixed the cache itself refuses.
         if tracer is not None:
             tracer.begin("cache_lookup")
@@ -351,10 +319,6 @@ class _Handler(BaseHTTPRequestHandler):
         if cached is not None:
             outcome = _entry_outcome(cached, "hit", generation)
             self._finish(request, outcome, started, tracer, sampled)
-        elif not state.admission.acquire():
-            state.metrics.record_shed()
-            outcome = _error_outcome(503, "server saturated; request shed")
-            self._finish(request, outcome, started, tracer, sampled)
         else:
             state.metrics.enter()
             try:
@@ -362,7 +326,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._finish(request, outcome, started, tracer, sampled)
             finally:
                 state.metrics.leave()
-                state.admission.release()
 
     def _execute(self, request, tracer: "Optional[_obs_trace.Tracer]") -> _Outcome:
         """Run the query on a leased worker: a miss, stale or error outcome."""
@@ -715,11 +678,6 @@ class SparqlServer:
             self.pool.attach_wal(self.wal)
             self._replay_wal_tail()
             unwind.pop_all()
-        self.admission = AdmissionController(
-            config.effective_max_inflight,
-            config.effective_queue_size,
-            config.effective_queue_wait,
-        )
         self._httpd.state = self
         self._thread: Optional[threading.Thread] = None
 

@@ -9,10 +9,9 @@ from dataclasses import dataclass, replace
 class ServerConfig:
     """Everything ``repro serve`` needs, with production-lean defaults.
 
-    The zero values of ``max_inflight`` / ``queue_size`` / ``queue_wait``
-    mean "derive from the worker count / timeout" — see the
-    ``effective_*`` properties, which every consumer reads instead of
-    the raw fields.
+    The zero values of ``queue_size`` / ``queue_wait`` mean "derive
+    from the worker count / timeout" — see the ``effective_*``
+    properties, which every consumer reads instead of the raw fields.
     """
 
     #: Path to the dataset: a ``.snap`` snapshot (recommended — workers
@@ -22,7 +21,8 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 lets the OS pick (tests and benchmarks use this).
     port: int = 8080
-    #: Worker processes; each runs one query at a time.
+    #: Worker processes; each runs one query at a time, so this is
+    #: also the bound on queries executing at once.
     workers: int = 2
     #: Per-query wall-clock budget in seconds.  Enforced cooperatively
     #: inside the engine first; a worker that overruns the budget plus
@@ -30,18 +30,16 @@ class ServerConfig:
     timeout: float = 30.0
     #: Extra seconds past ``timeout`` before the hard kill.
     grace: float = 2.0
-    #: Queries executing concurrently; 0 → ``workers``.
-    max_inflight: int = 0
-    #: Requests allowed to wait for an execution slot; beyond this the
-    #: request is shed with 503 immediately.  0 → ``2 * max_inflight``.
+    #: Requests allowed to wait for an idle worker; beyond this the
+    #: request is shed with 503 immediately.  0 → ``2 * workers``.
     queue_size: int = 0
-    #: Longest a queued request waits for a slot before 503; 0 → ``timeout``.
+    #: Longest a queued request waits for a worker before 503; 0 → ``timeout``.
     queue_wait: float = 0.0
     #: Result-cache capacity; 0 entries disables caching.
     cache_entries: int = 256
     cache_bytes: int = 64 * 1024 * 1024
     #: Largest POST body accepted (413 beyond); queries are small, so
-    #: this guards request *ingestion* the way admission control
+    #: this guards request *ingestion* the way the pool's admission
     #: guards execution.
     max_body_bytes: int = 2 * 1024 * 1024
     #: Engine wiring, forwarded to every worker's SparqlUOEngine.
@@ -97,12 +95,8 @@ class ServerConfig:
     compact_threshold: int = 0
 
     @property
-    def effective_max_inflight(self) -> int:
-        return self.max_inflight if self.max_inflight > 0 else max(self.workers, 1)
-
-    @property
     def effective_queue_size(self) -> int:
-        return self.queue_size if self.queue_size > 0 else 2 * self.effective_max_inflight
+        return self.queue_size if self.queue_size > 0 else 2 * max(self.workers, 1)
 
     @property
     def effective_queue_wait(self) -> float:

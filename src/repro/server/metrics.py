@@ -232,7 +232,12 @@ class ServerMetrics:
                 self.worker_restarts_total,
                 "Workers killed and respawned.",
             )
-            emit("repro_inflight_queries", self.inflight, "Queries executing now.", "gauge")
+            emit(
+                "repro_inflight_queries",
+                self.inflight,
+                "Queries admitted now, including those waiting for a worker.",
+                "gauge",
+            )
             emit("repro_workers", alive, "Worker processes alive in the pool.", "gauge")
             emit(
                 "repro_workers_target",

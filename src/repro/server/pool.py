@@ -403,6 +403,10 @@ class WorkerPool:
         self._snapshot_fallbacks = 0
         self._heal_wake = threading.Event()
         self._idle: "queue.Queue[_Worker]" = queue.Queue()
+        #: Requests blocked in :meth:`_lease` (bounded by
+        #: ``effective_queue_size``), guarded by ``_waiting_lock``.
+        self._waiting = 0
+        self._waiting_lock = threading.Lock()
         self._workers: List[_Worker] = []
         started: List[_Worker] = []
         try:
@@ -472,7 +476,7 @@ class WorkerPool:
         Runs on a background thread (see :meth:`execute`): the respawn
         blocks on a full worker startup — snapshot open, or a complete
         re-parse for N-Triples data — and the failing request's 504
-        must not wait on it, nor keep its admission slot held.
+        must not wait on it.
 
         At most one respawn is attempted inline; when the heal path is
         backing off (or the respawn budget is spent) the loss is
@@ -640,6 +644,32 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # the one request-path entry point
     # ------------------------------------------------------------------
+    def _lease(self) -> Optional[_Worker]:
+        """The server's one admission point: an idle worker, or None (shed).
+
+        Each worker runs one query at a time, so the idle queue is the
+        execution bound.  With no worker idle, a request waits — once,
+        at most ``effective_queue_wait`` — only while fewer than
+        ``effective_queue_size`` others already do; beyond that it is
+        shed at once: load past the cliff costs a constant-time 503,
+        not a parked thread.
+        """
+        try:
+            return self._idle.get_nowait()
+        except queue.Empty:
+            pass
+        with self._waiting_lock:
+            if self._waiting >= self.config.effective_queue_size:
+                return None
+            self._waiting += 1
+        try:
+            return self._idle.get(timeout=self.config.effective_queue_wait)
+        except queue.Empty:
+            return None
+        finally:
+            with self._waiting_lock:
+                self._waiting -= 1
+
     def execute(
         self,
         query: str,
@@ -657,17 +687,12 @@ class WorkerPool:
 
         Hard-timeout and dead-worker paths return their error
         immediately and heal (kill + respawn) on a background thread,
-        so the failing request costs no respawn wait.  An *admitted*
-        request can still wait here for an idle worker while a
-        replacement is starting up — bounded by ``queue_wait`` on top
-        of the admission wait, after which it is shed.
+        so the failing request costs no respawn wait.  A request that
+        finds no idle worker is admitted or shed by :meth:`_lease`.
         """
-        try:
-            worker = self._idle.get(timeout=self.config.effective_queue_wait)
-        except queue.Empty:
-            return WorkerReply(
-                "shed", message="no worker available within the queue wait"
-            )
+        worker = self._lease()
+        if worker is None:
+            return WorkerReply("shed", message="server saturated; request shed")
         extras: Dict[str, object] = {}
         if request_id is not None:
             extras["request_id"] = request_id

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -251,6 +252,45 @@ class TestStaleWhileError:
             # The miss that filled the cache, then the stale answer.
             assert [entry["count"] for entry in templates] == [2]
             assert_roster_heals(server)
+
+    def test_overload_shed_serves_stale(self, snap):
+        """A request shed because every worker is busy and the wait bound
+        is full honours stale-while-error like any other pool failure:
+        the pool is the one admission point, consulted after the cache."""
+        config = chaos_config(
+            snap, "", workers=1, timeout=3.0, queue_wait=2.0, stale_while_error=True
+        )
+        slow = "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+        with SparqlServer(config) as server:
+            _, _, first = sparql_get(server, QUERY_HEADOF)
+            # A write that matches the cached query's pattern: the entry
+            # can no longer be served fresh, only stale.
+            post_update(server, f"INSERT DATA {{ <{EXC}h> <{UB}headOf> <{EXC}d> }}")
+
+            def issue() -> None:
+                try:
+                    sparql_get(server, slow, timeout=30)
+                except urllib.error.HTTPError:
+                    pass  # 504 (the one executing) or 503 (the waiters)
+
+            saturating = 1 + config.effective_queue_size
+            threads = [threading.Thread(target=issue) for _ in range(saturating)]
+            for thread in threads:
+                thread.start()
+            # One slow query executes and queue_size more wait for the
+            # worker; the deadline stays well inside queue_wait.
+            wait_for(lambda: server.metrics.inflight >= saturating, deadline=1.0)
+            shed_before = server.metrics.shed_total
+            try:
+                status, headers, body = sparql_get(server, QUERY_HEADOF)
+            finally:
+                for thread in threads:
+                    thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert status == 200
+            assert headers.get("X-Repro-Stale") == "1"
+            assert body == first
+            assert server.metrics.shed_total > shed_before
 
     def test_stale_is_off_by_default(self, snap):
         config = chaos_config(snap, "", workers=1)

@@ -13,8 +13,11 @@ Prometheus text-format lint of the whole ``/metrics`` exposition.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -633,6 +636,31 @@ def http_post(url, body, content_type, headers=None, timeout=60):
         return response.status, dict(response.headers), response.read()
 
 
+@contextlib.contextmanager
+def saturated(pool, query):
+    """Hold every worker and fill the pool's wait bound with real
+    waiters, so the next miss takes the overload path and is shed."""
+    held = [pool._idle.get(timeout=30) for _ in range(pool.size)]
+    waiters = [
+        threading.Thread(target=pool.execute, args=(query, "json"))
+        for _ in range(pool.config.effective_queue_size)
+    ]
+    for waiter in waiters:
+        waiter.start()
+    try:
+        deadline = time.monotonic() + 10
+        while pool._waiting < len(waiters) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._waiting == len(waiters)
+        yield
+    finally:
+        for worker in held:
+            pool._idle.put(worker)
+        for waiter in waiters:
+            waiter.join(30)
+        assert not any(waiter.is_alive() for waiter in waiters)
+
+
 class TestServerObservability:
     QUERY = f"SELECT ?x ?y WHERE {{ ?x <{UB}headOf> ?y }}"
 
@@ -833,8 +861,6 @@ class TestServerObservability:
                 "execute",
                 lambda *args, **kwargs: WorkerReply("shed", message="no worker"),
             )
-        if outcome == "admission":
-            monkeypatch.setattr(server.admission, "acquire", lambda: False)
 
         def observed():
             return sum(e["count"] for e in server.templates.snapshot()["templates"])
@@ -849,13 +875,20 @@ class TestServerObservability:
         monkeypatch.setattr(_Handler, "_respond", spy)
         for traced in (False, True):
             before = observed()
+            shed_before = server.metrics.shed_total
             request_id = f"contract-{outcome}-{int(traced)}"
             headers = {"X-Request-Id": request_id}
             if traced:
                 headers["X-Repro-Trace"] = "1"
             text = query if outcome != "miss" else f"{query}-{int(traced)}"
+            overload = (
+                saturated(server.pool, self.QUERY)
+                if outcome == "admission"
+                else contextlib.nullcontext()
+            )
             try:
-                got, got_headers, body = self.get(server, text, headers=headers)
+                with overload:
+                    got, got_headers, body = self.get(server, text, headers=headers)
             except urllib.error.HTTPError as exc:
                 got, got_headers, body = exc.code, dict(exc.headers), exc.read()
             assert got == status
@@ -868,6 +901,7 @@ class TestServerObservability:
                 assert "error" in document
             if status == 503:
                 assert got_headers["Retry-After"] == "1"
+                assert server.metrics.shed_total == shed_before + 1
             if not traced:
                 assert "repro" not in document.get("extensions", {})
                 continue

@@ -1,8 +1,8 @@
 """Tests for the SPARQL protocol server subsystem.
 
 Unit tests exercise the protocol parser, the result cache and its
-revalidation across writes, admission control and metrics without a
-socket; the HTTP tests run a
+revalidation across writes and metrics without a socket; the pool
+tests hold a real worker to drive admission; the HTTP tests run a
 real :class:`~repro.server.app.SparqlServer` (spawned worker processes,
 ephemeral port) and drive it with urllib, including the timeout,
 worker-death and shedding paths.
@@ -33,7 +33,6 @@ from repro.server import (
     parse_sparql_request,
     parse_update_request,
 )
-from repro.server.app import AdmissionController
 from repro.rdf import IRI, BlankNode, Literal, Triple, TriplePattern, Variable
 from repro.server.cache import CachedResult, matches, triple_key
 from repro.server.metrics import LatencySummary, ServerMetrics
@@ -387,33 +386,106 @@ class TestRevalidation:
 
 
 # ----------------------------------------------------------------------
-# admission + metrics unit tests
+# pool admission: the idle queue is the server's one admission point
 # ----------------------------------------------------------------------
-class TestAdmission:
-    def test_in_flight_limit_and_release(self):
-        admission = AdmissionController(2, 0, queue_wait=0.05)
-        assert admission.acquire() and admission.acquire()
-        assert not admission.acquire()  # full, no queue
-        admission.release()
-        assert admission.acquire()
+class TestPoolAdmission:
+    """A real ``workers=1`` pool.  A test holds the one worker by
+    leasing it from the idle queue, as an executing query or an update
+    broadcast would, and hands it back with ``_idle.put``."""
 
-    def test_queue_admits_after_release(self):
-        admission = AdmissionController(1, 1, queue_wait=5.0)
-        assert admission.acquire()
-        results = []
-        waiter = threading.Thread(target=lambda: results.append(admission.acquire()))
-        waiter.start()
-        time.sleep(0.05)
-        admission.release()
-        waiter.join(2.0)
-        assert results == [True]
+    @staticmethod
+    def start_waiter(pool, replies):
+        """A request blocked in the pool, waiting for the held worker."""
+        thread = threading.Thread(
+            target=lambda: replies.append(pool.execute(QUERY_HEADOF, "json"))
+        )
+        thread.start()
+        deadline = time.monotonic() + 10
+        while pool._waiting < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._waiting == 1
+        return thread
 
-    def test_queue_overflow_sheds_instantly(self):
-        admission = AdmissionController(1, 0, queue_wait=30.0)
-        assert admission.acquire()
-        started = time.perf_counter()
-        assert not admission.acquire()
-        assert time.perf_counter() - started < 1.0  # no 30 s park
+    def test_full_wait_bound_sheds_at_once(self, snapshot_path):
+        config = ServerConfig(data=snapshot_path, workers=1, queue_size=1, queue_wait=30.0)
+        pool = WorkerPool(config)
+        try:
+            held = pool._idle.get(timeout=10)
+            replies = []
+            waiter = self.start_waiter(pool, replies)
+            started = time.perf_counter()
+            reply = pool.execute(QUERY_HEADOF, "json")
+            assert time.perf_counter() - started < 1.0  # no 30 s park
+            assert reply.kind == "shed"
+            pool._idle.put(held)
+            waiter.join(30)
+            assert not waiter.is_alive()
+            assert [r.kind for r in replies] == ["ok"]
+        finally:
+            pool.close()
+
+    def test_waiter_is_admitted_when_a_worker_returns(self, snapshot_path):
+        config = ServerConfig(data=snapshot_path, workers=1, queue_size=1, queue_wait=30.0)
+        pool = WorkerPool(config)
+        try:
+            held = pool._idle.get(timeout=10)
+            replies = []
+            waiter = self.start_waiter(pool, replies)
+            returned = time.perf_counter()
+            pool._idle.put(held)
+            waiter.join(30)
+            assert not waiter.is_alive()
+            assert [r.kind for r in replies] == ["ok"]
+            assert time.perf_counter() - returned < 10.0  # not the 30 s wait
+            assert pool._waiting == 0
+        finally:
+            pool.close()
+
+    def test_wait_count_survives_contention(self, snapshot_path):
+        """More callers than cores race the waiter count with a short
+        switch interval: every call answers ok or shed, and a lost
+        update would leave the count off zero."""
+        config = ServerConfig(data=snapshot_path, workers=1, queue_size=2, queue_wait=5.0)
+        pool = WorkerPool(config)
+        kinds = []
+        lock = threading.Lock()
+
+        def issue() -> None:
+            for _ in range(4):
+                kind = pool.execute(QUERY_HEADOF, "json").kind
+                with lock:
+                    kinds.append(kind)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=issue) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert len(kinds) == 48 and set(kinds) <= {"ok", "shed"}
+        assert "ok" in kinds
+        assert pool._waiting == 0
+
+    def test_held_workers_shed_after_one_queue_wait(self, snapshot_path):
+        config = ServerConfig(data=snapshot_path, workers=1, queue_wait=0.5)
+        pool = WorkerPool(config)
+        try:
+            held = pool._idle.get(timeout=10)
+            started = time.perf_counter()
+            reply = pool.execute(QUERY_HEADOF, "json")
+            elapsed = time.perf_counter() - started
+            assert reply.kind == "shed"
+            assert 0.45 <= elapsed < 1.0  # one queue_wait, not two
+            pool._idle.put(held)
+            assert pool.execute(QUERY_HEADOF, "json").kind == "ok"
+        finally:
+            pool.close()
 
 
 class TestMetrics:

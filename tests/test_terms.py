@@ -185,3 +185,52 @@ class TestLiteralEscaping:
             assert _escape_literal(text) == self.reference(text)
         clean = "no escapes here"
         assert _escape_literal(clean) is clean
+
+
+class TestProcessIndependentHash:
+    """Term hashes, and so a dataset's set order and the term ids a
+    store assigns from it, repeat across processes under a fixed
+    ``PYTHONHASHSEED`` — also before Python 3.12, where ``hash(None)``
+    (a plain literal's language) is an address."""
+
+    PROBE = "\n".join(
+        [
+            "from repro.rdf import IRI, Dataset, Literal, Triple",
+            "from repro.storage import TripleStore",
+            "print(hash(Literal('x')))",
+            "ex = 'http://example.org/'",
+            "triples = [Triple(IRI(ex + f's{i}'), IRI(ex + 'p'), Literal(f'v{i}'))",
+            "           for i in range(40)]",
+            "triples += [Triple(IRI(ex + f's{i}'), IRI(ex + 'q'), Literal(f'{i}', language='en'))",
+            "            for i in range(0, 40, 3)]",
+            "store = TripleStore.from_dataset(Dataset(triples))",
+            "print([store.decode(i).n3() for i in range(len(store.dictionary))])",
+        ]
+    )
+
+    def run_probe(self) -> str:
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        completed = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return completed.stdout
+
+    def test_hash_and_term_ids_repeat_across_processes(self):
+        first, second = self.run_probe(), self.run_probe()
+        first_hash, first_ids = first.splitlines()
+        second_hash, second_ids = second.splitlines()
+        assert first_hash == second_hash
+        assert first_ids == second_ids
