@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.interface import decode_page
 from repro.core import BETree, SparqlUOEngine
 from repro.core.betree import BGPNode, GroupNode, OptionalNode, UnionNode
 from repro.core.evaluator import BGPBasedEvaluator, EvaluationTrace
@@ -136,9 +137,8 @@ def test_ablation_semantics_agree():
         cost_driven = run_cost_driven(text)
         engine = SparqlUOEngine(lubm_store(), bgp_engine="wco", mode="base")
         base = engine.execute(text)
-        assert engine.bgp_engine.decode_bag(blind_solutions).project(
-            base.variables
-        ) == base.solutions
+        decoded = decode_page(engine.store, blind_solutions, blind_solutions.schema)
+        assert decoded.project(base.variables) == base.solutions
         assert cost_driven.solutions == base.solutions
 
 

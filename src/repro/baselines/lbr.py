@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional as Opt, Sequence, Set, Tuple, Union as U
 
-from ..bgp.interface import decode_bag
+from ..bgp.interface import decode_page
 from ..rdf.triple import TriplePattern
 from ..sparql.algebra import SelectQuery, pattern_variables
 from ..sparql.bags import Bag, join, left_join
@@ -84,7 +84,7 @@ class LBREngine:
         names = query.projection_names()
         if names is None:
             names = sorted(pattern_variables(query.where))
-        decoded = self._decode(solutions).project(names)
+        decoded = decode_page(self.store, solutions, names)
         return LBRResult(decoded, list(names), time.perf_counter() - start, passes)
 
     # ------------------------------------------------------------------
@@ -169,12 +169,6 @@ class LBREngine:
             child_result = self._join_node(child, scope + (index,), bag_of)
             result = left_join(result, child_result)
         return result
-
-    # ------------------------------------------------------------------
-    # decoding
-    # ------------------------------------------------------------------
-    def _decode(self, bag: Bag) -> Bag:
-        return decode_bag(self.store, bag)
 
 
 def dict_by_id(entries: Sequence[_Entry]) -> Dict[Tuple[Tuple[int, ...], int], Bag]:

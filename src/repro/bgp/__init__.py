@@ -3,7 +3,7 @@
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import CompiledFilter, combine_predicates
 from .hashjoin import HashJoinEngine, binary_join_cost
-from .interface import BGPEngine, Candidates, PlanEstimate, ground_pattern_present
+from .interface import BGPEngine, Candidates, PlanEstimate
 from .plans import connected_components, greedy_pattern_order, pattern_join_vars
 from .wco import WCOJoinEngine
 
@@ -13,7 +13,6 @@ __all__ = [
     "BGPEngine",
     "Candidates",
     "PlanEstimate",
-    "ground_pattern_present",
     "CardinalityEstimator",
     "pattern_count",
     "HashJoinEngine",

@@ -15,9 +15,9 @@ Both concrete engines (:mod:`repro.bgp.wco`, :mod:`repro.bgp.hashjoin`)
 implement this interface; so could an adapter around an external store.
 
 All engine-level mappings bind variable *names* to dictionary-encoded
-integer ids.  :func:`decode_page` decodes a result page's distinct ids
-for rendering straight from the id rows; :meth:`BGPEngine.decode_bag`
-converts whole bags to term-level mappings (ordered results).
+integer ids, and every answer stays at id level up to the serializer:
+:func:`decode_page` turns a bag into an id-level result page, whose
+distinct ids :func:`decode_ids` decodes in one batch.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ __all__ = [
     "Candidates",
     "PlanEstimate",
     "BGPEngine",
-    "decode_bag",
+    "decode_ids",
     "decode_page",
-    "ground_pattern_present",
     "ticked_rows",
 ]
 
@@ -67,67 +66,43 @@ def ticked_rows(rows: Iterable, checkpoint: Callable[[], None], mask: int = 4095
         yield row
 
 
-def _decode_ids(
-    store: TripleStore, distinct: set, checkpoint: Optional[Callable[[], None]]
-) -> Dict[object, object]:
-    """id → term for ``distinct`` in one dictionary batch (plus
-    UNBOUND → UNBOUND), counted as ``terms_decoded``."""
-    distinct.discard(UNBOUND)
-    cache: Dict[object, object]
-    if checkpoint is None:
-        cache = store.decode_many(distinct)
-    else:
-        # Chunked batches keep the cooperative deadline's amortized-tick
-        # bound through the dictionary sweep (a huge result's decode must
-        # stay abortable).
-        ordered = sorted(distinct)
-        cache = {}
-        for start in range(0, len(ordered), 2048):
-            checkpoint()
-            cache.update(store.decode_many(ordered[start : start + 2048]))
-    cache[UNBOUND] = UNBOUND
-    from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
+def decode_ids(
+    store: TripleStore,
+    terms: Dict[object, object],
+    ids: set,
+    checkpoint: Optional[Callable[[], None]] = None,
+) -> None:
+    """Add to ``terms`` (an id → term map that holds :data:`UNBOUND` →
+    :data:`UNBOUND`) the term of every id in ``ids`` it does not hold.
 
-    EXEC_COUNTERS.batch_decoded_ids += len(distinct)
-    EXEC_COUNTERS.terms_decoded += len(distinct)
-    return cache
-
-
-def decode_bag(
-    store: TripleStore, bag: Bag, checkpoint: Optional[Callable[[], None]] = None
-) -> Bag:
-    """Convert an id-level bag to a term-level bag, batch-decoding.
-
-    Collects the distinct ids across the whole bag first and decodes
-    them in **one** dictionary batch (``TripleStore.decode_many``):
-    each id is decoded once regardless of how many cells repeat it, and
-    snapshot-backed lazy dictionaries sweep their mapped term section
-    in sorted id order instead of seeking per cell.  Row translation is
-    then a plain dict lookup per cell.  Shared by every engine and
-    baseline that decodes at the boundary.  ``checkpoint`` fires
-    amortized per decoded row, so the deadline machinery also bounds
-    the decode of a huge result.
+    The missing ids are decoded in **one** dictionary batch
+    (``TripleStore.decode_many``): each id once however many cells
+    repeat it, and a snapshot-backed dictionary sweeps its mapped term
+    section in sorted id order instead of seeking per cell.  They are
+    counted as ``terms_decoded``, inside a ``decode`` span opened only
+    when ids are left to decode.  With ``checkpoint`` the batch is
+    chunked and the hook fires before each chunk, so the decode of a
+    huge result stays abortable.
     """
-    rows = bag.rows
-    if not rows or not bag.schema:
-        return Bag.from_rows(bag.schema, list(rows))
+    missing = ids.difference(terms)
+    if not missing:
+        return
     tracer = _trace.ACTIVE
     if tracer is not None:
-        tracer.begin("decode", rows=len(rows), columns=len(bag.schema))
-    distinct: set = set()
-    for row in rows:
-        distinct.update(row)
-    cache = _decode_ids(store, distinct, checkpoint)
+        tracer.begin("decode")
+    if checkpoint is None:
+        terms.update(store.decode_many(missing))
+    else:
+        ordered = sorted(missing)
+        for start in range(0, len(ordered), 2048):
+            checkpoint()
+            terms.update(store.decode_many(ordered[start : start + 2048]))
     from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
 
-    EXEC_COUNTERS.decoded_cells += len(rows) * len(bag.schema)
-    source = rows if checkpoint is None else ticked_rows(rows, checkpoint)
-    decoded = Bag.from_rows(
-        bag.schema, [tuple(cache[v] for v in row) for row in source]
-    )
+    EXEC_COUNTERS.batch_decoded_ids += len(missing)
+    EXEC_COUNTERS.terms_decoded += len(missing)
     if tracer is not None:
-        tracer.end(distinct_ids=len(distinct))
-    return decoded
+        tracer.end(distinct_ids=len(missing))
 
 
 def decode_page(
@@ -137,16 +112,17 @@ def decode_page(
     offset: int = 0,
     limit: Optional[int] = None,
     checkpoint: Optional[Callable[[], None]] = None,
+    terms: Optional[Dict[object, object]] = None,
 ) -> EncodedPage:
     """The OFFSET/LIMIT page of ``bag`` projected on ``names``, decoded
     without touching a cell.
 
     The page keeps ``bag``'s id rows (sliced, never copied per row)
-    and maps each projected variable to its slot in them.  Only the
-    distinct ids in those slots are decoded, in the same one
-    dictionary batch as :func:`decode_bag` (so ``terms_decoded`` is
-    what decoding the projected page counts); the serializers render
-    from the ids, and term rows are built only for callers that read
+    and maps each projected variable to its slot in them.  Its id →
+    term map is ``terms`` (ORDER BY's key ids and GROUP BY's aggregate
+    results may already be in it), and :func:`decode_ids` adds the
+    distinct ids of the projected slots it lacks.  The serializers
+    render from the ids; term rows are built only for callers that read
     :attr:`~repro.sparql.bags.Bag.rows`.
     """
     rows = bag.rows
@@ -154,17 +130,12 @@ def decode_page(
         rows = rows[offset : None if limit is None else offset + limit]
     schema = [name for name in dict.fromkeys(names) if bag.slot(name) is not None]
     slots = {name: bag.slot(name) for name in schema}
-    if not rows or not schema:
-        return EncodedPage(schema, rows, slots, {UNBOUND: UNBOUND})
-    tracer = _trace.ACTIVE
-    if tracer is not None:
-        tracer.begin("decode", rows=len(rows), columns=len(schema))
+    if terms is None:
+        terms = {UNBOUND: UNBOUND}
     distinct: set = set()
     for slot in slots.values():
         distinct.update(map(itemgetter(slot), rows))
-    terms = _decode_ids(store, distinct, checkpoint)
-    if tracer is not None:
-        tracer.end(distinct_ids=len(distinct))
+    decode_ids(store, terms, distinct, checkpoint)
     return EncodedPage(schema, rows, slots, terms)
 
 
@@ -247,20 +218,9 @@ class BGPEngine:
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def decode_bag(self, bag: Bag, checkpoint: Optional[Callable[[], None]] = None) -> Bag:
-        """Convert id-level mappings to term-level mappings."""
-        return decode_bag(self.store, bag, checkpoint)
-
     def _pattern_variables(self, patterns: Sequence[TriplePattern]) -> Set[str]:
         out: Set[str] = set()
         for pattern in patterns:
             out.update(v.name for v in pattern.variables())
         return out
 
-
-def ground_pattern_present(store: TripleStore, pattern: TriplePattern) -> bool:
-    """Existence check for a fully ground pattern."""
-    encoded = store.encode_pattern(pattern)
-    if any(x == -1 for x in encoded):
-        return False
-    return store.count_pattern(encoded) > 0

@@ -47,11 +47,11 @@ from .datasets.lubm import generate_lubm
 from .rdf.ntriples import dump_ntriples, load_ntriples
 from .sparql.errors import SparqlError
 from .storage.snapshot import (
-    MAGIC,
     SnapshotCorruptError,
     SnapshotError,
     SnapshotReader,
     SnapshotTornError,
+    is_snapshot,
 )
 from .storage.store import TripleStore
 
@@ -65,14 +65,6 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
-def _is_snapshot(path: str) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
-
-
 def _load_store(path: str) -> TripleStore:
     """A queryable store from either a snapshot or an N-Triples file.
 
@@ -81,7 +73,7 @@ def _load_store(path: str) -> TripleStore:
     handled ``error: ...`` exit, not as a traceback from a lazy first
     touch mid-query.
     """
-    if _is_snapshot(path):
+    if is_snapshot(path):
         return TripleStore.load(path, verify=True)
     return TripleStore.from_dataset(load_ntriples(path))
 
@@ -232,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRIPLES",
         help="fold the live-write delta into the data file (atomic "
         "overwrite) once it holds this many pending adds+tombstones; "
-        "0 disables background compaction",
+        "0 disables background compaction.  The data file must be a "
+        "snapshot (make one with `repro snapshot build`): serve refuses "
+        "to start on N-Triples, which compaction would overwrite",
     )
     serve.add_argument(
         "--wal",

@@ -19,7 +19,6 @@ from .metrics import (
     ExecutionCounters,
     count_bgp,
     depth,
-    query_statistics,
 )
 from .validation import InvalidBETreeError, validate_node, validate_tree
 from .transform import (
@@ -59,7 +58,6 @@ __all__ = [
     "join_space",
     "count_bgp",
     "depth",
-    "query_statistics",
     "ExecutionCounters",
     "EXEC_COUNTERS",
     "TransformReport",

@@ -27,13 +27,13 @@ import enum
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional as Opt, Tuple, Union as U
+from typing import Callable, Dict, Iterator, List, Optional as Opt, Tuple, Union as U
 
 from .. import faults as _faults
 from ..obs import trace as _trace
 from ..obs.templates import lift_template
 from ..bgp.hashjoin import HashJoinEngine
-from ..bgp.interface import BGPEngine, decode_page
+from ..bgp.interface import BGPEngine, decode_ids, decode_page
 from ..bgp.wco import WCOJoinEngine
 from ..rdf.dataset import Dataset
 from ..rdf.terms import Term, Variable
@@ -47,9 +47,9 @@ from ..sparql.algebra import (
     pattern_variables,
 )
 from ..sparql.errors import QueryTimeoutError
-from ..sparql.bags import Bag, Mapping
+from ..sparql.bags import UNBOUND, Bag, Mapping
 from ..sparql.parser import parse_query, parse_update
-from ..sparql.semantics import distinct_bag, order_bag, slice_bag
+from ..sparql.semantics import distinct_bag, order_bag
 from ..storage.store import TripleStore
 from .betree import BETree
 from .candidates import CandidatePolicy, ThresholdMode
@@ -132,10 +132,9 @@ class QueryResult:
         template: Opt[dict] = None,
         query: Opt[SelectQuery] = None,
     ):
-        #: The answer as a bag: an id-level
-        #: :class:`~repro.sparql.bags.EncodedPage` on the unordered
-        #: path (term rows built on first read), a term-level bag after
-        #: ORDER BY or GROUP BY.
+        #: The answer as an id-level
+        #: :class:`~repro.sparql.bags.EncodedPage` (term rows built on
+        #: first read), ORDER BY and GROUP BY answers included.
         self.solutions = solutions
         self.variables = variables
         self.tree = tree
@@ -423,21 +422,24 @@ class SparqlUOEngine:
     ) -> QueryResult:
         """Run the full pipeline on a query text or parsed query.
 
-        Solution modifiers follow SPARQL 1.1's pipeline (ORDER BY →
-        projection → DISTINCT/REDUCED → OFFSET → LIMIT) with three
-        pushdown optimizations:
+        Solution modifiers follow SPARQL 1.1's pipeline (GROUP BY →
+        ORDER BY → projection → DISTINCT/REDUCED → OFFSET → LIMIT), and
+        every stage runs on the evaluator's *encoded* rows — the
+        dictionary is bijective, so id-row equality is term-row
+        equality:
 
-        - a LIMIT without ORDER BY / DISTINCT short-circuits pipelined
-          solution production inside the BGP engines (``limit_hint``);
-        - without ORDER BY, DISTINCT runs on *encoded* columnar rows —
-          the dictionary is bijective, so id-row equality is term-row
-          equality — and only the surviving page is decoded: its
-          distinct ids in the projected slots, in one batch.  The
-          result's ``solutions`` is then an
-          :class:`~repro.sparql.bags.EncodedPage` over the evaluator's
-          id rows (no projection copy unless DISTINCT needs one); the
-          serializers render it from the ids, and its term rows are
-          built only for callers that read them;
+        - a LIMIT without ORDER BY / DISTINCT / GROUP BY short-circuits
+          pipelined solution production inside the BGP engines
+          (``limit_hint``);
+        - GROUP BY folds on ids and keeps group keys as ids; ORDER BY
+          decodes only its key variables' distinct ids before a stable
+          sort of the id rows;
+        - the result's ``solutions`` is always an
+          :class:`~repro.sparql.bags.EncodedPage`: the surviving page's
+          id rows (no projection copy unless DISTINCT needs one) and
+          its id → term map, completed by one batch decode of the
+          projected ids.  The serializers render it from the ids, and
+          its term rows are built only for callers that read them;
         - FILTERs are pushed into scans / joins by the evaluator.
 
         ``timeout`` (seconds) arms a cooperative deadline: the
@@ -487,46 +489,26 @@ class SparqlUOEngine:
         names = parsed.projection_names()
         if names is None:
             names = sorted(pattern_variables(parsed.where))
+        # One modifier pipeline, on id rows throughout: ``terms`` is the
+        # result page's id → term map, and only what a stage reads
+        # enters it.
+        terms: Dict[object, object] = {UNBOUND: UNBOUND}
         if parsed.groups:
-            # Grouped execution: group keys and aggregate folds run
-            # entirely on encoded ids; only the distinct ids the output
-            # needs (group keys, non-COUNT aggregated values) are
-            # decoded — a pure COUNT decodes nothing at all.  The
-            # resulting bag is term-level (aggregate results are fresh
-            # literals outside the dictionary), so the ordinary
-            # modifier pipeline applies directly.
-            grouped = grouped_bag(self.store, parsed, solutions, checkpoint=check)
-            if check is not None:
-                check()
-            if parsed.order_by:
-                grouped = order_bag(grouped, parsed.order_by)
-            if parsed.deduplicates:
-                grouped = distinct_bag(grouped)
-            projected = slice_bag(grouped, parsed.offset, parsed.limit)
-        elif parsed.order_by:
-            # Ordering precedes projection (keys may use non-projected
-            # variables), so the full bag is decoded first.  The decode
-            # loop re-enters the checkpoint; the modifier stages check
-            # once in between, so the deadline also bounds the
-            # post-evaluation pipeline rather than only the BGP phase.
-            decoded = order_bag(
-                self.bgp_engine.decode_bag(solutions, checkpoint=check), parsed.order_by
-            )
-            if check is not None:
-                check()
-            projected = decoded.project(names)
-            if parsed.deduplicates:
-                projected = distinct_bag(projected)
-            projected = slice_bag(projected, parsed.offset, parsed.limit)
-        else:
-            if parsed.deduplicates:
-                # On encoded rows, pre-decode.
-                solutions = distinct_bag(solutions.project(names))
-                if check is not None:
-                    check()
-            projected = decode_page(
-                self.store, solutions, names, parsed.offset, parsed.limit, check
-            )
+            solutions = grouped_bag(self.store, parsed, solutions, terms, checkpoint=check)
+        if parsed.order_by:
+            # Ordering precedes projection (keys may read non-projected
+            # variables): decode just the key variables' distinct ids.
+            keys = {name for c in parsed.order_by for name in c.expression.variables()}
+            ids = set().union(*map(solutions.distinct_values, keys))
+            decode_ids(self.store, terms, ids, check)
+            solutions = order_bag(solutions, parsed.order_by, terms, check)
+        if parsed.deduplicates:
+            solutions = distinct_bag(solutions.project(names))
+        if check is not None:
+            check()
+        projected = decode_page(
+            self.store, solutions, names, parsed.offset, parsed.limit, check, terms
+        )
         execute_seconds = time.perf_counter() - execute_start
 
         return QueryResult(

@@ -9,14 +9,15 @@ raw integer ids without materializing a single term:
 - ``COUNT(*)`` / ``COUNT(?v)`` tally rows (or non-UNBOUND cells), and
   their DISTINCT forms tally id-sets — zero decodes end to end;
 - ``SUM`` / ``AVG`` / ``MIN`` / ``MAX`` accumulate id→multiplicity maps
-  and decode only the *distinct* ids of the aggregated column (plus the
-  group-key ids for the output columns) in one ``decode_many`` batch,
-  then fold through the shared term-level semantics of
-  :func:`repro.sparql.aggregates.aggregate_terms`.
+  and decode only the *distinct* ids of the aggregated column in one
+  ``decode_many`` batch, then fold through the shared term-level
+  semantics of :func:`repro.sparql.aggregates.aggregate_terms`.
 
-Every id materialized here is counted in the ``terms_decoded`` exec
-counter — a pure-COUNT query over any dataset therefore reports
-``terms_decoded == 0``, the invariant the aggregate benchmark gates.
+The result stays at id level like every other answer: group-key cells
+are ids, decoded with the result page, and each aggregate result term
+keys itself in the page's id → term map.  Every id materialized is
+counted in the ``terms_decoded`` exec counter — a pure-COUNT query over
+any dataset therefore reports ``terms_decoded == 0``.
 
 Aggregates fold over the *bound* values of their column (UNBOUND cells
 are skipped); the differential oracle applies the same rule, so both
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional as Opt, Tuple
 
+from ..bgp.interface import decode_ids
 from ..rdf.terms import Variable
 from ..sparql.aggregates import aggregate_terms, count_literal
 from ..sparql.algebra import Aggregate, SelectQuery
 from ..sparql.bags import Bag, UNBOUND
-from .metrics import EXEC_COUNTERS
 
 __all__ = ["grouped_bag"]
 
@@ -115,12 +116,15 @@ def grouped_bag(
     store,
     parsed: SelectQuery,
     solutions: Bag,
+    terms: Dict[object, object],
     checkpoint: Opt[Callable[[], None]] = None,
 ) -> Bag:
-    """Group + fold an encoded solution bag into a term-level result bag.
+    """Group + fold an encoded solution bag into an id-level result bag.
 
     The output schema is the query's projection order (group keys and
-    aggregate aliases interleaved as written).  With no GROUP BY keys
+    aggregate aliases interleaved as written).  Group-key cells stay
+    ids; each aggregate result is a fresh term, which is added to the
+    id → term map ``terms`` keyed by itself.  With no GROUP BY keys
     there is exactly one implicit group — present even when the input
     is empty, per SPARQL 1.1 (``COUNT`` of nothing is 0).
     """
@@ -162,17 +166,12 @@ def grouped_bag(
         groups[()] = state
 
     # One batch decode for everything the fold needs: the distinct ids
-    # of non-COUNT aggregated columns plus the group-key ids.
+    # of non-COUNT aggregated columns (group keys decode with the page).
     needed: set = set()
     for state in groups.values():
         for j, spec in enumerate(specs):
             needed.update(spec.needed_ids(state[j]))
-    for key in groups:
-        needed.update(v for v in key if v is not UNBOUND)
-    decoded: Dict[int, object] = store.decode_many(needed) if needed else {}
-    if needed:
-        EXEC_COUNTERS.batch_decoded_ids += len(needed)
-        EXEC_COUNTERS.terms_decoded += len(needed)
+    decode_ids(store, terms, needed, checkpoint)
 
     # Emit in projection order; group order follows first occurrence
     # (dict insertion order), which ORDER BY downstream may rearrange.
@@ -185,11 +184,10 @@ def grouped_bag(
         agg_at = 0
         for item in parsed.variables:  # type: ignore[union-attr]
             if isinstance(item, Variable):
-                value = key[key_index[item.name]]
-                cells.append(UNBOUND if value is UNBOUND else decoded[value])
+                cells.append(key[key_index[item.name]])
             else:
-                term = specs[agg_at].fold(state[agg_at], decoded)
-                cells.append(UNBOUND if term is None else term)
+                term = specs[agg_at].fold(state[agg_at], terms)
+                cells.append(UNBOUND if term is None else terms.setdefault(term, term))
                 agg_at += 1
         out_rows.append(tuple(cells))
     if tracer is not None:

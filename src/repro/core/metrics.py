@@ -37,7 +37,6 @@ from .betree import BETree
 __all__ = [
     "count_bgp",
     "depth",
-    "query_statistics",
     "ExecutionCounters",
     "EXEC_COUNTERS",
 ]
@@ -130,12 +129,6 @@ def depth(source) -> int:
     if isinstance(source, BETree):
         return _depth_group(source.to_group())
     raise TypeError(f"cannot compute depth of {source!r}")
-
-
-def query_statistics(query: SelectQuery) -> dict:
-    """Tables 3–4 row for a query: Count_BGP and Depth (result size is
-    measured by the caller, which has the dataset)."""
-    return {"count_bgp": count_bgp(query), "depth": depth(query)}
 
 
 def _as_tree(source) -> BETree:

@@ -33,6 +33,7 @@ from .. import faults as _faults
 from ..obs import SlowQueryLog, TemplateRegistry
 from ..obs import trace as _obs_trace
 from ..sparql.errors import SparqlError
+from ..storage.snapshot import SnapshotError, is_snapshot
 from ..storage.wal import WalCorruptError, WriteAheadLog
 from .cache import CachedResult, ResultCache
 from .config import ServerConfig
@@ -598,6 +599,12 @@ class SparqlServer:
     """The assembled service: pool + cache + metrics + HTTP listener."""
 
     def __init__(self, config: ServerConfig):
+        if config.compact_threshold > 0 and not is_snapshot(config.data):
+            # Compaction publishes a snapshot over the data file.
+            raise SnapshotError(
+                f"--compact-threshold needs a snapshot data file, and {config.data!r} "
+                "is not one; build one with `repro snapshot build` and serve that"
+            )
         self.config = config
         self.metrics = ServerMetrics()
         self.cache = ResultCache(config.cache_entries, config.cache_bytes)
@@ -991,7 +998,7 @@ def serve(config: ServerConfig, out=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (PoolError, OSError) as exc:
+    except (PoolError, OSError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wal_note = (

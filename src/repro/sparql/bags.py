@@ -290,7 +290,11 @@ class EncodedPage(Bag):
     the page: SELECT may keep only some of their columns); ``id_slots``
     maps each variable of ``schema`` to its slot in those rows, and
     ``terms`` maps every id the page can show to its term (plus
-    :data:`UNBOUND` to itself).  The serializers in
+    :data:`UNBOUND` to itself; a GROUP BY aggregate result is a fresh
+    term outside the dictionary, so it sits in the rows as itself and
+    keys itself in ``terms``).  Every SELECT answer
+    :meth:`~repro.core.engine.SparqlUOEngine.execute` returns is one of
+    these, ORDER BY and GROUP BY answers included.  The serializers in
     :mod:`repro.sparql.results` render straight from the ids; every
     other caller sees an ordinary term-level :class:`Bag`, whose rows
     are built from ``terms`` the first time ``rows`` (or anything that

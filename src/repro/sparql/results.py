@@ -2,10 +2,10 @@
 
 Downstream consumers of a SPARQL engine almost always want results in
 the W3C interchange formats rather than Python objects; this module
-renders a solution bag — usually the id-level
+renders a solution bag — the id-level
 :class:`~repro.sparql.bags.EncodedPage` that
-:meth:`repro.core.engine.SparqlUOEngine.execute` returns, or any
-term-level :class:`~repro.sparql.bags.Bag` — in:
+:meth:`repro.core.engine.SparqlUOEngine.execute` returns for every
+SELECT, or any term-level :class:`~repro.sparql.bags.Bag` — in:
 
 - the *SPARQL 1.1 Query Results JSON Format* (``application/sparql-results+json``),
 - the *SPARQL 1.1 Query Results CSV Format* (``text/csv``),
@@ -22,14 +22,12 @@ terms across its cells.  Each format therefore has one chunk generator
 that walks the rows by slot and renders each distinct cell once into a
 memo — one memo per column for JSON (the fragment includes its
 ``"var": `` prefix), one shared memo for CSV/TSV — then assembles rows
-by joining cached fragments.  The two bag forms differ only in how a
-cell reaches its term (:class:`_Cells`): an id-level page's cells are
-term ids in the evaluator's rows, keyed by the id and rendered from the
-page's id → term map (decoded in one batch by ``execute``), so no term
-row is ever built; a term-level bag's cells are terms, keyed by
-``id(term)``, which is sound because the bag keeps every term alive for
-the whole call (value-equal terms that are distinct objects, e.g.
-grouped aggregates, just render twice).  JSON fragments are escaped
+by joining cached fragments.  There is one result form (:class:`_Cells`):
+an id-level page, whose cells key the memo and reach their terms
+through the page's id → term map (decoded in one batch by ``execute``;
+a GROUP BY aggregate result keys itself), so no term row is ever
+built.  A term-level bag from a library caller becomes a page whose
+map sends each cell to itself.  JSON fragments are escaped
 with :func:`json.encoder.encode_basestring`, the escaper behind
 ``json.dumps(ensure_ascii=False)``, so the output is byte-identical to
 dumping one binding object per row.
@@ -76,25 +74,35 @@ CHUNK_ROWS = 4096
 Checkpoint = Optional[Callable[[], None]]
 
 
+class _Itself(dict):
+    """The id → term map of a term-level bag: each cell is its own term."""
+
+    def __missing__(self, cell):
+        return cell
+
+
 class _Cells:
-    """How the chunk generators reach a result's cells: the rows, each
-    variable's slot in them, and — for an id-level page — the id → term
-    map (``None`` when the cells are terms; see the module docstring)."""
+    """How the chunk generators reach a result's cells: the id rows,
+    each variable's slot in them and the page's id → term map (see the
+    module docstring)."""
 
     __slots__ = ("rows", "slot", "terms")
 
     def __init__(self, solutions: Iterable[Mapping]):
         if isinstance(solutions, EncodedPage):
-            self.rows: List[Row] = solutions.id_rows
-            self.slot: Callable[[str], Optional[int]] = solutions.id_slots.get
-            self.terms: Optional[Dict[object, GroundTerm]] = solutions.terms
+            page = solutions
         else:
+            # A term-level bag is a page whose map sends each cell to itself.
             bag = solutions if isinstance(solutions, Bag) else Bag(solutions)
-            self.rows, self.slot, self.terms = bag.rows, bag.slot, None
+            slots = {name: bag.slot(name) for name in bag.schema}
+            page = EncodedPage(bag.schema, bag.rows, slots, _Itself())
+        self.rows: List[Row] = page.id_rows
+        self.slot: Callable[[str], Optional[int]] = page.id_slots.get
+        self.terms: Dict[object, GroundTerm] = page.terms
 
     def memo(self) -> Dict[object, str]:
         """A fresh fragment memo, with the unbound cell rendered as ``""``."""
-        return {id(UNBOUND) if self.terms is None else UNBOUND: ""}
+        return {UNBOUND: ""}
 
     def chunks(self, checkpoint: Checkpoint) -> Iterator[List[Row]]:
         """The rows, :data:`CHUNK_ROWS` at a time, ``checkpoint`` before each."""
@@ -113,15 +121,13 @@ class _Cells:
     ) -> List[str]:
         """The fragments of column ``slot`` over ``rows``, each distinct
         cell rendered once into ``memo``."""
-        terms = self.terms
-        cells = map(itemgetter(slot), rows)
         try:
-            return list(map(memo.__getitem__, map(id, cells) if terms is None else cells))
+            return list(map(memo.__getitem__, map(itemgetter(slot), rows)))
         except KeyError:
+            terms = self.terms
             for cell in map(itemgetter(slot), rows):
-                key = id(cell) if terms is None else cell
-                if key not in memo:
-                    memo[key] = render(cell if terms is None else terms[cell])
+                if cell not in memo:
+                    memo[cell] = render(terms[cell])
             return self.column(rows, slot, memo, render)
 
 

@@ -78,6 +78,7 @@ __all__ = [
     "SnapshotReader",
     "LazyTermDictionary",
     "atomic_overwrite",
+    "is_snapshot",
     "quarantine_snapshot",
     "write_snapshot",
     "encode_term_record",
@@ -131,6 +132,16 @@ class SnapshotTornError(SnapshotError):
 class SnapshotCorruptError(SnapshotError):
     """The file is complete but its contents are wrong: checksum
     mismatches, malformed term records, out-of-bounds offsets."""
+
+
+def is_snapshot(path: str) -> bool:
+    """True when ``path`` starts with the snapshot magic (False when
+    it is unreadable)."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(len(MAGIC)) == MAGIC
+    except OSError:
+        return False
 
 
 #: Appended to a bad snapshot's name when it is quarantined.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
+from repro.bgp.interface import decode_page
 from repro.rdf import Dataset, IRI, TriplePattern, Variable
 from repro.sparql.bags import Bag, join as bag_join
 from repro.sparql.semantics import evaluate_triple_pattern
@@ -70,7 +71,8 @@ class TestAgainstReference:
     )
     def test_matches_reference(self, engine, graph, patterns):
         expected = reference_bgp(patterns, graph)
-        assert engine.decode_bag(engine.evaluate(patterns)) == expected
+        bag = engine.evaluate(patterns)
+        assert decode_page(engine.store, bag, bag.schema) == expected
 
     def test_empty_bgp_is_identity(self, engine):
         assert engine.evaluate([]) == Bag.identity()
@@ -161,9 +163,10 @@ class TestEstimates:
 
 
 class TestDecodeHelpers:
-    def test_decode_bag(self, engine, graph_store):
+    def test_decode_page(self, engine, graph_store):
         n0 = graph_store.lookup(IRI(EX + "n0"))
-        decoded = engine.decode_bag(Bag([{"x": n0}]))
+        bag = Bag([{"x": n0}])
+        decoded = decode_page(engine.store, bag, bag.schema)
         assert decoded == Bag([{"x": IRI(EX + "n0")}])
 
 
@@ -174,8 +177,8 @@ class TestPropertyEquivalence:
         store = TripleStore.from_dataset(dataset)
         expected = reference_bgp(patterns, dataset)
         for cls in (WCOJoinEngine, HashJoinEngine):
-            engine = cls(store)
-            assert engine.decode_bag(engine.evaluate(patterns)) == expected
+            bag = cls(store).evaluate(patterns)
+            assert decode_page(store, bag, bag.schema) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(datasets(), st.lists(triple_patterns(), min_size=1, max_size=2))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
+from repro.bgp.interface import decode_page
 from repro.core import BETree, CandidatePolicy, ThresholdMode
 from repro.core.evaluator import BGPBasedEvaluator, EvaluationTrace
 from repro.sparql import SelectQuery, execute_query, parse_group
@@ -39,7 +40,8 @@ class TestAlgorithm1:
     def test_matches_reference(self, engine, university_dataset, text):
         tree = BETree.from_group(parse_group(text))
         evaluator = BGPBasedEvaluator(engine)
-        result = engine.decode_bag(evaluator.evaluate(tree))
+        solutions = evaluator.evaluate(tree)
+        result = decode_page(engine.store, solutions, solutions.schema)
         names = sorted(result.variables())
         assert result.project(names) == reference(text, university_dataset).project(names)
 

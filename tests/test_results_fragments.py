@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.interface import decode_page
 from repro.core import SparqlUOEngine
 from repro.core.evaluator import EvaluationTrace
 from repro.core.metrics import EXEC_COUNTERS
@@ -31,7 +32,10 @@ from repro.sparql.algebra import pattern_variables
 from repro.sparql.bags import UNBOUND, Bag, EncodedPage
 from repro.sparql.errors import QueryTimeoutError
 from repro.sparql.results import CHUNK_ROWS, SERIALIZERS, WRITERS, to_tsv
+from repro.sparql.expressions import order_key_for_binding
 from repro.sparql.semantics import distinct_bag, slice_bag
+
+from . import oracle
 
 FORMATS = ("json", "csv", "tsv")
 
@@ -334,7 +338,7 @@ def _shared_json_memo():
     memos = {}
 
     def memo(self):
-        return memos.setdefault(id(self), {id(UNBOUND) if self.terms is None else UNBOUND: ""})
+        return memos.setdefault(id(self), {UNBOUND: ""})
 
     return mock.patch.object(results._Cells, "memo", memo)
 
@@ -347,7 +351,7 @@ def _positional_memo():
         keys = [UNBOUND if cell is UNBOUND else ("at", i) for i, cell in enumerate(cells)]
         for key, cell in zip(keys, cells):
             if key not in memo:
-                memo[key] = render(cell if self.terms is None else self.terms[cell])
+                memo[key] = render(self.terms[cell])
         return [memo[key] for key in keys]
 
     return mock.patch.object(results._Cells, "column", column)
@@ -396,7 +400,7 @@ def legacy_execute(engine, text):
     if parsed.deduplicates:
         page = distinct_bag(page)
     page = slice_bag(page, parsed.offset, parsed.limit)
-    decoded = engine.bgp_engine.decode_bag(page)
+    decoded = Bag.from_rows(page.schema, decode_page(engine.store, page, page.schema).rows)
     return decoded, EXEC_COUNTERS.delta_since(before)
 
 
@@ -495,3 +499,106 @@ def test_the_term_view_equals_the_decoded_bag(lubm_engine, shape):
     before = EXEC_COUNTERS.snapshot()
     assert list(fresh) == list(decoded)
     assert EXEC_COUNTERS.delta_since(before)["decoded_cells"] == len(page) * len(page.schema)
+
+
+# ----------------------------------------------------------------------
+# one result form: ordered and grouped answers are id-level pages too
+# ----------------------------------------------------------------------
+_UB = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+FORM_QUERIES = {
+    "plain": _UB + "SELECT ?x ?n WHERE { ?x ub:name ?n OPTIONAL { ?x ub:emailAddress ?e } }",
+    "distinct": _UB + "SELECT DISTINCT ?c WHERE { ?x ub:takesCourse ?c }",
+    "limit_offset": _UB + "SELECT * WHERE { ?s ub:name ?n OPTIONAL { ?s ub:emailAddress ?e } } "
+    "LIMIT 25 OFFSET 40",
+    # ?n orders but is not projected; ties on it fall back to ?c.
+    "order_multi_key": _UB + "SELECT ?x ?c WHERE { ?x ub:takesCourse ?c . ?x ub:name ?n } "
+    "ORDER BY DESC(?n) ASC(?c) LIMIT 60 OFFSET 7",
+    "group_order_by_alias": _UB + "SELECT ?c (COUNT(?x) AS ?k) (MIN(?n) AS ?m) WHERE { "
+    "?x ub:takesCourse ?c . ?x ub:name ?n } GROUP BY ?c ORDER BY DESC(?k) ?c",
+    "aggregate_no_group": _UB + "SELECT (COUNT(*) AS ?k) (MAX(?n) AS ?m) WHERE { ?x ub:name ?n }",
+}
+
+
+def frozen_execute(engine, text):
+    """The term-level modifier pipeline, frozen: decode every cell of
+    the evaluator's bag here (one dictionary batch, then a lookup per
+    cell), then group, order, project, dedupe and slice the term
+    mappings with the oracle's semantics.  Returns (variables, rows)."""
+    prepared = engine.prepare(text)
+    parsed = prepared.query
+    limit_hint = None
+    if parsed.limit is not None and not (
+        parsed.order_by or parsed.deduplicates or parsed.groups
+    ):
+        limit_hint = parsed.offset + parsed.limit
+    bag = engine.evaluator.evaluate(prepared.tree, EvaluationTrace(), limit_hint=limit_hint)
+    ids = {cell for row in bag.rows for cell in row if cell is not UNBOUND}
+    terms = engine.store.decode_many(ids)
+    solutions = [
+        {name: terms[cell] for name, cell in zip(bag.schema, row) if cell is not UNBOUND}
+        for row in bag.rows
+    ]
+    if parsed.groups:
+        solutions = oracle.grouped_solutions(parsed, solutions)
+    names = parsed.projection_names()
+    if names is None:
+        names = sorted(pattern_variables(parsed.where))
+    for condition in reversed(parsed.order_by):
+        solutions.sort(
+            key=lambda mu, e=condition.expression: order_key_for_binding(e, mu),
+            reverse=not condition.ascending,
+        )
+    rows = [{name: mu[name] for name in names if name in mu} for mu in solutions]
+    if parsed.deduplicates:
+        rows = list({oracle.solution_key(mu): mu for mu in rows}.values())
+    rows = rows[parsed.offset :]
+    if parsed.limit is not None:
+        rows = rows[: parsed.limit]
+    return list(names), rows
+
+
+@pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
+@pytest.mark.parametrize("shape", sorted(FORM_QUERIES))
+def test_every_select_is_an_id_level_page(lubm_store, bgp_engine, shape):
+    engine = SparqlUOEngine(lubm_store, bgp_engine=bgp_engine)
+    result = engine.execute(FORM_QUERIES[shape])
+    assert isinstance(result.solutions, EncodedPage)
+    assert result.exec_counters["decoded_cells"] == 0
+    variables, rows = frozen_execute(engine, FORM_QUERIES[shape])
+    assert result.variables == variables and len(rows) > 0
+    for fmt in FORMATS:
+        _same(
+            f"{shape} as {fmt}",
+            SERIALIZERS[fmt](result.variables, result.solutions),
+            reference(fmt, variables, rows),
+        )
+    assert result.solutions._term_rows is None
+
+
+def test_order_by_decodes_only_its_keys_and_the_page(lubm_store):
+    text = _UB + "SELECT ?x ?n WHERE { ?x ub:name ?n } ORDER BY ?n LIMIT 10"
+    engine = SparqlUOEngine(lubm_store)
+    result = engine.execute(text)
+    bag = engine.evaluator.evaluate(engine.prepare(text).tree, EvaluationTrace())
+    keys = bag.distinct_values("n")
+    page = result.solutions
+    shown = {row[slot] for row in page.id_rows for slot in page.id_slots.values()}
+    assert result.exec_counters["terms_decoded"] == len(keys | shown)
+    every = {cell for row in bag.rows for cell in row}
+    assert len(keys | shown) < len(every)  # the whole bag is never decoded
+
+
+def test_order_by_stays_abortable(lubm_u1_store):
+    """The ORDER BY key loop re-enters the checkpoint once per 4096
+    rows, as decoding the whole bag once did."""
+    where = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
+    engine = SparqlUOEngine(lubm_u1_store)
+    calls = {"plain": 0, "ordered": 0}
+    for label, text in (("plain", where), ("ordered", where + " ORDER BY ?o")):
+
+        def checkpoint(label=label):
+            calls[label] += 1
+
+        rows = len(engine.execute(text, checkpoint=checkpoint))
+    assert rows == 12_902
+    assert calls["ordered"] - calls["plain"] >= rows // 4096

@@ -1077,6 +1077,27 @@ class TestLiveUpdates:
             # Queries still answer after compaction.
             assert len(_live_rows(instance)) == 1
 
+    def test_compaction_refuses_an_ntriples_data_file(self, tmp_path, capsys):
+        """Compaction publishes a binary snapshot over the data file, so
+        a positive threshold on an N-Triples file refuses to start
+        rather than overwrite the user's text."""
+        from repro.rdf.ntriples import dump_ntriples
+        from repro.server import serve
+        from repro.storage.snapshot import SnapshotError
+
+        data = str(tmp_path / "data.nt")
+        dump_ntriples(generate_lubm(universities=1, seed=42), data)
+        before = open(data, "rb").read()
+        config = ServerConfig(
+            data=data, port=0, workers=1, timeout=15.0, compact_threshold=1
+        )
+        with pytest.raises(SnapshotError, match="repro snapshot build"):
+            with SparqlServer(config):
+                pass
+        assert serve(config) == 2
+        assert "repro snapshot build" in capsys.readouterr().err
+        assert open(data, "rb").read() == before
+
     def test_respawned_worker_replays_updates(self, rw_server):
         post_update(rw_server, f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}")
         # Kill one worker; the pool heals it and must replay the update
