@@ -147,10 +147,14 @@ class HashJoinEngine(BGPEngine):
                 scan_filters = [f for f in remaining if f.variables <= scan_covered]
                 if scan_filters:
                     remaining = [f for f in remaining if f not in scan_filters]
-                    # Batch path: kernel-lowered filters screen the scan
-                    # in compare-and-compact chunks (order-preserving, so
-                    # sort tags stay truthful); the rest run per row.
-                    rows = _filtered_rows(scan_filters, schema, rows)
+                    if index == last and limit is not None:
+                        # A LIMIT can stop this scan: screen per row, so
+                        # no id is decoded from a row never returned.
+                        rows = filter(_combine(scan_filters, schema), rows)
+                    else:
+                        # Compare-and-compact chunks (order-preserving,
+                        # so sort tags stay truthful).
+                        rows = _filtered_rows(scan_filters, schema, rows)
                     run_values = None  # rows may drop; the raw run is stale
             join_filters: List = []
             stop: Optional[int] = None

@@ -195,8 +195,12 @@ class BGPEngine:
         :class:`~repro.bgp.filters.CompiledFilter` whose variables are
         all covered by the BGP; engines must apply every one before
         returning (pushing them into scans/joins is their optimization
-        choice).  ``limit`` permits — but does not require — stopping
-        production after that many (post-filter) result rows.
+        choice).  A loop that ``limit`` or a join can stop early reads a
+        filter per row (``row_predicate``); any other stream is screened
+        in compare-and-compact batches (``compact``).  Both read one
+        verdict memo, so the choice changes work, never results.
+        ``limit`` permits — but does not require — stopping production
+        after that many (post-filter) result rows.
 
         ``checkpoint`` is a cooperative-cancellation hook: when given,
         engines must invoke it at least once per pattern step and are

@@ -43,9 +43,8 @@ from ..sparql.bags import Bag, Row
 from ..storage.runs import leapfrog_spans
 from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
-from .filters import combine_predicates as _combine
+from .filters import KERNEL_CHUNK, combine_predicates as _combine, compact_rows
 from .interface import BGPEngine, Candidates, PlanEstimate, ticked_rows
-from .kernels import KERNEL_CHUNK, FilterKernel
 from .plans import greedy_pattern_order
 
 __all__ = ["WCOJoinEngine"]
@@ -58,19 +57,11 @@ def _exec_counters():
     return EXEC_COUNTERS
 
 
-def _compact_tail(
-    out: List[Row], start: int, kernels: Sequence[Tuple[FilterKernel, int]]
-) -> int:
+def _compact_tail(out: List[Row], start: int, filters, schema: Sequence[str]) -> int:
     """Compare-and-compact ``out[start:]`` in place; returns the new
     already-screened length.  Order-preserving, so the extension loop can
     flush pending emissions chunk by chunk."""
-    tail: List[Row] = out[start:]
-    for kernel, slot in kernels:
-        tail = kernel.compact(tail, slot)
-        if not tail:
-            break
-    del out[start:]
-    out.extend(tail)
+    out[start:] = compact_rows(filters, schema, out[start:])
     return len(out)
 
 
@@ -302,12 +293,14 @@ class WCOJoinEngine(BGPEngine):
         not once per partial tuple.
 
         ``filters`` is a *mutable* list of compiled filters: every
-        filter covered by the schema after this edge's extension is
-        evaluated inline on each extended tuple (dropping it before it
-        is ever materialized) and removed from the list.  ``stop_at``
+        filter covered by the schema after this edge's extension runs
+        on this edge's output and is removed from the list.  ``stop_at``
         aborts extension once that many (post-filter) tuples exist; it
         is ignored while uncovered filters remain, since rows could
-        still be dropped later.
+        still be dropped later.  With ``stop_at`` armed the filters read
+        their verdict memos per extended tuple, so early exit counts
+        surviving rows; otherwise the emitted rows are compacted in
+        :data:`~repro.bgp.filters.KERNEL_CHUNK`-row batches.
 
         A single-new-vertex extension with ``verifiers`` and/or a
         candidate set runs as a leapfrog intersection of sorted runs
@@ -349,7 +342,7 @@ class WCOJoinEngine(BGPEngine):
             slots[name] = len(slots)
 
         keep = None
-        batch_kernels: List[Tuple[FilterKernel, int]] = []
+        batch: List = []
         if filters:
             covered = set(schema)
             eligible = [f for f in filters if f.variables <= covered]
@@ -357,23 +350,15 @@ class WCOJoinEngine(BGPEngine):
                 filters.remove(compiled)
             if stop_at is not None and filters:
                 stop_at = None  # uncovered filters could still drop rows
-            if eligible:
-                if stop_at is None:
-                    # Lowered kernels compact the emitted rows in chunks;
-                    # only the residual stays on the per-row predicate.
-                    # With a LIMIT armed the inline predicate is kept for
-                    # every filter so early exit counts surviving rows.
-                    slow: List = []
-                    for compiled in eligible:
-                        slot = compiled.kernel_slot(schema)
-                        if slot is not None:
-                            assert compiled.kernel is not None
-                            batch_kernels.append((compiled.kernel, slot))
-                        else:
-                            slow.append(compiled)
-                    keep = _combine(slow, schema)
-                else:
-                    keep = _combine(eligible, schema)
+            if stop_at is None:
+                # The whole extension runs: compact its emitted rows in
+                # chunks.
+                batch = eligible
+            else:
+                # A LIMIT can stop the extension: screen per row, so
+                # early exit counts surviving rows and decodes no id of
+                # a row never returned.
+                keep = _combine(eligible, schema)
 
         # ------------------------------------------------------------------
         # leapfrog fast path: one new endpoint vertex, runs to intersect
@@ -397,8 +382,8 @@ class WCOJoinEngine(BGPEngine):
                         checkpoint,
                         counters,
                     )
-                    if batch_kernels:
-                        _compact_tail(out, 0, batch_kernels)
+                    if batch:
+                        _compact_tail(out, 0, batch, schema)
                     return out
         assert not verifiers  # verifiers are only collected for the fast path
 
@@ -424,7 +409,7 @@ class WCOJoinEngine(BGPEngine):
                 return ticked_rows(_raw(s, p, o), _check)
 
         out: List[Row] = []
-        compacted_to = 0  # out[:compacted_to] is already kernel-screened
+        compacted_to = 0  # out[:compacted_to] is already batch-screened
         tick = 0  # outer-loop tick: empty scans must still hit the hook
         for row in rows:
             if checkpoint is not None:
@@ -460,12 +445,12 @@ class WCOJoinEngine(BGPEngine):
                 if keep is not None and not keep(extended):
                     continue
                 out.append(extended)
-                if batch_kernels and len(out) - compacted_to >= KERNEL_CHUNK:
-                    compacted_to = _compact_tail(out, compacted_to, batch_kernels)
+                if batch and len(out) - compacted_to >= KERNEL_CHUNK:
+                    compacted_to = _compact_tail(out, compacted_to, batch, schema)
                 if stop_at is not None and len(out) >= stop_at:
                     return out
-        if batch_kernels:
-            _compact_tail(out, compacted_to, batch_kernels)
+        if batch:
+            _compact_tail(out, compacted_to, batch, schema)
         return out
 
     def _extend_leapfrog(

@@ -384,7 +384,7 @@ def _command_query(args, out) -> int:
         print(
             f"# decode: {counters.get('terms_decoded', 0)} terms materialized | "
             f"{counters.get('batch_decoded_ids', 0)} batch-decoded ids | "
-            f"{counters.get('rows_kernel_filtered', 0)} rows kernel-screened",
+            f"{counters.get('rows_kernel_filtered', 0)} rows batch-screened",
             file=stats_out,
         )
         if result.template is not None:

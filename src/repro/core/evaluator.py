@@ -47,6 +47,12 @@ references it is tested against):
 - remaining filters run at group end with full SPARQL error semantics
   (unbound variable ⇒ error ⇒ row dropped, unless BOUND / || rescue).
 
+Every filter is one :class:`~repro.bgp.filters.CompiledFilter` per
+group, whatever its expression: a verdict memo per distinct key of
+variable ids, reused across the BGP, certain-variable and group-end
+schemas it meets.  Certain-variable and group-end application screen
+the accumulated bag in compare-and-compact batches.
+
 Early filtering also shrinks the candidate bags flowing into nested
 structures, compounding with §6's pruning.
 

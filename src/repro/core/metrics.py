@@ -57,7 +57,7 @@ EXEC_COUNTER_FIELDS = (
     "rows_materialized", # rows emitted into result bags by BGP engines
     "batch_decoded_ids", # distinct ids decoded by batch result decode
     "decoded_cells",     # term-level result cells built (0 when rendered from ids)
-    "rows_kernel_filtered",  # rows screened by batch compare-and-compact kernels
+    "rows_kernel_filtered",  # rows screened by a FILTER memo's batch compare-and-compact form
     "terms_decoded",     # ids materialized into terms anywhere (0 = zero-decode)
     "operators_skipped_empty",  # group children never evaluated: left side was ∅
     "join_rows",         # rows emitted by the evaluator's bag join / left join / union

@@ -385,7 +385,7 @@ def random_aggregate_query(rng: random.Random, max_depth: int = 2) -> SelectQuer
     - a query with no matching rows and no GROUP BY exercises the
       implicit empty group (COUNT must be 0, not an empty result);
     - every function × DISTINCT, COUNT(*) and COUNT(DISTINCT *)
-      included, plus optional FILTERs (kernel-eligible and not),
+      included, plus optional FILTERs (one- and multi-variable),
       ORDER BY over aliases, DISTINCT and paging.
     """
     where = _random_group(rng, max_depth)

@@ -265,14 +265,16 @@ class TestKernels:
         assert len(result) == 6
         assert EXEC_COUNTERS.rows_kernel_filtered >= 12
 
-    def test_regex_stays_on_row_loop(self, store):
+    def test_regex_is_batch_screened(self, store):
+        # REGEX takes the same verdict memo as a comparison: one path
+        # for every expression shape.
         engine = SparqlUOEngine(store)
         EXEC_COUNTERS.reset()
         result = engine.execute(
             f'SELECT ?s WHERE {{ ?s <{EX}label> ?l . FILTER regex(?l, "n1") }}'
         )
         assert len(result) == 1  # labels are n0,n2,...,n10 — only n10 matches "n1"
-        assert EXEC_COUNTERS.rows_kernel_filtered == 0
+        assert EXEC_COUNTERS.rows_kernel_filtered > 0
 
     #: LUBM u1 filters the kernels must screen → (query, results,
     #: terms_decoded: the verdict memo's distinct ids plus the output).
@@ -300,6 +302,58 @@ class TestKernels:
         assert len(result) == rows
         assert result.exec_counters["rows_kernel_filtered"] > 0
         assert result.exec_counters["terms_decoded"] == decoded
+
+    #: LUBM u1 shapes → (WHERE body, unlimited rows, unlimited
+    #: (terms_decoded, rows_materialized), LIMIT 10 (terms_decoded by
+    #: engine, rows_materialized)).  Whatever the expression, a LIMIT
+    #: that can stop a scan or extension screens it per row, so it
+    #: decodes no id of a row it never returns.
+    LUBM_COUNTS = {
+        "regex_two_patterns": (
+            f"?s <{UB}takesCourse> ?c . ?c <{UB}name> ?n . FILTER(regex(?n, \"1\"))",
+            345,
+            (803, 1011),
+            ({"wco": 454, "hashjoin": 454}, 676),
+        ),
+        "two_variable_inequality": (
+            f"?s <{UB}takesCourse> ?c . ?c <{UB}name> ?n . ?s <{UB}name> ?m . "
+            "FILTER(?n != ?m)",
+            3240,
+            (2606, 8386),
+            ({"wco": 33, "hashjoin": 31}, 5156),
+        ),
+        "regex_one_pattern": (
+            f"?c <{UB}name> ?n . FILTER(regex(?n, \"1\"))",
+            666,
+            (1274, 666),
+            ({"wco": 17, "hashjoin": 17}, 10),
+        ),
+        "inequality_one_pattern": (
+            f"?c <{UB}name> ?n . FILTER(?n != \"Course1\")",
+            1891,
+            (2774, 1891),
+            ({"wco": 12, "hashjoin": 12}, 10),
+        ),
+    }
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("shape", sorted(LUBM_COUNTS))
+    def test_lubm_filter_exact_counts(self, lubm_u1_store, shape, engine_name):
+        body, rows, (decoded, materialized), (limit_decoded, limit_materialized) = (
+            self.LUBM_COUNTS[shape]
+        )
+        result = SparqlUOEngine(lubm_u1_store, bgp_engine=engine_name).execute(
+            f"SELECT * WHERE {{ {body} }}"
+        )
+        assert len(result) == rows
+        assert result.exec_counters["terms_decoded"] == decoded
+        assert result.exec_counters["rows_materialized"] == materialized
+        result = SparqlUOEngine(lubm_u1_store, bgp_engine=engine_name).execute(
+            f"SELECT * WHERE {{ {body} }} LIMIT 10"
+        )
+        assert len(result) == 10
+        assert result.exec_counters["terms_decoded"] == limit_decoded[engine_name]
+        assert result.exec_counters["rows_materialized"] == limit_materialized
 
     def test_counters_reach_query_stats(self, store):
         result = SparqlUOEngine(store).execute(self.QUERY)
