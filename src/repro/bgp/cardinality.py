@@ -16,6 +16,7 @@ matches how gStore's plan generator pipelines estimation.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Variable
@@ -68,7 +69,7 @@ class CardinalityEstimator:
             raise ValueError("sample_size must be positive")
         self.store = store
         self.sample_size = sample_size
-        self._rng = random.Random(seed)
+        self.seed = seed
 
     # ------------------------------------------------------------------
     # single patterns
@@ -87,15 +88,21 @@ class CardinalityEstimator:
 
         Returns ``(final_estimate, per_step_estimates)``; the list has
         one entry per pattern, giving card(V_1), card(V_2), ….
+
+        The samples come from an RNG seeded by the ordered encoded
+        patterns, so an estimate never depends on the estimates made
+        before it.
         """
         if not patterns:
             return 1.0, []
+        encoded = [self.store.encode_pattern(pattern) for pattern in patterns]
+        rng = random.Random(zlib.crc32(repr(encoded).encode("utf-8"), self.seed))
         per_step: List[float] = []
-        card = float(self.single_pattern(patterns[0]))
+        card = float(self.store.count_pattern(encoded[0]))
         per_step.append(card)
-        sample = self._initial_sample(patterns[0])
+        sample = self._initial_sample(patterns[0], rng)
         for pattern in patterns[1:]:
-            card, sample = self._extend_estimate(card, sample, pattern)
+            card, sample = self._extend_estimate(card, sample, pattern, rng)
             per_step.append(card)
         return card, per_step
 
@@ -107,7 +114,9 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _initial_sample(self, pattern: TriplePattern) -> List[Dict[str, int]]:
+    def _initial_sample(
+        self, pattern: TriplePattern, rng: random.Random
+    ) -> List[Dict[str, int]]:
         matches: List[Dict[str, int]] = []
         encoded = self.store.encode_pattern(pattern)
         for triple in self.store.match_encoded(encoded):
@@ -118,7 +127,7 @@ class CardinalityEstimator:
             if len(matches) >= self.sample_size * 4:
                 break
         if len(matches) > self.sample_size:
-            matches = self._rng.sample(matches, self.sample_size)
+            matches = rng.sample(matches, self.sample_size)
         return matches
 
     def _binding_from_match(
@@ -135,6 +144,7 @@ class CardinalityEstimator:
         card: float,
         sample: List[Dict[str, int]],
         pattern: TriplePattern,
+        rng: random.Random,
     ) -> Tuple[float, List[Dict[str, int]]]:
         if not sample:
             # The prefix already has (estimated) zero results: stay at the
@@ -165,5 +175,5 @@ class CardinalityEstimator:
                     extended.append(new_binding)
         new_card = max(extend_count / len(sample) * card, 1.0)
         if len(extended) > self.sample_size:
-            extended = self._rng.sample(extended, self.sample_size)
+            extended = rng.sample(extended, self.sample_size)
         return new_card, extended

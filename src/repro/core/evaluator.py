@@ -258,9 +258,12 @@ class BGPBasedEvaluator:
         tracer: "Opt[_trace.Tracer]",
         checkpoint: Opt[Callable[[], None]],
     ) -> Bag:
-        """``r ⋈ evaluated`` with a trace span; identity passes through."""
+        """``r ⋈ evaluated`` with a trace span; identity passes through
+        on either side (an empty BGP left by a merge evaluates to it)."""
         if r is None:
             return evaluated
+        if not evaluated.schema and len(evaluated) == 1:
+            return r
         if tracer is not None:
             tracer.begin("join", left=len(r), right=len(evaluated))
         r = join(r, evaluated, checkpoint=checkpoint)

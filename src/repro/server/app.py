@@ -1,33 +1,37 @@
 """The HTTP front end: caching, routing, lifecycle.
 
-``SparqlServer`` wires a threaded HTTP listener to the worker pool:
-each connection is handled on its own thread, which (1) parses the
+``SparqlServer`` wires a TCP listener to the worker pool.  The listener
+hands each accepted connection to an idle handler thread (a new one
+starts only when none is idle), which serves the connection's requests
+one after another: it (1) reads the request head and parses the
 protocol request, (2) consults the result cache, and only then
 (3) leases a worker — the pool's one admission point, which bounds the
 requests waiting for a worker and sheds everything beyond them with an
 immediate 503 (:meth:`~.pool.WorkerPool.execute`).  Cache hits
 therefore cost no worker, no engine and no serializer; sheds cost
 almost nothing at all, which is what keeps an overloaded endpoint
-responsive.
+responsive.  Every response leaves in one ``sendmsg`` call.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import random
 import re
 import signal
 import socket
+import socketserver
 import sys
 import tempfile
 import threading
 import time
 import uuid
 from contextlib import ExitStack
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from time import perf_counter
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .. import faults as _faults
 from ..obs import SlowQueryLog, TemplateRegistry
@@ -67,6 +71,50 @@ _SOCKET_TIMEOUT = 60.0
 #: else (or an over-long id) is replaced with a minted one, so log
 #: lines and response headers never carry unvetted bytes.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+#: The request-head limits ``http.server`` enforces: a request line or
+#: header line of at most 64 KiB (else 414 / 431), at most 100 header
+#: fields (else 431).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: A header field name (RFC 7230 §3.2.6 ``token``); whitespace before
+#: the colon is not allowed (§3.2.4).
+_FIELD_NAME_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+\Z")
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER_LINE = f"Server: repro-sparql Python/{sys.version.split()[0]}\r\n"
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (None, "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+#: (second, ``Date:`` line) — formatted once per second, not per response.
+_date_line: Tuple[int, str] = (0, "")
+
+
+def _date_header() -> str:
+    """The RFC 7231 ``Date:`` header line for the current second."""
+    global _date_line
+    now = int(time.time())
+    second, line = _date_line
+    if second != now:
+        year, month, day, hour, minute, sec, weekday = time.gmtime(now)[:7]
+        line = "Date: %s, %02d %s %04d %02d:%02d:%02d GMT\r\n" % (
+            _WEEKDAYS[weekday], day, _MONTHS[month], year, hour, minute, sec,
+        )
+        _date_line = (now, line)
+    return line
+
+
+class _Headers(dict):
+    """A request's header fields, keyed by lower-cased name; ``get``
+    takes a name in any case.  A repeated field keeps its first value,
+    as ``email.message.Message.get`` does."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):  # type: ignore[override]
+        return dict.get(self, name.lower(), default)
 
 
 def _splice_extensions(payload: bytes, repro: dict) -> Optional[bytes]:
@@ -126,15 +174,9 @@ def _entry_outcome(
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request; ``self.server`` is the :class:`_HTTPServer` below."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-sparql"
-    # TCP_NODELAY (set by StreamRequestHandler.setup): headers and body
-    # leave in separate sends, and with Nagle on the body waits for the
-    # client's delayed ACK — ~40 ms per request on a kept-alive connection.
-    disable_nagle_algorithm = True
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection's requests, read and answered one after another;
+    ``self.server`` is the :class:`_HTTPServer` below."""
 
     # ------------------------------------------------------------------
     # plumbing
@@ -144,16 +186,108 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.state  # type: ignore[attr-defined]
 
     def setup(self) -> None:
+        connection = self.request
         # Armed before any read: the pool's admission only guards
         # execution, this guards ingestion.
-        self.timeout = _SOCKET_TIMEOUT
-        super().setup()
+        connection.settimeout(_SOCKET_TIMEOUT)
+        # A response leaves in one sendmsg, but a large one can be sent
+        # in parts; with Nagle on, a short last part would wait for the
+        # client's delayed ACK (~40 ms).
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        self.rfile = connection.makefile("rb")
 
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.state.config.log_requests:
-            sys.stderr.write(
-                "%s - - [%s] %s\n" % (self.address_string(), self.log_date_time_string(), fmt % args)
-            )
+    def finish(self) -> None:
+        self.rfile.close()
+
+    def handle(self) -> None:
+        self._handle_one()
+        while not self.close_connection:
+            self._handle_one()
+
+    def _handle_one(self) -> None:
+        """Read one request head, route it, answer it; the connection
+        stays open only if the head asks for that and nothing fails."""
+        self.close_connection = True
+        self.repro_request_id: Optional[str] = None
+        self.requestline = ""
+        try:
+            try:
+                if not self._read_head():
+                    return  # the client closed, or sent an empty line
+            except ProtocolError as exc:
+                self._respond_error(exc.status, str(exc))
+                return
+            if self.command == "GET":
+                self._do_get()
+            elif self.command == "POST":
+                self._do_post()
+            else:
+                self._respond_error(501, f"unsupported method {self.command!r}")
+        except socket.timeout:
+            # A head or body that never completed within the timeout.
+            self.close_connection = True
+
+    def _read_head(self) -> bool:
+        """Parse the request line and header fields into ``command``,
+        ``path`` and ``headers``; False when there is no request.  A
+        head that ``http.server`` would refuse raises
+        :class:`~.protocol.ProtocolError` with its status, and so does
+        an obs-fold line (RFC 7230 §3.2.4)."""
+        rfile = self.rfile
+        raw = rfile.readline(_MAX_LINE + 1)
+        if len(raw) > _MAX_LINE:
+            raise ProtocolError(414, "request line too long")
+        requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        self.requestline = requestline
+        if len(words) != 3:
+            raise ProtocolError(400, f"bad request syntax {self.requestline!r}")
+        self.command, path, version = words
+        major, dot, minor = version[5:].partition(".")
+        if (
+            not version.startswith("HTTP/")
+            or not dot
+            or not (major.isdigit() and minor.isdigit())
+            or len(major) > 10
+            or len(minor) > 10
+        ):
+            raise ProtocolError(400, f"bad request version {version!r}")
+        version_number = (int(major), int(minor))
+        if version_number >= (2, 0):
+            raise ProtocolError(505, f"invalid HTTP version ({major}.{minor})")
+        # "//x" is not a network-path reference here (as http.server).
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        headers = _Headers()
+        count = 0
+        while True:
+            raw = rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                raise ProtocolError(431, "header line too long")
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > _MAX_HEADERS:
+                raise ProtocolError(431, f"more than {_MAX_HEADERS} headers")
+            if raw[0] in b" \t":
+                raise ProtocolError(400, "obsolete header line folding")
+            name, colon, value = str(raw, "iso-8859-1").partition(":")
+            if not colon or not _FIELD_NAME_RE.match(name):
+                raise ProtocolError(400, "bad header line")
+            headers.setdefault(name.lower(), value.strip(" \t\r\n"))
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" or version_number >= (1, 1):
+            self.close_connection = False
+        if (
+            version_number >= (1, 1)
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
 
     def _respond(
         self,
@@ -163,34 +297,56 @@ class _Handler(BaseHTTPRequestHandler):
         extra: Tuple[Tuple[str, str], ...] = (),
         generation: Optional[int] = None,
     ) -> None:
-        # wfile is unbuffered, so even the status line hits the socket:
-        # the whole emission is guarded against clients that hung up
+        # Every response names the store generation it was served
+        # against (clients correlate reads with their writes): an
+        # answer's own generation, else the current one.  It also
+        # echoes the request id minted/honored at ingress.
+        if generation is None:
+            generation = self.state.generation
+        head = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n",
+            _SERVER_LINE,
+            _date_header(),
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+            f"X-Repro-Generation: {generation}\r\n",
+        ]
+        if self.repro_request_id:
+            head.append(f"X-Repro-Request-Id: {self.repro_request_id}\r\n")
+        for name, value in extra:
+            head.append(f"{name}: {value}\r\n")
+        if self.close_connection:
+            head.append("Connection: close\r\n")
+        head.append("\r\n")
+        # The emission is guarded against clients that hung up
         # mid-query (no stderr traceback, metrics still recorded).
         try:
             if _faults.ACTIVE is not None:
                 # An injected io_error here stands in for the client
                 # hanging up mid-response — same handler below.
                 _faults.ACTIVE.fire("server.respond")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            # Every response names the store generation it was served
-            # against (clients correlate reads with their writes): an
-            # answer's own generation, else the current one.  It also
-            # echoes the request id minted/honored at ingress.
-            if generation is None:
-                generation = self.state.generation
-            self.send_header("X-Repro-Generation", str(generation))
-            request_id = getattr(self, "repro_request_id", None)
-            if request_id:
-                self.send_header("X-Repro-Request-Id", request_id)
-            for name, value in extra:
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            self._send("".join(head).encode("latin-1"), body)
         except OSError:  # client went away
             self.close_connection = True
         self.state.metrics.record_response(status)
+        if self.state.config.log_requests:
+            sys.stderr.write(
+                '%s - - [%s] "%s" %d %d\n'
+                % (self.client_address[0], time.strftime("%d/%b/%Y %H:%M:%S"),
+                   self.requestline, status, len(body))
+            )
+
+    def _send(self, head: bytes, body: bytes) -> None:
+        """Head and body in one ``sendmsg``; a partial send goes on
+        from where it stopped.  The two are never joined: a body can
+        be megabytes."""
+        buffers = [memoryview(head), memoryview(body)]
+        connection = self.request
+        while buffers:
+            sent = connection.sendmsg(buffers)
+            while buffers and sent >= len(buffers[0]):
+                sent -= len(buffers.pop(0))
+            if sent:
+                buffers[0] = buffers[0][sent:]
 
     def _respond_error(self, status: int, message: str) -> None:
         outcome = _error_outcome(status, message)
@@ -206,15 +362,15 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — http.server naming
+    def _do_get(self) -> None:
         self.repro_request_id = self._mint_request_id()
         if self.headers.get("Content-Length") not in (None, "0") or self.headers.get(
             "Transfer-Encoding"
         ):
             # A GET body would sit unread in the keep-alive stream and
             # be parsed as the next request line — reject it outright.
-            self._respond_error(400, "GET requests must not carry a body")
             self.close_connection = True
+            self._respond_error(400, "GET requests must not carry a body")
             return
         path, _, query_string = self.path.partition("?")
         if path == "/sparql":
@@ -228,7 +384,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._respond_error(404, f"no route for {path}")
 
-    def do_POST(self) -> None:  # noqa: N802
+    def _do_post(self) -> None:
         self.repro_request_id = self._mint_request_id()
         path, _, query_string = self.path.partition("?")
         if path not in ("/sparql", "/update"):
@@ -237,8 +393,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.headers.get("Transfer-Encoding"):
             # Bodies are only read by Content-Length; leaving chunked
             # framing unconsumed would desync the keep-alive stream.
-            self._respond_error(411, "chunked transfer encoding not supported")
             self.close_connection = True
+            self._respond_error(411, "chunked transfer encoding not supported")
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
@@ -247,14 +403,14 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # Unparseable, or negative: read(-1) would block on the open
             # socket until the client hangs up — refuse instead.
-            self._respond_error(400, "bad Content-Length")
             self.close_connection = True
+            self._respond_error(400, "bad Content-Length")
             return
         if length > self.state.config.max_body_bytes:
             # Refuse before buffering: the pool's admission guards query
             # *execution*; this guards request *ingestion*.
-            self._respond_error(413, "request body too large")
             self.close_connection = True
+            self._respond_error(413, "request body too large")
             return
         try:
             body = self.rfile.read(length) if length else b""
@@ -482,7 +638,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         log.record(
             reason,
-            getattr(self, "repro_request_id", None),
+            self.repro_request_id,
             query,
             total_ms,
             kind=kind,
@@ -589,10 +745,68 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(200, "text/plain; version=0.0.4; charset=utf-8", text.encode("utf-8"))
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class _HTTPServer(socketserver.TCPServer):
+    """The listener: each accepted connection goes to an idle handler
+    thread through that thread's handoff queue; a new thread starts
+    only when none is idle.  There is no size bound: the threads number
+    the peak of concurrent connections, and a kept-alive connection
+    holds its thread, so it cannot starve the others.  Handler threads
+    are daemonic, so a stuck client never blocks process exit."""
+
     allow_reuse_address = True
     state: "SparqlServer"
+
+    def __init__(self, address, handler) -> None:
+        #: (thread, handoff queue) of each idle handler, last idle last.
+        self._idle: List[Tuple[threading.Thread, "queue.SimpleQueue"]] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_lock:
+            handoff = self._idle.pop()[1] if self._idle else None
+        if handoff is None:
+            handoff = queue.SimpleQueue()
+            threading.Thread(
+                target=self._serve_connections,
+                args=(handoff,),
+                name="repro-http-handler",
+                daemon=True,
+            ).start()
+        handoff.put((request, client_address))
+
+    def _serve_connections(self, handoff: "queue.SimpleQueue") -> None:
+        """One handler thread: serve each connection handed over, until
+        ``server_close`` hands over None."""
+        me = threading.current_thread()
+        while True:
+            handed = handoff.get()
+            if handed is None:
+                return
+            request, client_address = handed
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 — as socketserver: report, go on
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append((me, handoff))
+
+    def server_close(self) -> None:
+        """Close the listener and end every idle handler thread; a busy
+        one ends when its connection does."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for _, handoff in idle:
+            handoff.put(None)
+        for thread, _ in idle:
+            thread.join()
 
 
 class SparqlServer:
@@ -938,11 +1152,12 @@ class SparqlServer:
     def shutdown(self) -> None:
         """Stop accepting connections, then stop the workers.
 
-        Handler threads are daemonic, so shutdown never blocks on a
-        stuck client; the drain below waits (up to ``drain_seconds``)
-        for in-flight queries to finish before the pool closes, so a
-        SIGTERM during live traffic completes the accepted work instead
-        of tearing worker pipes out from under it.  A handler racing
+        Idle handler threads end here; busy ones are daemonic, so
+        shutdown never blocks on a stuck client.  The drain below waits
+        (up to ``drain_seconds``) for in-flight queries to finish before
+        the pool closes, so a SIGTERM during live traffic completes the
+        accepted work instead of tearing worker pipes out from under
+        it.  A handler racing
         the worker-pool close anyway gets a clean "server shutting
         down" error reply rather than a torn pipe (see
         :meth:`WorkerPool.execute`).

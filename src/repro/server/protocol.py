@@ -179,8 +179,8 @@ def parse_sparql_request(
     """Validate one protocol request into a :class:`SparqlRequest`.
 
     ``headers`` lookups are case-insensitive on the caller's side
-    (``http.server`` provides that); only ``Content-Type`` and
-    ``Accept`` are consulted.
+    (the server's request-head reader provides that); only
+    ``Content-Type`` and ``Accept`` are consulted.
     """
     url_parameters = _parameters(query_string, "query string")
     query: Optional[str] = None

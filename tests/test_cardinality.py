@@ -87,3 +87,30 @@ class TestPatternCountWithCandidates:
         # Object position free → falls back to the unrestricted count.
         pattern = TriplePattern(X, Q, Y)
         assert pattern_count(store, pattern, {"x": {s0}}) == 10
+
+
+class TestHistoryIndependence:
+    """An estimate depends on its patterns, never on the estimates made
+    before it: each server worker plans the paper queries in its own
+    order, and must still pick one plan per text."""
+
+    def test_repeated_sequence_gives_the_same_estimate(self, store):
+        est = CardinalityEstimator(store, sample_size=4)
+        patterns = [TriplePattern(X, P, Y), TriplePattern(X, Q, Z)]
+        first = est.estimate_sequence(patterns)
+        est.estimate_sequence([TriplePattern(X, Q, Z), TriplePattern(X, P, Y)])
+        assert est.estimate_sequence(patterns) == first
+
+    def test_q11_plan_ignores_earlier_plans(self, lubm_u1_store):
+        from repro.core.engine import SparqlUOEngine
+        from repro.datasets.queries import LUBM_QUERIES
+
+        def report(engine):
+            prepared = engine.prepare(LUBM_QUERIES["q1.1"])
+            return vars(prepared.report)
+
+        first = SparqlUOEngine(lubm_u1_store, bgp_engine="wco", mode="full")
+        later = SparqlUOEngine(lubm_u1_store, bgp_engine="wco", mode="full")
+        for name in ("q1.5", "q2.6"):
+            later.prepare(LUBM_QUERIES[name])
+        assert report(later) == report(first)

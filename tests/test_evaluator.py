@@ -9,6 +9,8 @@ from repro.core.evaluator import BGPBasedEvaluator, EvaluationTrace
 from repro.sparql import SelectQuery, execute_query, parse_group
 from repro.storage import TripleStore
 
+from . import oracle
+
 QUERIES = [
     "{ ?x <http://example.org/worksFor> ?d }",
     "{ ?x <http://example.org/worksFor> ?d . ?x <http://example.org/headOf> ?d }",
@@ -111,3 +113,35 @@ class TestTrace:
             tree, trace
         )
         assert trace.pruned_evaluations >= 2
+
+
+class TestIdentityJoin:
+    """Merges leave empty BGPs behind, and each evaluates to the
+    identity bag; joining with it must hand the left bag back untouched
+    rather than rebuild its rows."""
+
+    @pytest.fixture(scope="class")
+    def small_lubm(self):
+        from repro.datasets import generate_lubm
+        from repro.rdf import Triple
+
+        dataset = generate_lubm(
+            universities=1, departments_university0=1, departments_other=1,
+            faculty_per_department=3,
+        )
+        # Sorted triple order fixes every term id, and with them the plan.
+        return dataset, TripleStore.from_triples(sorted(dataset, key=Triple.n3))
+
+    @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
+    def test_q11_skips_identity_joins(self, small_lubm, bgp_engine):
+        from repro.core.engine import SparqlUOEngine
+        from repro.datasets.queries import LUBM_QUERIES
+        from repro.sparql import parse_query
+
+        dataset, store = small_lubm
+        text = LUBM_QUERIES["q1.1"]
+        result = SparqlUOEngine(store, bgp_engine=bgp_engine, mode="full").execute(text)
+        # Two joins of 350 rows with the identity were counted before.
+        assert result.exec_counters["join_rows"] == 641
+        expected = oracle.execute(parse_query(text), dataset).rows
+        assert oracle.as_counter([dict(mu) for mu in result]) == oracle.as_counter(expected)

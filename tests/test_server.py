@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
 import statistics
 import sys
 import threading
@@ -612,9 +613,10 @@ class TestHttpEndpoint:
         assert server.cache.stats()["hits"] == before + 1
 
     def test_keepalive_requests_do_not_stall(self, server):
-        # Headers and body leave in two sends; without TCP_NODELAY the
-        # body waits for the client's delayed ACK (~40 ms) on every
-        # request of a persistent connection.
+        # A response leaves in one sendmsg, so Nagle's algorithm has no
+        # second small segment to hold back for the client's delayed ACK
+        # (~40 ms per request on a persistent connection); TCP_NODELAY
+        # covers a large response that the kernel sends in parts.
         path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
         connection = http.client.HTTPConnection(
             server.config.host, server.port, timeout=60
@@ -654,6 +656,175 @@ class TestHttpEndpoint:
         for thread in threads:
             thread.join(120)
         assert not failures
+
+
+def raw_exchange(server, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket; return all the server answers
+    until it closes the connection."""
+    with socket.create_connection((server.config.host, server.port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def raw_status(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+def handler_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-http-handler"]
+
+
+class TestFrontDoor:
+    """Pooled handler threads, the request-head reader and the one-send
+    response."""
+
+    def test_sequential_connections_reuse_handler_threads(self, server):
+        sparql_get(server, QUERY_HEADOF)
+        before = threading.active_count()
+        for _ in range(50):
+            status, _, _ = sparql_get(server, QUERY_HEADOF)
+            assert status == 200
+        assert threading.active_count() <= before + 2
+
+    def test_idle_kept_alive_connections_do_not_starve_a_new_one(self, server):
+        path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+        held = []
+        try:
+            for _ in range(8):
+                connection = http.client.HTTPConnection(
+                    server.config.host, server.port, timeout=60
+                )
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                held.append(connection)  # kept alive, and now idle
+            status, _, _ = sparql_get(server, QUERY_HEADOF, timeout=10)
+            assert status == 200
+        finally:
+            for connection in held:
+                connection.close()
+
+    def test_shutdown_leaves_no_handler_thread(self, snapshot_path):
+        others = set(handler_threads())  # the module server's
+
+        def own():
+            return [t for t in handler_threads() if t not in others]
+
+        config = ServerConfig(data=snapshot_path, port=0, workers=1)
+        instance = SparqlServer(config)
+        instance.start()
+        try:
+            threads = []
+            for _ in range(3):
+                threads.append(threading.Thread(target=sparql_get, args=(instance, QUERY_HEADOF)))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert own()
+        finally:
+            instance.shutdown()
+        # Idle threads end in shutdown; one still closing its connection
+        # ends as soon as it is done.
+        deadline = time.monotonic() + 5.0
+        while own() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not own()
+
+    def test_over_long_request_line_is_414(self, server):
+        # Exactly one byte over the limit and no line end: the server
+        # reads everything sent, so its close cannot reset the reply.
+        line = b"GET /" + b"a" * (65537 - 5)
+        assert raw_status(raw_exchange(server, line)) == 414
+
+    def test_over_long_header_line_is_431(self, server):
+        header = b"X-Long: " + b"a" * (65537 - 8)
+        reply = raw_exchange(server, b"GET /healthz HTTP/1.1\r\n" + header)
+        assert raw_status(reply) == 431
+
+    def test_more_than_100_headers_is_431(self, server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            b"X-H%d: v\r\n" % index for index in range(101)
+        )
+        assert raw_status(raw_exchange(server, head)) == 431
+        # 100 are fine.
+        head = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + b"".join(
+            b"X-H%d: v\r\n" % index for index in range(99)
+        )
+        assert raw_status(raw_exchange(server, head + b"\r\n")) == 200
+
+    def test_obs_fold_line_is_400(self, server):
+        head = b"GET /healthz HTTP/1.1\r\nX-Folded: a\r\n b\r\n"
+        assert raw_status(raw_exchange(server, head)) == 400
+
+    def test_http2_is_505(self, server):
+        assert raw_status(raw_exchange(server, b"GET /healthz HTTP/2.0\r\n")) == 505
+
+    @pytest.mark.parametrize("name", ["Accept", "accept", "ACCEPT"])
+    def test_header_names_are_case_insensitive(self, server, name):
+        path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+        connection = http.client.HTTPConnection(server.config.host, server.port, timeout=60)
+        try:
+            connection.putrequest("GET", path)
+            connection.putheader(name, "text/csv")
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert response.getheader("Content-Type").startswith("text/csv")
+
+    def test_a_repeated_header_keeps_its_first_value(self, server):
+        path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+        connection = http.client.HTTPConnection(server.config.host, server.port, timeout=60)
+        try:
+            connection.putrequest("GET", path)
+            connection.putheader("Accept", "text/tab-separated-values")
+            connection.putheader("Accept", "text/csv")
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.getheader("Content-Type").startswith("text/tab-separated-values")
+
+    def test_a_response_leaves_in_one_send(self, server, monkeypatch):
+        sparql_get(server, QUERY_OPTIONAL)  # cached: the next one is a hit
+        calls = []
+        for method in ("send", "sendall", "sendmsg"):
+            original = getattr(socket.socket, method)
+
+            def counted(sock, *args, _method=method, _original=original):
+                if sock.getsockname()[1] == server.port:  # the server's side
+                    calls.append(_method)
+                return _original(sock, *args)
+
+            monkeypatch.setattr(socket.socket, method, counted)
+        status, _, body = sparql_get(server, QUERY_OPTIONAL)
+        assert status == 200 and body
+        assert calls == ["sendmsg"]
+
+    def test_a_partial_send_goes_on_where_it_stopped(self, server, monkeypatch):
+        _, _, expected = sparql_get(server, QUERY_OPTIONAL)
+        original = socket.socket.sendmsg
+
+        def trickle(sock, buffers, *args):
+            if sock.getsockname()[1] != server.port:
+                return original(sock, buffers, *args)
+            # At most 100 bytes a call, often splitting head or body.
+            return original(sock, [b"".join(bytes(b) for b in buffers)[:100]])
+
+        monkeypatch.setattr(socket.socket, "sendmsg", trickle)
+        status, headers, body = sparql_get(server, QUERY_OPTIONAL)
+        assert status == 200 and headers["X-Repro-Cache"] == "hit"
+        assert body == expected and len(body) > 200
 
 
 class TestTimeoutAndShedding:
