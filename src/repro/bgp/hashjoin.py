@@ -37,7 +37,7 @@ rows out of a run).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import (
@@ -53,7 +53,14 @@ from ..storage.runs import as_span, gallop_left
 from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import combine_predicates as _combine, filtered_rows as _filtered_rows
-from .interface import BGPEngine, Candidates, PlanEstimate, ticked_rows
+from .interface import (
+    BGPEngine,
+    Candidates,
+    PlanEstimate,
+    candidate_driver,
+    candidate_probes,
+    ticked_rows,
+)
 from .plans import greedy_pattern_order, scan_sort_variable
 
 __all__ = ["HashJoinEngine", "binary_join_cost", "merge_join_cost"]
@@ -340,7 +347,7 @@ class HashJoinEngine(BGPEngine):
         if len(schema) == 1 and sum(1 for term in encoded if isinstance(term, str)) == 1:
             return self._rows_single_run(encoded, schema, candidates)
 
-        driver = self._choose_candidate_driver(encoded, candidates)
+        driver = self._driver(encoded, candidates)
         if driver is not None:
             return (
                 schema,
@@ -387,19 +394,14 @@ class HashJoinEngine(BGPEngine):
     ) -> float:
         """Expected scan size for the build-side choice.
 
-        Mirrors :meth:`_choose_candidate_driver`: when a candidate set
-        would drive the scan, its size is the better size proxy than the
-        unrestricted pattern count.
+        Mirrors :meth:`_scan_rows`: when a candidate set would drive the
+        scan (:func:`~repro.bgp.interface.candidate_driver`), its size is
+        the better size proxy than the unrestricted pattern count.
         """
         if not candidates:
             return count
-        encoded = self.store.encode_pattern(pattern)
-        best = count
-        for position in (0, 2):  # only endpoints can drive (see above)
-            name = encoded[position]
-            if isinstance(name, str) and name in candidates:
-                best = min(best, len(candidates[name]))
-        return best
+        driver = self._driver(self.store.encode_pattern(pattern), candidates)
+        return count if driver is None else min(count, len(candidates[driver[1]]))
 
     def _rows_plain(
         self,
@@ -415,31 +417,14 @@ class HashJoinEngine(BGPEngine):
     # ------------------------------------------------------------------
     # candidate-driven scanning
     # ------------------------------------------------------------------
-    def _choose_candidate_driver(
-        self,
-        encoded: Tuple[Union[int, str], Union[int, str], Union[int, str]],
-        candidates: Optional[Candidates],
-    ) -> Optional[Tuple[int, str]]:
-        """Pick (position, variable) to drive the scan from, if profitable.
-
-        Only subject/object positions are considered (predicate
-        candidate sets never arise from join variables in the paper's
-        fragment).  Driving is profitable when the candidate set is
-        smaller than the plain scan.
-        """
+    def _driver(self, encoded, candidates: Optional[Candidates]) -> Optional[Tuple[int, str]]:
+        """:func:`~repro.bgp.interface.candidate_driver` for ``encoded``,
+        against the index count of its bound positions (the scan size
+        both engines pass)."""
         if not candidates:
             return None
-        scan_size = self.store.count_pattern(encoded)
-        best: Optional[Tuple[int, str]] = None
-        best_size = scan_size
-        for position in (0, 2):
-            name = encoded[position]
-            if isinstance(name, str) and name in candidates:
-                size = len(candidates[name])
-                if size < best_size:
-                    best = (position, name)
-                    best_size = size
-        return best
+        bound = (term if isinstance(term, int) else None for term in encoded)
+        return candidate_driver(encoded, candidates, self.store.indexes.count(*bound))
 
     def _rows_driven(
         self,
@@ -449,22 +434,11 @@ class HashJoinEngine(BGPEngine):
         driver: Tuple[int, str],
         candidates: Optional[Candidates],
     ) -> Iterator[Row]:
-        position, name = driver
+        name = driver[1]
         filters = self._slot_filters(schema, candidates, skip=name)
-        # The driver variable may repeat in the pattern (?x p ?x, ?x ?x ?o):
-        # every occurrence must be pinned to the candidate id, or the
-        # remaining free string position would match unrelated terms.
-        repeats = [
-            index
-            for index, term in enumerate(encoded)
-            if isinstance(term, str) and term == name
-        ]
         match = self.store.match_encoded
-        for candidate_id in candidates[name]:
-            probe = list(encoded)
-            for index in repeats:
-                probe[index] = candidate_id
-            for triple in match(tuple(probe)):
+        for probe in candidate_probes(encoded, encoded, driver, candidates[name]):
+            for triple in match(probe):
                 row = tuple(triple[p] for p in positions)
                 if not filters or all(row[s] in allowed for s, allowed in filters):
                     yield row

@@ -31,6 +31,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from ..obs import trace as _trace
@@ -43,6 +44,8 @@ __all__ = [
     "Candidates",
     "PlanEstimate",
     "BGPEngine",
+    "candidate_driver",
+    "candidate_probes",
     "decode_ids",
     "decode_page",
     "ticked_rows",
@@ -144,6 +147,65 @@ def decode_page(
 #: membership, ascending iteration and galloping intersection — what
 #: :class:`~repro.core.candidates.CandidatePolicy` produces).
 Candidates = Dict[str, SortedIdSet]
+
+
+def candidate_driver(
+    step: Sequence[object],
+    candidates: Optional[Candidates],
+    scan_size: int,
+) -> Optional[Tuple[int, str]]:
+    """§6's driver rule, the one both engines apply: the ``(position,
+    variable)`` a scan should be driven from, or None to scan.
+
+    ``step`` is the scan's ``(s, p, o)`` with each free position holding
+    its variable name (any other value is bound), and ``scan_size`` is
+    the size of the scan that driving would replace: both engines pass
+    the index count of the bound positions alone, an upper bound where
+    a variable repeats (``?x p ?x`` counts every ``p`` triple), so they
+    choose alike.  A free endpoint whose candidate set is smaller than
+    that is driven from — one indexed probe per candidate id, built by
+    :func:`candidate_probes`, instead of a pass over the scan — the
+    smallest such set first, the subject on a tie.  Predicate candidate
+    sets never drive: they do not arise from join variables in the
+    paper's fragment.
+    """
+    if not candidates:
+        return None
+    best: Optional[Tuple[int, str]] = None
+    best_size = scan_size
+    for position in (0, 2):
+        name = step[position]
+        if isinstance(name, str) and name in candidates:
+            size = len(candidates[name])
+            if size < best_size:
+                best = (position, name)
+                best_size = size
+    return best
+
+
+def candidate_probes(
+    probe: Sequence[object],
+    step: Sequence[object],
+    driver: Tuple[int, str],
+    ids: Iterable[int],
+) -> Iterator[Tuple[object, ...]]:
+    """The probes of a scan driven from ``driver``: ``probe`` once per
+    candidate id in ``ids``, in their order, with every position where
+    ``step`` holds the driver variable bound to that id.
+
+    ``probe`` is the engine's scan key for the unrestricted scan and
+    ``step`` the same ``(s, p, o)`` as :func:`candidate_driver` reads
+    it.  Pinning every occurrence, not just the driving endpoint, keeps
+    a repeated driver variable sound: ``?x p ?x`` probes ``(c, p, c)``,
+    not every ``p`` triple of ``c``.
+    """
+    name = driver[1]
+    pinned = [index for index, term in enumerate(step) if term == name]
+    for candidate_id in ids:
+        bound = list(probe)
+        for index in pinned:
+            bound[index] = candidate_id
+        yield tuple(bound)
 
 
 class PlanEstimate:

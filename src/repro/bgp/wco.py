@@ -25,6 +25,21 @@ verification scans.  Extensions the leapfrog shape does not cover
 (variable predicates, two new endpoints, repeated variables) run the
 generic per-edge scan loop.
 
+Candidate sets also drive that generic loop, so §6's pruning restricts
+the scan itself even where no endpoint is bound yet (a pruned BGP's
+first pattern, typically): when a free endpoint's candidate set is
+smaller than the scan it would filter — the rule of
+:func:`~repro.bgp.interface.candidate_driver`, which the hash engine
+applies too — the step seeks each candidate id with that endpoint
+bound (:func:`~repro.bgp.interface.candidate_probes`, the hash
+engine's seek as well), instead of reading the whole range and testing
+every triple.  The choice is made per partial tuple, against that
+partial's scan.  A candidate set on the other endpoint stays a
+membership test.
+
+Each pattern is encoded once per ``evaluate`` call: its constants are
+looked up once, for ordering and execution alike.
+
 Cost model (paper §5.1.2):
 
     cost(WCOJoin({v1…vk-1}, vk)) = card({v1…vk-1}) × min_i average_size(vi, p)
@@ -35,7 +50,7 @@ incident adjacency list at least once.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
@@ -44,7 +59,14 @@ from ..storage.runs import leapfrog_spans
 from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import KERNEL_CHUNK, combine_predicates as _combine, compact_rows
-from .interface import BGPEngine, Candidates, PlanEstimate, ticked_rows
+from .interface import (
+    BGPEngine,
+    Candidates,
+    PlanEstimate,
+    candidate_driver,
+    candidate_probes,
+    ticked_rows,
+)
 from .plans import greedy_pattern_order
 
 __all__ = ["WCOJoinEngine"]
@@ -68,22 +90,18 @@ def _compact_tail(out: List[Row], start: int, filters, schema: Sequence[str]) ->
 class _Edge:
     """One triple pattern viewed as a query-graph edge."""
 
-    __slots__ = ("pattern", "s", "p", "o")
+    __slots__ = ("encoded", "s", "p", "o")
 
     def __init__(self, store: TripleStore, pattern: TriplePattern):
-        self.pattern = pattern
+        #: The pattern as the store encodes it (one dictionary lookup
+        #: per constant, shared by ordering and execution).
+        self.encoded = store.encode_pattern(pattern)
         # Each position: ('var', name) or ('const', id) — id may be the
         # MISSING sentinel (-1), meaning the edge matches nothing.
-        self.s = self._classify(store, pattern.subject)
-        self.p = self._classify(store, pattern.predicate)
-        self.o = self._classify(store, pattern.object)
-
-    @staticmethod
-    def _classify(store: TripleStore, term) -> Tuple[str, object]:
-        if isinstance(term, Variable):
-            return ("var", term.name)
-        term_id = store.lookup(term)
-        return ("const", -1 if term_id is None else term_id)
+        self.s, self.p, self.o = (
+            ("var", term) if isinstance(term, str) else ("const", term)
+            for term in self.encoded
+        )
 
     def endpoint_vars(self) -> Set[str]:
         out = set()
@@ -156,18 +174,25 @@ class WCOJoinEngine(BGPEngine):
         tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.annotate(engine=self.name, patterns=len(patterns))
-        edges = [_Edge(self.store, p) for p in patterns]
-        if any(edge.impossible() for edge in edges):
+        # One edge (so one lookup per constant) per distinct pattern,
+        # for ordering and execution alike.
+        edges = {pattern: _Edge(self.store, pattern) for pattern in patterns}
+        if any(edge.impossible() for edge in edges.values()):
             return Bag.empty()
+        counts = {
+            pattern: self.store.count_pattern(edge.encoded)
+            for pattern, edge in edges.items()
+        }
         counters = _exec_counters()
-        ordered = self._order_edges(patterns)
-        ordered_edges = [_Edge(self.store, p) for p in ordered]
+        ordered_edges = [
+            edges[pattern] for pattern in greedy_pattern_order(patterns, counts.__getitem__)
+        ]
         remaining = list(filters) if filters else []
         schema: List[str] = []
         slots: Dict[str, int] = {}
         rows: List[Row] = [()]
         consumed: Set[int] = set()
-        last = len(ordered) - 1
+        last = len(ordered_edges) - 1
         for index, edge in enumerate(ordered_edges):
             if index in consumed:
                 continue
@@ -201,11 +226,6 @@ class WCOJoinEngine(BGPEngine):
         for compiled in remaining:  # safety net; empty when the caller
             result = compiled.apply(result)  # covers vars correctly
         return result
-
-    def _order_edges(self, patterns: Sequence[TriplePattern]) -> List[TriplePattern]:
-        return greedy_pattern_order(
-            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
-        )
 
     @staticmethod
     def _extension_vertex(edge: _Edge, slots: Dict[str, int]) -> Optional[str]:
@@ -304,7 +324,12 @@ class WCOJoinEngine(BGPEngine):
 
         A single-new-vertex extension with ``verifiers`` and/or a
         candidate set runs as a leapfrog intersection of sorted runs
-        (see module docstring) instead of scan-then-filter.
+        (see module docstring) instead of scan-then-filter.  Any other
+        extension whose free endpoint carries a candidate set smaller
+        than its scan seeks those ids one probe each
+        (:func:`~repro.bgp.interface.candidate_driver`); everything
+        after the scan — repeated-variable checks, membership tests,
+        ``keep``, ``stop_at``, chunked compaction — is the same loop.
         """
         def classify(position: Tuple[str, object]):
             kind, value = position
@@ -387,26 +412,26 @@ class WCOJoinEngine(BGPEngine):
                     return out
         assert not verifiers  # verifiers are only collected for the fast path
 
+        # §6's driver rule, shared with the hash engine: per partial, a
+        # free endpoint whose candidate set is smaller than that
+        # partial's scan is sought one candidate id at a time instead
+        # of scanned and filtered.
+        scan = self.store.indexes.scan
+        count = self.store.indexes.count
+        step = (svar, pvar, ovar)
+        drivable = allowed_s is not None or allowed_o is not None
+
         # The generic loop probes membership per scanned triple; a
         # plain set beats bisect there, so the candidate arrays are
         # converted once per edge (they stay sorted where it matters —
-        # the leapfrog path above and the hash engine's intersections).
+        # the leapfrog path above, seeks and the hash engine's
+        # intersections).
         if allowed_s is not None:
             allowed_s = set(allowed_s.ids)
         if allowed_p is not None:
             allowed_p = set(allowed_p.ids)
         if allowed_o is not None:
             allowed_o = set(allowed_o.ids)
-
-        scan = self.store.indexes.scan
-        if checkpoint is not None:
-            # Cancellation armed: tick amortized inside each adjacency
-            # scan via a wrapper, so the hot timeout-less path below
-            # carries no per-triple branch at all.
-            raw_scan = scan
-
-            def scan(s, p, o, _raw=raw_scan, _check=checkpoint):
-                return ticked_rows(_raw(s, p, o), _check)
 
         out: List[Row] = []
         compacted_to = 0  # out[:compacted_to] is already batch-screened
@@ -419,7 +444,21 @@ class WCOJoinEngine(BGPEngine):
             s = cs[1] if cs[0] == "const" else (row[cs[1]] if cs[0] == "slot" else None)
             p = cp[1] if cp[0] == "const" else (row[cp[1]] if cp[0] == "slot" else None)
             o = co[1] if co[0] == "const" else (row[co[1]] if co[0] == "slot" else None)
-            for ts, tp, to in scan(s, p, o):
+            driver = candidate_driver(step, candidates, count(s, p, o)) if drivable else None
+            if driver is None:
+                triples: Iterable = scan(s, p, o)
+            else:
+                probes: Iterable = candidate_probes(
+                    (s, p, o), step, driver, candidates[driver[1]].ids
+                )
+                if checkpoint is not None:
+                    probes = ticked_rows(probes, checkpoint)
+                triples = (triple for probe in probes for triple in scan(*probe))
+            if checkpoint is not None:
+                # Cancellation armed: tick amortized inside the scan, so
+                # the hot timeout-less path carries no per-triple branch.
+                triples = ticked_rows(triples, checkpoint)
+            for ts, tp, to in triples:
                 if same_so and ts != to:
                     continue
                 if same_sp and ts != tp:
@@ -578,7 +617,9 @@ class WCOJoinEngine(BGPEngine):
             cached = self._estimate_cache.get(key)
             if cached is not None:
                 return cached
-        ordered = self._order_edges(patterns)
+        ordered = greedy_pattern_order(
+            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
+        )
         final_card, per_step = self.estimator.estimate_sequence(ordered)
         cost = float(pattern_count(self.store, ordered[0], candidates))
         bound_vars = {v.name for v in ordered[0].variables()}

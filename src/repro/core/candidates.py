@@ -12,6 +12,14 @@ produce anyway, so a threshold gates its use:
   BGP, when available (the paper's *full* configuration), falling back
   to the fixed fraction.
 - ``OFF`` — never prune (the base / TT configurations).
+
+How a candidate set restricts evaluation is the BGP engine's side of
+the contract, but both engines follow one rule
+(:func:`repro.bgp.interface.candidate_driver`): a pattern step whose
+free endpoint carries a set smaller than the step's scan seeks those
+ids one index probe each, so pruning cuts the *scan*, not only its
+output; a set on a bound or non-driving variable is a membership test
+or a leapfrog operand.
 """
 
 from __future__ import annotations

@@ -666,7 +666,11 @@ class LazyTermDictionary(TermDictionary):
 
     ``decode`` pulls single term records out of the mmap on demand (a
     query decodes only the ids its results project); ``lookup`` binary-
-    searches the snapshot's sorted term section.  The full in-memory
+    searches the snapshot's sorted term section once per present term
+    and remembers the id it found.  Misses are not remembered, so a
+    stream of absent constants cannot grow memory (the memo holds at
+    most one entry per term of the snapshot, about 80 bytes beside the
+    term itself).  The full in-memory
     dictionary is materialized only when something needs it — minting
     new ids via ``encode`` or iterating ``terms()``.
     """
@@ -677,6 +681,8 @@ class LazyTermDictionary(TermDictionary):
         # None marks a not-yet-decoded slot; every read path fills the
         # slot before returning, so consumers only ever see terms.
         self._id_to_term = [None] * reader.term_count  # type: ignore[assignment]
+        #: term → id of every term ``lookup`` found before materializing.
+        self._found: Dict[GroundTerm, int] = {}
         self._materialized = False
 
     def decode(self, term_id: int) -> GroundTerm:
@@ -720,9 +726,15 @@ class LazyTermDictionary(TermDictionary):
     def lookup(self, term: GroundTerm) -> Optional[int]:
         if self._materialized:
             return self._term_to_id.get(term)
+        term_id = self._found.get(term)
+        if term_id is not None:
+            return term_id
         if not isinstance(term, (IRI, BlankNode, Literal)):
             return None
-        return self._reader.find_id(term)
+        term_id = self._reader.find_id(term)
+        if term_id is not None:
+            self._found[term] = term_id
+        return term_id
 
     def __contains__(self, term: GroundTerm) -> bool:
         return self.lookup(term) is not None
@@ -748,5 +760,6 @@ class LazyTermDictionary(TermDictionary):
             self._term_to_id = {
                 term: term_id for term_id, term in enumerate(self._id_to_term)
             }
+            self._found = {}  # the full reverse map supersedes it
             self._materialized = True
         return self

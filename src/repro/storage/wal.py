@@ -257,6 +257,15 @@ def recover_wal(path: str) -> WalRecovery:
     return WalRecovery(scan.records, torn_tail=True)
 
 
+def _timed_fsync(handle: BinaryIO) -> float:
+    """fsync ``handle`` (the ``wal.fsync`` fault site); returns seconds."""
+    if _faults.ACTIVE is not None:
+        _faults.ACTIVE.fire("wal.fsync")
+    started = perf_counter()
+    os.fsync(handle.fileno())
+    return perf_counter() - started
+
+
 class WriteAheadLog:
     """The append side: recover on open, append frames, fsync per policy.
 
@@ -344,10 +353,12 @@ class WriteAheadLog:
 
         ``always`` returns immediately (append already fsynced);
         ``off`` returns immediately without durability.  ``interval``
-        is leader-based group commit: the first waiter fsyncs on
-        behalf of every frame appended before its fsync ran, and
-        concurrent waiters covered by that fsync return without one of
-        their own — the fsync's own duration is the batching window.
+        is leader-based group commit: the first waiter marks a flush,
+        notes the last appended sequence and fsyncs *with the lock
+        released*, so appends go on while the disk works.  Waiters
+        covered by that fsync return without one of their own; the rest
+        queue behind it, and one of them leads the next fsync for all of
+        them — the fsync's own duration is the batching window.
         """
         if self.policy == "off":
             return
@@ -355,26 +366,37 @@ class WriteAheadLog:
             if seq is None:
                 seq = self._append_seq
             while self._synced_seq < seq:
-                if not self._flushing:
-                    self._flushing = True
-                    target = self._append_seq
-                    try:
-                        self._fsync()
-                    finally:
-                        self._flushing = False
-                        self._commit.notify_all()
-                    self._synced_seq = max(self._synced_seq, target)
-                else:
-                    self._commit.wait(0.05)
+                if self._flushing:
+                    self._commit.wait()
+                    continue
+                if self._closed:
+                    raise WalError("write-ahead log is closed")
+                self._flushing = True
+                target = self._append_seq
+                handle = self._handle
+                self._lock.release()
+                try:
+                    seconds = _timed_fsync(handle)
+                finally:
+                    self._lock.acquire()
+                    self._flushing = False
+                    self._commit.notify_all()
+                self._count_fsync(seconds)
+                self._synced_seq = max(self._synced_seq, target)
 
     def _fsync(self) -> None:
         """One fsync of the append handle (caller holds the lock)."""
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.fire("wal.fsync")
-        started = perf_counter()
-        os.fsync(self._handle.fileno())
-        self.fsync_seconds += perf_counter() - started
+        self._count_fsync(_timed_fsync(self._handle))
+
+    def _count_fsync(self, seconds: float) -> None:
+        self.fsync_seconds += seconds
         self.fsync_count += 1
+
+    def _wait_for_flush(self) -> None:
+        """Wait (lock held) until no group-commit fsync is in flight, so
+        the append handle may be swapped or closed."""
+        while self._flushing:
+            self._commit.wait()
 
     # ------------------------------------------------------------------
     # reading / truncation
@@ -397,7 +419,8 @@ class WriteAheadLog:
         republishing it would drop the acked frames past the tear, and
         the next compaction retries.
         """
-        with self._lock:
+        with self._commit:
+            self._wait_for_flush()
             scan = scan_wal(self.path)
             if scan.torn is not None:
                 return 0
@@ -432,7 +455,8 @@ class WriteAheadLog:
     def close(self) -> None:
         """Final fsync (every policy — an orderly drain must not lose
         the writeback window) and close the append handle."""
-        with self._lock:
+        with self._commit:
+            self._wait_for_flush()
             if self._closed:
                 return
             self._closed = True
@@ -440,6 +464,10 @@ class WriteAheadLog:
                 self._fsync()
             except OSError:
                 pass
+            else:
+                # The final fsync covers every frame: release waiters.
+                self._synced_seq = self._append_seq
+                self._commit.notify_all()
             self._handle.close()
 
     def __enter__(self) -> "WriteAheadLog":

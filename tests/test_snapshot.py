@@ -141,6 +141,51 @@ class TestRoundTrip:
         assert loaded.lookup(IRI(EX + "never-seen")) is None
         assert not loaded.dictionary._materialized  # binary search only
 
+    def test_lazy_lookup_remembers_found_ids_only(self, snap_path, monkeypatch):
+        """A present constant is binary-searched once per dictionary,
+        however many queries name it.  An absent one is searched every
+        time and never remembered, so a stream of absent IRIs cannot
+        grow the memo."""
+        store = TripleStore.from_dataset(tricky_dataset())
+        store.save(snap_path)
+        loaded = TripleStore.load(snap_path)
+        dictionary = loaded.dictionary
+        searches = []
+        find_id = SnapshotReader.find_id
+
+        def counting(reader, term):
+            searches.append(term)
+            return find_id(reader, term)
+
+        monkeypatch.setattr(SnapshotReader, "find_id", counting)
+        for i in range(1000):
+            assert loaded.lookup(IRI(EX + f"absent{i}")) is None
+        assert len(searches) == 1000
+        assert dictionary._found == {}
+
+        searches.clear()
+        p = IRI(EX + "p")
+        assert {loaded.lookup(p) for _ in range(5)} == {store.lookup(p)}
+        assert searches == [p]
+
+        searches.clear()
+        query = f"SELECT ?s ?o ?x WHERE {{ ?s <{EX}p> ?o . ?s <{EX}q> ?x }}"
+        for engine_name in ("wco", "hashjoin", "wco"):
+            result = SparqlUOEngine(loaded, bgp_engine=engine_name).execute(query)
+            assert rows_of(result) == rows_of(
+                SparqlUOEngine(store, bgp_engine=engine_name).execute(query)
+            )
+        assert searches == [IRI(EX + "q")]  # p was found above
+        assert not dictionary._materialized
+
+        # materialize() and encode() keep their meaning over the memo.
+        dictionary.materialize()
+        assert loaded.lookup(p) == store.lookup(p)
+        assert loaded.lookup(IRI(EX + "absent0")) is None
+        minted = dictionary.encode(IRI(EX + "absent0"))
+        assert minted == len(store.dictionary)
+        assert loaded.lookup(IRI(EX + "absent0")) == minted
+
     def test_mutation_after_load_overlays_and_bumps_generation(self, snap_path):
         from repro.storage import DeltaOverlayIndexes
 

@@ -11,8 +11,10 @@ in-process recovery entry points (``SparqlUOEngine.from_snapshot`` and
 from __future__ import annotations
 
 import io
+import os
 import struct
 import threading
+import time
 import zlib
 
 import pytest
@@ -270,6 +272,99 @@ class TestFsyncPolicies:
         assert 1 <= wal.fsync_count < 40
         wal.close()
         assert len(scan_wal(wal_path).records) == 40
+
+    def test_group_commit_queues_behind_one_fsync(self, wal_path, monkeypatch):
+        """The leader fsyncs without holding the log's lock: while its
+        fsync is held, 39 more single-commit threads append and queue,
+        and once it returns one more fsync covers all of them."""
+        import repro.storage.wal as wal_module
+
+        entered = threading.Event()
+        release = threading.Event()
+        real_fsync = os.fsync
+        calls = []
+
+        def held_fsync(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(10), "the test never released the first fsync"
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", held_fsync)
+        wal = WriteAheadLog(wal_path, policy="interval")
+        errors = []
+
+        def committer(i):
+            try:
+                wal.sync(wal.append(i + 1, insert_stmt(i)))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=committer, args=(0,))]
+        threads[0].start()
+        assert entered.wait(10), "the first commit never reached its fsync"
+        threads += [threading.Thread(target=committer, args=(t,)) for t in range(1, 40)]
+        for t in threads[1:]:
+            t.start()
+        deadline = time.monotonic() + 10
+        while wal.depth < 40 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert wal.depth == 40  # every append went through during the fsync
+        release.set()
+        for t in threads:
+            t.join(30)
+        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        assert wal.fsync_count == 2
+        wal.close()
+        assert len(scan_wal(wal_path).records) == 40
+
+    def test_group_commit_stress_with_concurrent_truncation(self, wal_path):
+        """More committers than cores, a tiny switch interval, and a
+        truncator swapping the append handle: every sync returns
+        covered, no fsync touches a swapped-out handle, and exactly the
+        committed frames survive."""
+        import sys
+
+        wal = WriteAheadLog(wal_path, policy="interval")
+        for generation in range(1, 21):
+            wal.append(generation, insert_stmt(generation))
+        errors = []
+
+        def committer(i):
+            try:
+                for j in range(10):
+                    seq = wal.append(1000 + i * 100 + j, insert_stmt(i))
+                    wal.sync(seq)
+                    assert wal._synced_seq >= seq
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        def truncator():
+            try:
+                for generation in (5, 10, 15, 20):
+                    wal.truncate_below(generation)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=committer, args=(t,)) for t in range(8)]
+            threads.append(threading.Thread(target=truncator))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        wal.close()
+        generations = sorted(r.generation for r in scan_wal(wal_path).records)
+        assert generations == sorted(1000 + i * 100 + j for i in range(8) for j in range(10))
+        assert wal.depth == 80
 
     @pytest.mark.parametrize("policy", ["off", "interval", "always"])
     def test_concurrent_committers_write_one_frame_per_batch(self, wal_path, policy):
