@@ -59,7 +59,6 @@ from .sparql import (
     SelectQuery,
     SparqlSyntaxError,
     UnsupportedFeatureError,
-    execute_query,
     parse_query,
 )
 from .storage import SnapshotError, SnapshotReader, TripleStore, bulk_load_ntriples
@@ -89,7 +88,6 @@ __all__ = [
     "bulk_load_ntriples",
     # sparql
     "parse_query",
-    "execute_query",
     "SelectQuery",
     "Bag",
     "SparqlSyntaxError",

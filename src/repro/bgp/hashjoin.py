@@ -303,15 +303,6 @@ class HashJoinEngine(BGPEngine):
         counters.gallop_advances += probes
         return Bag.from_rows(build.schema, out)
 
-    def scan_pattern(
-        self,
-        pattern: TriplePattern,
-        candidates: Optional[Candidates] = None,
-    ) -> Bag:
-        """Materialize one pattern's matches as an id-level bag."""
-        schema, rows, _, _ = self._scan_rows(pattern, candidates)
-        return Bag.from_rows(schema, list(rows))
-
     def _scan_rows(
         self,
         pattern: TriplePattern,

@@ -30,7 +30,6 @@ from typing import (
     Iterator,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -280,13 +279,4 @@ class BGPEngine:
     ) -> PlanEstimate:
         """Estimated cost and cardinality of evaluating the BGP."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _pattern_variables(self, patterns: Sequence[TriplePattern]) -> Set[str]:
-        out: Set[str] = set()
-        for pattern in patterns:
-            out.update(v.name for v in pattern.variables())
-        return out
 

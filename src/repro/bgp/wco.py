@@ -111,12 +111,6 @@ class _Edge:
             out.add(self.o[1])
         return out
 
-    def all_vars(self) -> Set[str]:
-        out = self.endpoint_vars()
-        if self.p[0] == "var":
-            out.add(self.p[1])
-        return out
-
     def impossible(self) -> bool:
         return ("const", -1) in (self.s, self.p, self.o)
 

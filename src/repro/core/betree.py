@@ -22,9 +22,8 @@ therefore hold for arbitrary queries, not just well-designed ones.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional as Opt, Sequence, Set, Union as U
+from typing import Iterator, List, Sequence, Set
 
-from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern, coalescable
 from ..sparql.algebra import (
     FilterExpression,
@@ -158,10 +157,6 @@ class GroupNode(BENode):
 
     def filter_children(self) -> List["FilterNode"]:
         return [c for c in self.children if isinstance(c, FilterNode)]
-
-    def operator_children(self) -> List[BENode]:
-        """The non-FILTER children, in evaluation order."""
-        return [c for c in self.children if not isinstance(c, FilterNode)]
 
     def clone(self) -> "GroupNode":
         copy = GroupNode([child.clone() for child in self.children])

@@ -32,9 +32,8 @@ that merely fail to join later — to empty, and ⟕ would then wrongly
 keep the bare left row), so they receive candidates only from actual
 current results.
 
-FILTER pushdown (the only pipeline; ``tests/oracle.py`` and
-:func:`repro.sparql.semantics.execute_query` are the post-filter
-references it is tested against):
+FILTER pushdown (the only pipeline; ``tests/oracle.py`` is the
+post-filter reference it is tested against):
 
 - a filter whose variables are all covered by a sibling BGP node is
   evaluated *inside* that BGP's scan/join pipeline (every solution of

@@ -1,15 +1,16 @@
 """In-memory RDF dataset (Definition 1).
 
-:class:`Dataset` is the plain, index-free collection of triples used by
-the reference semantics and the dataset generators.  The engine-facing,
-dictionary-encoded, fully indexed representation lives in
+:class:`Dataset` is the plain, index-free collection of triples that
+the dataset generators build (``tests/oracle.py`` evaluates queries
+over it by full scan).  The engine-facing, dictionary-encoded, fully
+indexed representation lives in
 :mod:`repro.storage.store`; a :class:`Dataset` can be converted into one
 with :meth:`repro.storage.store.TripleStore.from_dataset`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set
+from typing import Dict, Iterable, Iterator, Set
 
 from .terms import BlankNode, IRI, Literal, Term
 from .triple import Triple, TriplePattern
@@ -22,12 +23,15 @@ class Dataset:
 
     The paper defines a dataset as a collection ``{t1 … t|D|}``; SPARQL's
     matching semantics is set-based at the data level (duplicates arise
-    from query evaluation, not storage), so triples are stored in a set.
-    Insertion order is not preserved.
+    from query evaluation, not storage), so a triple is stored once.
+    Iteration follows first insertion, so the term ids
+    :meth:`repro.storage.store.TripleStore.from_dataset` assigns do not
+    depend on the interpreter's hash seed.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: Set[Triple] = set()
+        # A dict used as an insertion-ordered set (values are None).
+        self._triples: Dict[Triple, None] = {}
         for triple in triples:
             self.add(triple)
 
@@ -38,14 +42,14 @@ class Dataset:
         """Insert a triple; duplicate inserts are no-ops."""
         if not isinstance(triple, Triple):
             raise TypeError(f"Dataset.add expects a Triple, got {triple!r}")
-        self._triples.add(triple)
+        self._triples[triple] = None
 
     def add_spo(self, subject: Term, predicate: Term, object: Term) -> None:
         """Convenience: build and insert a triple from its components."""
         self.add(Triple(subject, predicate, object))
 
     def discard(self, triple: Triple) -> None:
-        self._triples.discard(triple)
+        self._triples.pop(triple, None)
 
     def update(self, triples: Iterable[Triple]) -> None:
         for triple in triples:
@@ -66,9 +70,8 @@ class Dataset:
     def match(self, pattern: TriplePattern) -> Iterator[Triple]:
         """Yield every triple matching the pattern (linear scan).
 
-        This is intentionally naive: the reference evaluator defines
-        correctness, and a full scan leaves no room for index bugs to
-        hide.  Engines use :mod:`repro.storage` instead.
+        This is intentionally naive: a full scan leaves no room for
+        index bugs to hide.  Engines use :mod:`repro.storage` instead.
         """
         for triple in self._triples:
             if pattern.matches(triple):

@@ -109,8 +109,8 @@ class TriplePattern:
         ``schema`` is the pattern's variable names deduplicated in
         position order; ``positions`` gives, for each name, the first
         s/p/o position it occupies.  Every scan that emits columnar
-        rows (engines, baselines, the reference evaluator) projects a
-        matched triple through these positions.
+        rows (engines, baselines) projects a matched triple through
+        these positions.
         """
         schema = []
         positions = []

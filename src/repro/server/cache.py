@@ -8,8 +8,8 @@ monotonic write counter the snapshot format persists
 
 A lookup at a newer generation **revalidates** the entry instead of
 missing.  Every SPARQL-UO answer is built from the match sets of the
-query's triple patterns (Definition 7; :mod:`repro.sparql.semantics`
-evaluates queries exactly that way).  So a write that touches no
+query's triple patterns (Definition 7 evaluates a query bottom-up
+from exactly those match sets).  So a write that touches no
 triple matching any of those patterns cannot change the answer.  The
 cache keeps a bounded log of the ground triples each generation's
 update *requested*, which is a superset of what it changed.  When no

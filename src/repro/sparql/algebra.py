@@ -1,17 +1,14 @@
-"""Graph-pattern AST (Definition 6) in two isomorphic forms.
+"""Graph-pattern AST (Definition 6), in syntax form.
 
-**Syntax form** — mirrors query text: a :class:`GroupGraphPattern` holds
-an ordered list of elements, each a triple pattern, nested group, UNION
-expression or OPTIONAL expression.  BE-tree construction (§4.1) consumes
+A :class:`GroupGraphPattern` mirrors query text: an ordered list of
+elements, each a triple pattern, nested group, UNION expression,
+OPTIONAL expression or FILTER.  BE-tree construction (§4.1) consumes
 this form directly, because sibling order matters there.
 
-**Binary form** — the operator tree of Section 3's semantics: AND /
-UNION / OPTIONAL nodes over triple-pattern leaves, produced by
-:func:`to_binary`.  The reference evaluator runs on this form.
-
-The conversion implements the paper's fixed operator semantics: elements
-of a group are joined left to right, and OPTIONAL is left-associative,
-attaching to everything accumulated so far.
+The paper's operator semantics are read off that order: elements of a
+group are joined left to right, OPTIONAL is left-associative
+(attaching to everything accumulated so far), and FILTERs apply to
+the whole group.
 """
 
 from __future__ import annotations
@@ -37,13 +34,6 @@ __all__ = [
     "ModifyUpdate",
     "UpdateOperation",
     "UpdateRequest",
-    "BinaryNode",
-    "EmptyPattern",
-    "And",
-    "UnionOp",
-    "OptionalOp",
-    "FilterOp",
-    "to_binary",
     "pattern_variables",
     "triple_patterns",
     "format_group",
@@ -373,11 +363,6 @@ class SelectQuery:
         """True when duplicate solutions are eliminated (DISTINCT/REDUCED)."""
         return self.distinct or self.reduced
 
-    def has_modifiers(self) -> bool:
-        return bool(
-            self.deduplicates or self.order_by or self.limit is not None or self.offset
-        )
-
     @property
     def aggregates(self) -> "tuple[Aggregate, ...]":
         """The projected aggregates, in projection order."""
@@ -563,126 +548,8 @@ class UpdateRequest:
         return f"UpdateRequest({list(self.operations)!r})"
 
 
-# ----------------------------------------------------------------------
-# binary operator tree (Section 3 semantics form)
-# ----------------------------------------------------------------------
-class BinaryNode:
-    """Base class for binary-form graph patterns."""
-
-    __slots__ = ()
-
-
-class EmptyPattern(BinaryNode):
-    """The empty group ``{}`` — evaluates to the identity bag."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EmptyPattern)
-
-    def __hash__(self) -> int:
-        return hash("empty")
-
-    def __repr__(self) -> str:
-        return "EmptyPattern()"
-
-
-class _BinaryOp(BinaryNode):
-    __slots__ = ("left", "right")
-    _tag = "?"
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.left == self.left and other.right == self.right
-
-    def __hash__(self) -> int:
-        return hash((self._tag, self.left, self.right))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
-
-
-class And(_BinaryOp):
-    """P1 AND P2 — join."""
-
-    _tag = "and"
-
-
-class UnionOp(_BinaryOp):
-    """P1 UNION P2 — bag union."""
-
-    _tag = "union"
-
-
-class OptionalOp(_BinaryOp):
-    """P1 OPTIONAL P2 — left outer join."""
-
-    _tag = "optional"
-
-
-class FilterOp(BinaryNode):
-    """σ_expr(P) — FILTER applied to a pattern's solutions."""
-
-    __slots__ = ("child", "expression")
-
-    def __init__(self, child: BinaryNode, expression: Expression):
-        self.child = child
-        self.expression = expression
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FilterOp)
-            and other.child == self.child
-            and other.expression == self.expression
-        )
-
-    def __hash__(self) -> int:
-        return hash(("filterop", self.child, self.expression))
-
-    def __repr__(self) -> str:
-        return f"FilterOp({self.child!r}, {self.expression!r})"
-
-
-def to_binary(group: GroupGraphPattern) -> BinaryNode:
-    """Convert a syntax-form group to the binary operator tree.
-
-    Elements fold left to right under AND; an OPTIONAL element attaches
-    the accumulated pattern as its left operand (left-associativity);
-    n-ary UNION folds left.  FILTER elements are group-scoped: they wrap
-    the completed group in :class:`FilterOp` nodes, in source order.
-    The empty group becomes :class:`EmptyPattern`.
-    """
-    accumulated: BinaryNode = None
-    for element in group.elements:
-        if isinstance(element, FilterExpression):
-            continue  # applied to the whole group below
-        if isinstance(element, TriplePattern):
-            operand: BinaryNode = element
-        elif isinstance(element, GroupGraphPattern):
-            operand = to_binary(element)
-        elif isinstance(element, UnionExpression):
-            operand = to_binary(element.branches[0])
-            for branch in element.branches[1:]:
-                operand = UnionOp(operand, to_binary(branch))
-        elif isinstance(element, OptionalExpression):
-            left = accumulated if accumulated is not None else EmptyPattern()
-            accumulated = OptionalOp(left, to_binary(element.pattern))
-            continue
-        else:  # pragma: no cover - constructor validates
-            raise TypeError(f"invalid group element {element!r}")
-        accumulated = operand if accumulated is None else And(accumulated, operand)
-    if accumulated is None:
-        accumulated = EmptyPattern()
-    for filter_element in group.filters():
-        accumulated = FilterOp(accumulated, filter_element.expression)
-    return accumulated
-
-
 def pattern_variables(node) -> FrozenSet[str]:
-    """All variable names a pattern can *bind* (either form).
+    """All variable names a pattern can *bind*.
 
     FILTER expressions never bind variables, so their variables do not
     contribute — a variable mentioned only inside a FILTER is not in
@@ -704,12 +571,6 @@ def pattern_variables(node) -> FrozenSet[str]:
         return pattern_variables(node.pattern)
     if isinstance(node, FilterExpression):
         return frozenset()
-    if isinstance(node, EmptyPattern):
-        return frozenset()
-    if isinstance(node, FilterOp):
-        return pattern_variables(node.child)
-    if isinstance(node, _BinaryOp):
-        return pattern_variables(node.left) | pattern_variables(node.right)
     raise TypeError(f"not a graph pattern: {node!r}")
 
 

@@ -1,12 +1,12 @@
 """Bags of solution mappings and the operators of Section 3.
 
 A *mapping* μ is a partial function from variables to terms.  The public
-API still speaks dicts (variable *name* → term, where terms are ground
-:class:`~repro.rdf.terms.Term` objects in the reference evaluator and
-integer term ids inside the engines), but internally a :class:`Bag` is
-**columnar**: it carries a fixed, ordered tuple of variable names (its
-*schema*) and stores every solution as a plain tuple of values aligned
-with that schema.  A slot left unbound by a mapping (possible after
+API still speaks dicts (variable *name* → value, where values are
+integer term ids inside the engines and ground
+:class:`~repro.rdf.terms.Term` objects in decoded results), but
+internally a :class:`Bag` is **columnar**: it carries a fixed, ordered
+tuple of variable names (its *schema*) and stores every solution as a
+plain tuple of values aligned with that schema.  A slot left unbound by a mapping (possible after
 OPTIONAL / UNION) holds the :data:`UNBOUND` sentinel.
 
 The columnar layout is what makes the operators fast: the schema is
@@ -17,13 +17,13 @@ key contains :data:`UNBOUND` are routed through a nested-loop fallback,
 which keeps every operator exactly faithful to the paper's
 compatibility definition.
 
-The four bag operators follow the paper's definitions exactly and all
+The three bag operators follow the paper's definitions exactly and all
 preserve duplicates (bag/multiset semantics):
 
 - join        Ω1 ⋈ Ω2  = {μ1 ∪ μ2 | μ1 ∈ Ω1, μ2 ∈ Ω2, μ1 ~ μ2}
 - union       Ω1 ∪bag Ω2 = concatenation
-- minus       Ω1 ∖ Ω2  = {μ1 ∈ Ω1 | ∀ μ2 ∈ Ω2 : μ1 ≁ μ2}
-- left_join   Ω1 ⟕ Ω2  = (Ω1 ⋈ Ω2) ∪bag (Ω1 ∖ Ω2)
+- left_join   Ω1 ⟕ Ω2  = (Ω1 ⋈ Ω2) ∪bag (Ω1 ∖ Ω2), where
+              Ω1 ∖ Ω2  = {μ1 ∈ Ω1 | ∀ μ2 ∈ Ω2 : μ1 ≁ μ2}
 """
 
 from __future__ import annotations
@@ -47,16 +47,12 @@ __all__ = [
     "Row",
     "Bag",
     "EncodedPage",
-    "compatible",
-    "merge_mappings",
     "join",
     "join_streamed",
     "merge_join_streamed",
     "join_output_schema",
     "union",
-    "minus",
     "left_join",
-    "mappings_equal_as_bags",
 ]
 
 #: A solution mapping: variable name → value (the dict-level view).
@@ -81,26 +77,8 @@ class _Unbound:
 #: The unbound-slot sentinel.  Always compare with ``is``.
 UNBOUND = _Unbound()
 
-
-def compatible(mu1: Mapping, mu2: Mapping) -> bool:
-    """μ1 ~ μ2: every shared variable is bound to the same value."""
-    if len(mu2) < len(mu1):
-        mu1, mu2 = mu2, mu1
-    for var, value in mu1.items():
-        other = mu2.get(var, _MISSING)
-        if other is not _MISSING and other != value:
-            return False
-    return True
-
-
+#: "No key seen yet": distinct from every id and from UNBOUND.
 _MISSING = object()
-
-
-def merge_mappings(mu1: Mapping, mu2: Mapping) -> Mapping:
-    """μ1 ∪ μ2 for compatible mappings."""
-    merged = dict(mu1)
-    merged.update(mu2)
-    return merged
 
 
 class Bag:
@@ -740,56 +718,14 @@ def union(bag1: Bag, bag2: Bag) -> Bag:
     return Bag.from_rows(out_schema, out)
 
 
-def minus(bag1: Bag, bag2: Bag) -> Bag:
-    """Ω1 ∖ Ω2: solutions of Ω1 incompatible with *every* solution of Ω2."""
-    if not bag2:
-        return Bag.from_rows(bag1._schema, list(bag1._rows))
-    slots1 = bag1._slots
-    schema2 = bag2._schema
-    shared_pairs = [(slots1[v], j) for j, v in enumerate(schema2) if v in slots1]
-    if not shared_pairs:
-        # No shared columns: every μ2 is compatible with every μ1.
-        return Bag.from_rows(bag1._schema, [])
-
-    single = len(shared_pairs) == 1
-    if single:
-        i0, j0 = shared_pairs[0]
-    else:
-        get1 = itemgetter(*(i for i, _ in shared_pairs))
-        get2 = itemgetter(*(j for _, j in shared_pairs))
-    keys2 = set()
-    loose2: List[Row] = []
-    for row2 in bag2._rows:
-        key = row2[j0] if single else get2(row2)
-        if (key is UNBOUND) if single else (UNBOUND in key):
-            loose2.append(row2)
-        else:
-            keys2.add(key)
-
-    rows2 = bag2._rows
-    out: List[Row] = []
-    for row1 in bag1._rows:
-        key = row1[i0] if single else get1(row1)
-        if not ((key is UNBOUND) if single else (UNBOUND in key)):
-            if key in keys2:
-                continue
-            if any(_rows_compatible(row1, row2, shared_pairs) for row2 in loose2):
-                continue
-        else:
-            if any(_rows_compatible(row1, row2, shared_pairs) for row2 in rows2):
-                continue
-        out.append(row1)
-    return Bag.from_rows(bag1._schema, out)
-
-
 def left_join(bag1: Bag, bag2: Bag, checkpoint=None) -> Bag:
     """Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪bag (Ω1 ∖ Ω2) — Definition 7's d|><|.
 
     Implemented in one pass: for each μ1 we emit its joins if any exist,
     otherwise μ1 itself (padded with UNBOUND for Ω2's columns).  This is
-    equivalent to the two-operator form but avoids re-scanning Ω2 for
-    the minus part.  ``checkpoint`` is the cooperative-cancellation
-    hook (see :func:`join`).
+    equivalent to the two-operator form but never scans Ω2 a second
+    time for the difference part.  ``checkpoint`` is the
+    cooperative-cancellation hook (see :func:`join`).
     """
     out_schema, right_only, shared_pairs = _join_layout(bag1, bag2._schema)
     pad = (UNBOUND,) * len(right_only)
@@ -845,8 +781,3 @@ def left_join(bag1: Bag, bag2: Bag, checkpoint=None) -> Bag:
         if not matched:
             append(row1 + pad)
     return Bag.from_rows(out_schema, out)
-
-
-def mappings_equal_as_bags(left: Iterable[Mapping], right: Iterable[Mapping]) -> bool:
-    """Multiset equality of two mapping collections (test helper)."""
-    return Bag(left) == Bag(right)

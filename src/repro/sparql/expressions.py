@@ -19,9 +19,9 @@ Evaluation follows SPARQL 1.1's error semantics:
 Values during evaluation are plain Python objects: ``bool``, ``int`` /
 ``float`` (numeric literals), ``str`` (string literals without language
 tag), or a :class:`~repro.rdf.terms.Term` for everything else.  The
-conversion is :func:`term_value`; it is shared by the engines, the
-reference evaluator and the test oracle, so all three agree on the
-semantics by construction.
+conversion is :func:`term_value`; it is shared by the engines and the
+test oracle (``tests/oracle.py``), so both agree on the semantics by
+construction.
 """
 
 from __future__ import annotations

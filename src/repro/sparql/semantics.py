@@ -1,90 +1,16 @@
-"""Reference evaluator: Definition 7 over the binary operator tree.
+"""Solution modifiers over a whole bag: ORDER BY and DISTINCT.
 
-This is the straightforward bottom-up evaluation the paper's Section 4
-describes (and criticizes for performance): each triple-pattern leaf is
-matched against the dataset by linear scan, and internal nodes apply the
-bag operators.  It is deliberately simple — it defines *correctness*
-for every optimized component, and all integration/property tests
-compare engine output against it.
+:class:`~repro.core.engine.SparqlUOEngine` applies these after the
+BE-tree has produced its id-level solutions.  ORDER BY keys follow
+:mod:`repro.sparql.expressions`, which every component shares.
 """
 
 from __future__ import annotations
 
-from typing import Optional as Opt, Sequence
+from .bags import Bag, UNBOUND
+from .expressions import order_key_for_binding
 
-from ..rdf.dataset import Dataset
-from ..rdf.triple import TriplePattern
-from .algebra import (
-    And,
-    BinaryNode,
-    EmptyPattern,
-    FilterOp,
-    GroupGraphPattern,
-    OptionalOp,
-    SelectQuery,
-    UnionOp,
-    pattern_variables,
-    to_binary,
-)
-from .bags import Bag, UNBOUND, join, left_join, union
-from .expressions import filter_passes, order_key_for_binding
-
-__all__ = [
-    "evaluate_pattern",
-    "evaluate_triple_pattern",
-    "evaluate_group",
-    "execute_query",
-    "apply_filter",
-    "order_bag",
-    "distinct_bag",
-    "slice_bag",
-]
-
-
-def evaluate_triple_pattern(pattern: TriplePattern, dataset: Dataset) -> Bag:
-    """[[t]]_D = {μ | var(t) = dom(μ) ∧ μ(t) ∈ D} via linear scan."""
-    schema, positions = pattern.layout()
-    rows = []
-    for triple in dataset.match(pattern):
-        values = triple.as_tuple()
-        rows.append(tuple(values[i] for i in positions))
-    return Bag.from_rows(schema, rows)
-
-
-def evaluate_pattern(node: BinaryNode, dataset: Dataset) -> Bag:
-    """Recursive evaluation of a binary-form graph pattern (Definition 7)."""
-    if isinstance(node, TriplePattern):
-        return evaluate_triple_pattern(node, dataset)
-    if isinstance(node, EmptyPattern):
-        return Bag.identity()
-    if isinstance(node, And):
-        return join(evaluate_pattern(node.left, dataset), evaluate_pattern(node.right, dataset))
-    if isinstance(node, UnionOp):
-        return union(evaluate_pattern(node.left, dataset), evaluate_pattern(node.right, dataset))
-    if isinstance(node, OptionalOp):
-        return left_join(
-            evaluate_pattern(node.left, dataset), evaluate_pattern(node.right, dataset)
-        )
-    if isinstance(node, FilterOp):
-        return apply_filter(evaluate_pattern(node.child, dataset), node.expression)
-    raise TypeError(f"not a binary graph pattern: {node!r}")
-
-
-def apply_filter(bag: Bag, expression) -> Bag:
-    """σ_expr over a term-level bag: keep rows whose EBV is true.
-
-    Rows on which the expression errors (unbound variables, type
-    errors) are dropped, per SPARQL's FILTER semantics.
-    """
-    schema = bag.schema
-    kept = [
-        row
-        for row in bag.rows
-        if filter_passes(
-            expression, {n: v for n, v in zip(schema, row) if v is not UNBOUND}
-        )
-    ]
-    return Bag.from_rows(schema, kept)
+__all__ = ["order_bag", "distinct_bag"]
 
 
 def order_bag(bag: Bag, order_by, terms=None, checkpoint=None) -> Bag:
@@ -131,37 +57,3 @@ def distinct_bag(bag: Bag) -> Bag:
             seen.add(row)
             kept.append(row)
     return Bag.from_rows(bag.schema, kept)
-
-
-def slice_bag(bag: Bag, offset: int = 0, limit=None) -> Bag:
-    """OFFSET / LIMIT applied to the bag's current row order."""
-    rows = bag.rows
-    if offset:
-        rows = rows[offset:]
-    if limit is not None:
-        rows = rows[:limit]
-    return Bag.from_rows(bag.schema, list(rows))
-
-
-def evaluate_group(group: GroupGraphPattern, dataset: Dataset) -> Bag:
-    """Evaluate a syntax-form group by converting to binary form first."""
-    return evaluate_pattern(to_binary(group), dataset)
-
-
-def execute_query(query: SelectQuery, dataset: Dataset) -> Bag:
-    """Evaluate a full SELECT query, applying projection and modifiers.
-
-    The modifier pipeline is SPARQL 1.1's: ORDER BY over the full WHERE
-    solutions, then projection, then DISTINCT/REDUCED (first occurrence
-    kept), then OFFSET, then LIMIT.  For select-all queries every
-    pattern-bound variable is projected.
-    """
-    solutions = evaluate_group(query.where, dataset)
-    names: Opt[Sequence[str]] = query.projection_names()
-    if names is None:
-        names = sorted(pattern_variables(query.where))
-    solutions = order_bag(solutions, query.order_by)
-    projected = solutions.project(names)
-    if query.deduplicates:
-        projected = distinct_bag(projected)
-    return slice_bag(projected, query.offset, query.limit)

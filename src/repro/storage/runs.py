@@ -147,11 +147,6 @@ class SortedIdSet:
         """Build from any iterable of ids (deduplicates and sorts)."""
         return cls(array("Q", sorted(set(ids))))
 
-    @classmethod
-    def from_sorted(cls, ids: Sequence[int]) -> "SortedIdSet":
-        """Build from an already sorted, deduplicated sequence."""
-        return cls(ids if isinstance(ids, array) else array("Q", ids))
-
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -96,10 +96,9 @@ def university_store(university_dataset) -> TripleStore:
 def _lubm_store(universities: int) -> TripleStore:
     """LUBM, generator seed 42, encoded in sorted triple order.
 
-    A ``Dataset`` iterates in set order, which before Python 3.12
-    follows ``hash(None)`` inside literal hashes and so changes from
-    process to process; sorting fixes every term id, and with them the
-    exact counts (galloping probes, say) the tests pin.  Read-only.
+    Sorting fixes every term id, and with them the exact counts
+    (galloping probes, say) the tests pin; those counts were taken in
+    this order, not the generator's.  Read-only.
     """
     dataset = generate_lubm(universities=universities, seed=42)
     return TripleStore.from_triples(sorted(dataset, key=Triple.n3))

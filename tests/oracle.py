@@ -16,7 +16,7 @@ asserts exact bag equality against this oracle.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.rdf import Dataset
 from repro.rdf.terms import Variable
@@ -219,8 +219,15 @@ def execute(query: SelectQuery, dataset: Dataset) -> OracleResult:
     return OracleResult(list(names), sliced, projected)
 
 
-def as_counter(rows: List[Solution]) -> Counter:
+def as_counter(rows: Iterable[Solution]) -> Counter:
+    """Multiset of solutions; ``rows`` may be any iterable of dicts (an
+    engine result :class:`~repro.sparql.bags.Bag` iterates as one)."""
     return Counter(solution_key(mu) for mu in rows)
+
+
+def answer(query: SelectQuery, dataset: Dataset) -> Counter:
+    """The multiset of ``query``'s final rows, keyed like :func:`as_counter`."""
+    return as_counter(execute(query, dataset).rows)
 
 
 def contained_in(rows: List[Solution], superset: List[Solution]) -> bool:

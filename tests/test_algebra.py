@@ -1,19 +1,14 @@
-"""Unit tests for the graph-pattern AST and binary conversion."""
+"""Unit tests for the graph-pattern AST."""
 
 import pytest
 
 from repro.rdf import IRI, TriplePattern, Variable
 from repro.sparql import (
-    And,
-    EmptyPattern,
     GroupGraphPattern,
     OptionalExpression,
-    OptionalOp,
     SelectQuery,
     UnionExpression,
-    UnionOp,
     pattern_variables,
-    to_binary,
 )
 
 P = IRI("http://x/p")
@@ -47,44 +42,6 @@ class TestConstruction:
             SelectQuery(None, T1)
 
 
-class TestToBinary:
-    def test_single_triple(self):
-        assert to_binary(GroupGraphPattern([T1])) == T1
-
-    def test_empty_group(self):
-        assert to_binary(GroupGraphPattern([])) == EmptyPattern()
-
-    def test_left_fold_of_and(self):
-        node = to_binary(GroupGraphPattern([T1, T2, T3]))
-        assert node == And(And(T1, T2), T3)
-
-    def test_optional_left_associative(self):
-        group = GroupGraphPattern(
-            [T1, OptionalExpression(GroupGraphPattern([T2]))]
-        )
-        assert to_binary(group) == OptionalOp(T1, T2)
-
-    def test_leading_optional_attaches_to_empty(self):
-        group = GroupGraphPattern([OptionalExpression(GroupGraphPattern([T1]))])
-        assert to_binary(group) == OptionalOp(EmptyPattern(), T1)
-
-    def test_pattern_after_optional_joins_whole(self):
-        group = GroupGraphPattern(
-            [T1, OptionalExpression(GroupGraphPattern([T2])), T3]
-        )
-        assert to_binary(group) == And(OptionalOp(T1, T2), T3)
-
-    def test_union_folds_left(self):
-        union = UnionExpression(
-            [GroupGraphPattern([T1]), GroupGraphPattern([T2]), GroupGraphPattern([T3])]
-        )
-        assert to_binary(GroupGraphPattern([union])) == UnionOp(UnionOp(T1, T2), T3)
-
-    def test_nested_group_is_transparent(self):
-        group = GroupGraphPattern([GroupGraphPattern([T1, T2])])
-        assert to_binary(group) == And(T1, T2)
-
-
 class TestPatternVariables:
     def test_triple(self):
         assert pattern_variables(T1) == {"x", "y"}
@@ -98,7 +55,3 @@ class TestPatternVariables:
             [union, OptionalExpression(GroupGraphPattern([T3]))]
         )
         assert pattern_variables(group) == {"x", "y", "z"}
-
-    def test_binary_forms(self):
-        assert pattern_variables(And(T1, T2)) == {"x", "y", "z"}
-        assert pattern_variables(EmptyPattern()) == frozenset()

@@ -1,23 +1,15 @@
 """Unit and property tests for bags of mappings and their operators.
 
 The property tests check the implementations against the paper's literal
-set-builder definitions (Section 3), brute-forced.
+set-builder definitions (Section 3), brute-forced with the naive
+oracle's compatibility and merge (``tests/oracle.py``).
 """
 
 from hypothesis import given, strategies as st
 
-from repro.sparql.bags import (
-    UNBOUND,
-    Bag,
-    compatible,
-    join,
-    join_streamed,
-    left_join,
-    merge_mappings,
-    minus,
-    union,
-)
+from repro.sparql.bags import UNBOUND, Bag, join, join_streamed, left_join, union
 
+from .oracle import _compatible as compatible, _merge as merge_mappings
 from .strategies import solution_bags
 
 # Small mapping universe: variables a/b/c over values 0..2, possibly absent.
@@ -45,24 +37,6 @@ def brute_join(b1, b2):
 
 def brute_minus(b1, b2):
     return Bag(m1 for m1 in b1 if all(not compatible(m1, m2) for m2 in b2))
-
-
-class TestCompatible:
-    def test_disjoint_domains_compatible(self):
-        assert compatible({"a": 1}, {"b": 2})
-
-    def test_same_value_compatible(self):
-        assert compatible({"a": 1, "b": 2}, {"a": 1})
-
-    def test_conflict_incompatible(self):
-        assert not compatible({"a": 1}, {"a": 2})
-
-    def test_empty_compatible_with_everything(self):
-        assert compatible({}, {"a": 1})
-
-    @given(mappings(), mappings())
-    def test_symmetry(self, m1, m2):
-        assert compatible(m1, m2) == compatible(m2, m1)
 
 
 class TestBagBasics:
@@ -151,25 +125,6 @@ class TestUnion:
         assert len(union(b1, b2)) == len(b1) + len(b2)
 
 
-class TestMinus:
-    def test_incompatible_survive(self):
-        out = minus(Bag([{"a": 1}, {"a": 2}]), Bag([{"a": 1}]))
-        assert out == Bag([{"a": 2}])
-
-    def test_empty_right_keeps_all(self):
-        bag = Bag([{"a": 1}])
-        assert minus(bag, Bag()) == bag
-
-    def test_disjoint_domains_remove_all(self):
-        # Every mapping is compatible with {b:1}, so nothing survives.
-        out = minus(Bag([{"a": 1}]), Bag([{"b": 1}]))
-        assert len(out) == 0
-
-    @given(bags, bags)
-    def test_matches_brute_force(self, b1, b2):
-        assert minus(b1, b2) == brute_minus(b1, b2)
-
-
 class TestLeftJoin:
     def test_matching_rows_extended(self):
         out = left_join(Bag([{"a": 1}]), Bag([{"a": 1, "b": 2}]))
@@ -224,7 +179,7 @@ def brute_left_join(m1, m2):
 
 
 class TestColumnarEquivalence:
-    """All four operators agree with the dict-level set-builder forms."""
+    """All three operators agree with the dict-level set-builder forms."""
 
     @given(wide_bags, wide_bags)
     def test_join_matches_dict_semantics(self, m1, m2):
@@ -236,13 +191,6 @@ class TestColumnarEquivalence:
     @given(wide_bags, wide_bags)
     def test_union_matches_dict_semantics(self, m1, m2):
         assert union(Bag(m1), Bag(m2)) == Bag(brute_union(m1, m2))
-
-    @given(wide_bags, wide_bags)
-    def test_minus_matches_dict_semantics(self, m1, m2):
-        expected = Bag(
-            a for a in m1 if all(not compatible(a, b) for b in m2)
-        )
-        assert minus(Bag(m1), Bag(m2)) == expected
 
     @given(wide_bags, wide_bags)
     def test_left_join_matches_dict_semantics(self, m1, m2):
@@ -257,7 +205,7 @@ class TestColumnarEquivalence:
     @given(wide_bags, wide_bags)
     def test_operators_roundtrip_through_dicts(self, m1, m2):
         """Rebuilding an operator result from its dict view is lossless."""
-        for op in (join, union, minus, left_join):
+        for op in (join, union, left_join):
             result = op(Bag(m1), Bag(m2))
             assert Bag(list(result)) == result
 

@@ -13,8 +13,10 @@ from repro.core import (
 )
 from repro.datasets import DBPEDIA_QUERIES, generate_dbpedia
 from repro.rdf import Dataset, IRI, Triple
-from repro.sparql import SelectQuery, execute_query, parse_group, parse_query
+from repro.sparql import parse_group, parse_query
 from repro.storage import TripleStore
+
+from . import oracle
 
 EX = "http://example.org/"
 
@@ -45,10 +47,10 @@ class TestNaryUnionTransforms:
 
     def test_nary_semantics_preserved(self, university_store, university_dataset):
         tree = self.fixture_tree()
-        before = execute_query(SelectQuery(None, tree.to_group()), university_dataset)
+        before = oracle.evaluate_group(tree.to_group(), university_dataset)
         multi_level_transform(CostModel(WCOJoinEngine(university_store)), tree)
-        after = execute_query(SelectQuery(None, tree.to_group()), university_dataset)
-        assert before == after
+        after = oracle.evaluate_group(tree.to_group(), university_dataset)
+        assert oracle.as_counter(before) == oracle.as_counter(after)
 
 
 class TestRepeatedTransformations:
@@ -63,10 +65,10 @@ class TestRepeatedTransformations:
         tree = BETree.from_group(parse_group(text))
         model = CostModel(WCOJoinEngine(university_store))
         multi_level_transform(model, tree)
-        first = execute_query(SelectQuery(None, tree.to_group()), university_dataset)
+        first = oracle.evaluate_group(tree.to_group(), university_dataset)
         report = multi_level_transform(model, tree)
-        second = execute_query(SelectQuery(None, tree.to_group()), university_dataset)
-        assert first == second
+        second = oracle.evaluate_group(tree.to_group(), university_dataset)
+        assert oracle.as_counter(first) == oracle.as_counter(second)
         validate_tree(tree)
         # The second pass may fire extra injects, but never invalidates.
         assert report.total_delta <= 0
@@ -127,9 +129,9 @@ class TestOptionalFirstGroupPruning:
     @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
     @pytest.mark.parametrize("mode", ["base", "tt", "cp", "full"])
     def test_matches_reference_in_every_mode(self, tiny_dataset, bgp_engine, mode):
-        reference = execute_query(parse_query(self.QUERY), tiny_dataset)
+        reference = oracle.answer(parse_query(self.QUERY), tiny_dataset)
         engine = SparqlUOEngine.for_dataset(tiny_dataset, bgp_engine=bgp_engine, mode=mode)
-        assert engine.execute(self.QUERY).solutions == reference
+        assert oracle.as_counter(engine.execute(self.QUERY)) == reference
 
     def test_pruning_still_fires_with_real_left_rows(
         self, university_store, university_dataset
@@ -143,8 +145,8 @@ class TestOptionalFirstGroupPruning:
             f"OPTIONAL {{ ?z <{EX}takesCourse> ?y . ?z <{EX}name> ?n }} }}"
         )
         result = engine.execute(query)
-        reference = execute_query(parse_query(query), university_dataset)
-        assert result.solutions == reference
+        reference = oracle.answer(parse_query(query), university_dataset)
+        assert oracle.as_counter(result) == reference
 
 
 class TestDegenerateQueries:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import ExecutionMode, SparqlUOEngine
-from repro.sparql import execute_query, parse_query
+from repro.sparql import parse_query
+
+from . import oracle
 
 PREZ_QUERY = """
 SELECT ?x ?name WHERE {
@@ -25,8 +27,8 @@ class TestModes:
     ):
         engine = SparqlUOEngine(presidents_store, bgp_engine=bgp_engine, mode=mode)
         result = engine.execute(PREZ_QUERY)
-        expected = execute_query(parse_query(PREZ_QUERY), presidents_dataset)
-        assert result.solutions == expected
+        expected = oracle.answer(parse_query(PREZ_QUERY), presidents_dataset)
+        assert oracle.as_counter(result) == expected
 
     def test_mode_enum_accepted(self, presidents_store):
         engine = SparqlUOEngine(presidents_store, mode=ExecutionMode.TT)

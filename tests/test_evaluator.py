@@ -6,7 +6,7 @@ from repro.bgp import HashJoinEngine, WCOJoinEngine
 from repro.bgp.interface import decode_page
 from repro.core import BETree, CandidatePolicy, ThresholdMode
 from repro.core.evaluator import BGPBasedEvaluator, EvaluationTrace
-from repro.sparql import SelectQuery, execute_query, parse_group
+from repro.sparql import parse_group
 from repro.storage import TripleStore
 
 from . import oracle
@@ -34,7 +34,7 @@ def engine(request, university_store):
 
 
 def reference(text, dataset):
-    return execute_query(SelectQuery(None, parse_group(text)), dataset)
+    return oracle.evaluate_group(parse_group(text), dataset)
 
 
 class TestAlgorithm1:
@@ -45,7 +45,11 @@ class TestAlgorithm1:
         solutions = evaluator.evaluate(tree)
         result = decode_page(engine.store, solutions, solutions.schema)
         names = sorted(result.variables())
-        assert result.project(names) == reference(text, university_dataset).project(names)
+        expected = [
+            {v: mu[v] for v in names if v in mu}
+            for mu in reference(text, university_dataset)
+        ]
+        assert oracle.as_counter(result.project(names)) == oracle.as_counter(expected)
 
     @pytest.mark.parametrize("text", QUERIES)
     def test_pruning_preserves_results(self, engine, university_dataset, text):

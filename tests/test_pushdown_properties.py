@@ -2,8 +2,8 @@
 
 The engine's one pipeline evaluates filters inside scans, runs
 DISTINCT on encoded rows before decode and stops LIMIT queries early.
-Definition 7's bottom-up evaluator (``execute_query``) filters only
-after full evaluation; these properties assert the two always produce
+The naive oracle (``tests/oracle.py``) evaluates Definition 7 bottom-up
+and filters only at group end; these properties assert the two always produce
 the same solution multiset (modulo the page freedom SPARQL grants an
 un-ORDERed LIMIT), across both BGP engines and with transformations +
 candidate pruning enabled.  Two deterministic LUBM tests pin the work
@@ -20,7 +20,6 @@ from repro import SparqlUOEngine
 from repro.datasets import generate_lubm
 from repro.sparql.algebra import SelectQuery
 from repro.sparql.expressions import order_key_for_binding
-from repro.sparql.semantics import execute_query
 from repro.storage import TripleStore
 
 from . import oracle
@@ -50,24 +49,25 @@ def _sort_keys(query: SelectQuery, rows: list) -> list:
 @given(group=groups_with_filters(), data=datasets())
 def test_filter_pushdown_exact_bag_equality(group, data):
     """Filters alone (no paging): results must be *exactly* bag-equal
-    across engines and the reference evaluator."""
+    across engines and the oracle."""
     query = SelectQuery(None, group)
     store = TripleStore.from_dataset(data)
-    reference = execute_query(query, data)
+    reference = oracle.answer(query, data)
     for engine_name in ENGINES:
         result = SparqlUOEngine(store, bgp_engine=engine_name, mode="full").execute(query)
-        assert result.solutions == reference, engine_name
+        assert oracle.as_counter(result) == reference, engine_name
 
 
 @settings(**_SETTINGS)
 @given(query=modifier_queries(), data=datasets())
 def test_engine_matches_reference_semantics(query, data):
-    """The optimized stack vs. Definition 7's bottom-up evaluator with
-    the modifier pipeline applied on top (binary-form FilterOp path).
+    """The optimized stack vs. the oracle's bottom-up evaluation with
+    the modifier pipeline applied on top.
 
     Covers all three pushdown mechanisms at once: filter-into-scan,
     DISTINCT-before-decode, and LIMIT short-circuit."""
-    reference_rows = _rows(execute_query(query, data))
+    expected = oracle.execute(query, data)
+    reference_rows = expected.rows
     store = TripleStore.from_dataset(data)
     for engine_name in ENGINES:
         result = SparqlUOEngine(store, bgp_engine=engine_name, mode="full").execute(query)
@@ -78,6 +78,7 @@ def test_engine_matches_reference_semantics(query, data):
         # An un-ORDERed LIMIT may legally return a different page; with
         # ORDER BY the sort-key sequence pins the page down.
         assert len(opt_rows) == len(reference_rows), engine_name
+        assert oracle.contained_in(opt_rows, expected.full), engine_name
         if query.order_by:
             assert _sort_keys(query, opt_rows) == _sort_keys(query, reference_rows), engine_name
 

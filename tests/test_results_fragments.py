@@ -33,7 +33,7 @@ from repro.sparql.bags import UNBOUND, Bag, EncodedPage
 from repro.sparql.errors import QueryTimeoutError
 from repro.sparql.results import CHUNK_ROWS, SERIALIZERS, WRITERS, to_tsv
 from repro.sparql.expressions import order_key_for_binding
-from repro.sparql.semantics import distinct_bag, slice_bag
+from repro.sparql.semantics import distinct_bag
 
 from . import oracle
 
@@ -399,7 +399,8 @@ def legacy_execute(engine, text):
     page = solutions.project(names)
     if parsed.deduplicates:
         page = distinct_bag(page)
-    page = slice_bag(page, parsed.offset, parsed.limit)
+    end = None if parsed.limit is None else parsed.offset + parsed.limit
+    page = Bag.from_rows(page.schema, page.rows[parsed.offset : end])
     decoded = Bag.from_rows(page.schema, decode_page(engine.store, page, page.schema).rows)
     return decoded, EXEC_COUNTERS.delta_since(before)
 

@@ -1,13 +1,16 @@
-"""Unit tests for the reference evaluator (Definition 7)."""
+"""Definition 7 semantics pinned by hand.
 
-from repro.rdf import Dataset, IRI, Literal, Triple, TriplePattern, Variable
-from repro.sparql import (
-    Bag,
-    evaluate_group,
-    evaluate_triple_pattern,
-    execute_query,
-    parse_query,
-)
+``tests/oracle.py`` is the reference every optimized component is
+checked against, so its answers are pinned here; each whole query is
+also run through the engine (both BGP engines, ``mode="full"``), which
+must give the same answer.
+"""
+
+from repro.core import SparqlUOEngine
+from repro.rdf import Dataset, IRI, Triple, TriplePattern, Variable
+from repro.sparql import Bag, GroupGraphPattern, parse_query
+
+from . import oracle
 
 EX = "http://x/"
 A, B, C = IRI(EX + "a"), IRI(EX + "b"), IRI(EX + "c")
@@ -26,57 +29,70 @@ def dataset():
     )
 
 
+def match_pattern(pattern, data):
+    return Bag(oracle.evaluate_group(GroupGraphPattern([pattern]), data))
+
+
+def run_query(query, data):
+    """The oracle's answer, once the engine has agreed with it."""
+    rows = oracle.execute(query, data).rows
+    for bgp_engine in ("wco", "hashjoin"):
+        engine = SparqlUOEngine.for_dataset(data, bgp_engine=bgp_engine, mode="full")
+        assert oracle.as_counter(engine.execute(query)) == oracle.as_counter(rows), bgp_engine
+    return Bag(rows)
+
+
 class TestTriplePatternEvaluation:
     def test_bindings(self):
-        bag = evaluate_triple_pattern(TriplePattern(A, P, X), dataset())
+        bag = match_pattern(TriplePattern(A, P, X), dataset())
         assert bag == Bag([{"x": B}, {"x": C}])
 
     def test_ground_pattern_present(self):
-        bag = evaluate_triple_pattern(TriplePattern(A, P, B), dataset())
+        bag = match_pattern(TriplePattern(A, P, B), dataset())
         assert bag == Bag.identity()
 
     def test_ground_pattern_absent(self):
-        bag = evaluate_triple_pattern(TriplePattern(B, P, A), dataset())
+        bag = match_pattern(TriplePattern(B, P, A), dataset())
         assert len(bag) == 0
 
     def test_repeated_variable(self):
-        bag = evaluate_triple_pattern(TriplePattern(X, Q, X), dataset())
+        bag = match_pattern(TriplePattern(X, Q, X), dataset())
         assert bag == Bag([{"x": A}])
 
 
 class TestOperators:
     def test_and_joins(self):
         q = parse_query(f"SELECT * WHERE {{ <{EX}a> <{EX}p> ?x . ?x <{EX}q> ?y }}")
-        assert execute_query(q, dataset()) == Bag([{"x": B, "y": C}])
+        assert run_query(q, dataset()) == Bag([{"x": B, "y": C}])
 
     def test_union_preserves_duplicates(self):
         # Both branches produce {x: B}, bag union keeps both.
         q = parse_query(
             f"SELECT * WHERE {{ {{ <{EX}a> <{EX}p> ?x }} UNION {{ <{EX}a> <{EX}p> ?x }} }}"
         )
-        result = execute_query(q, dataset())
+        result = run_query(q, dataset())
         assert len(result) == 4  # two solutions × two branches
 
     def test_optional_extends_and_keeps(self):
         q = parse_query(f"SELECT * WHERE {{ <{EX}a> <{EX}p> ?x OPTIONAL {{ ?x <{EX}q> ?y }} }}")
-        assert execute_query(q, dataset()) == Bag([{"x": B, "y": C}, {"x": C}])
+        assert run_query(q, dataset()) == Bag([{"x": B, "y": C}, {"x": C}])
 
     def test_leading_optional(self):
         q = parse_query(f"SELECT * WHERE {{ OPTIONAL {{ <{EX}a> <{EX}p> ?x }} }}")
-        assert execute_query(q, dataset()) == Bag([{"x": B}, {"x": C}])
+        assert run_query(q, dataset()) == Bag([{"x": B}, {"x": C}])
 
     def test_empty_where(self):
         q = parse_query("SELECT * WHERE { }")
-        assert execute_query(q, dataset()) == Bag.identity()
+        assert run_query(q, dataset()) == Bag.identity()
 
     def test_projection(self):
         q = parse_query(f"SELECT ?x WHERE {{ ?x <{EX}p> ?y }}")
-        result = execute_query(q, dataset())
+        result = run_query(q, dataset())
         assert result == Bag([{"x": A}, {"x": A}])  # duplicates preserved
 
     def test_failed_join_is_empty(self):
         q = parse_query(f"SELECT * WHERE {{ <{EX}b> <{EX}p> ?x . ?x <{EX}q> ?y }}")
-        assert len(execute_query(q, dataset())) == 0
+        assert len(run_query(q, dataset())) == 0
 
     def test_nested_optional_semantics(self):
         # (A OPT (B OPT C)): inner optional evaluated inside the group.
@@ -84,5 +100,5 @@ class TestOperators:
             f"SELECT * WHERE {{ <{EX}a> <{EX}p> ?x "
             f"OPTIONAL {{ ?x <{EX}q> ?y OPTIONAL {{ ?y <{EX}p> ?z }} }} }}"
         )
-        result = execute_query(q, dataset())
+        result = run_query(q, dataset())
         assert result == Bag([{"x": B, "y": C}, {"x": C}])

@@ -188,10 +188,10 @@ class TestLiteralEscaping:
 
 
 class TestProcessIndependentHash:
-    """Term hashes, and so a dataset's set order and the term ids a
-    store assigns from it, repeat across processes under a fixed
-    ``PYTHONHASHSEED`` — also before Python 3.12, where ``hash(None)``
-    (a plain literal's language) is an address."""
+    """Term hashes, and the term ids a store assigns from a dataset,
+    repeat across processes under a fixed ``PYTHONHASHSEED`` — also
+    before Python 3.12, where ``hash(None)`` (a plain literal's
+    language) is an address."""
 
     PROBE = "\n".join(
         [

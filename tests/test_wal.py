@@ -247,9 +247,28 @@ class TestFsyncPolicies:
             wal.sync(seq)  # already covered: no extra fsync
             assert wal.fsync_count == 1
 
-    def test_group_commit_shares_fsyncs(self, wal_path):
+    def test_group_commit_shares_fsyncs(self, wal_path, monkeypatch):
         """Concurrent committers piggyback on the leader's fsync: the
-        fsync count stays well below one per append."""
+        fsync count stays below one per append.
+
+        The leader's first fsync is held until all 8 committers' first
+        appends are in, so the next fsync covers all of them: at most
+        1 + 1 + 32 fsyncs for 40 appends, whatever the scheduling."""
+        import repro.storage.wal as wal_module
+
+        entered = threading.Event()
+        release = threading.Event()
+        real_fsync = os.fsync
+        calls = []
+
+        def held_fsync(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(10), "the test never released the first fsync"
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", held_fsync)
         wal = WriteAheadLog(wal_path, policy="interval")
         barrier = threading.Barrier(8)
         errors = []
@@ -265,6 +284,12 @@ class TestFsyncPolicies:
         threads = [threading.Thread(target=committer, args=(t,)) for t in range(8)]
         for t in threads:
             t.start()
+        assert entered.wait(10), "no commit reached its fsync"
+        deadline = time.monotonic() + 10
+        while wal.depth < 8 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert wal.depth == 8  # each committer's first append, none covered yet
+        release.set()
         for t in threads:
             t.join(30)
         assert not errors
