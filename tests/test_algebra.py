@@ -8,6 +8,7 @@ from repro.sparql import (
     OptionalExpression,
     SelectQuery,
     UnionExpression,
+    parse_query,
     pattern_variables,
 )
 
@@ -55,3 +56,8 @@ class TestPatternVariables:
             [union, OptionalExpression(GroupGraphPattern([T3]))]
         )
         assert pattern_variables(group) == {"x", "y", "z"}
+
+    def test_empty_group_and_filter_bind_nothing(self):
+        assert pattern_variables(GroupGraphPattern([])) == frozenset()
+        where = parse_query("SELECT * WHERE { ?x <http://x/p> ?y FILTER (?z = 1) }").where
+        assert pattern_variables(where) == {"x", "y"}

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.sparql.bags import UNBOUND, Bag, join, join_streamed, left_join, union
 
+from . import oracle
 from .oracle import _compatible as compatible, _merge as merge_mappings
 from .strategies import solution_bags
 
@@ -37,6 +38,27 @@ def brute_join(b1, b2):
 
 def brute_minus(b1, b2):
     return Bag(m1 for m1 in b1 if all(not compatible(m1, m2) for m2 in b2))
+
+
+class TestCompatible:
+    """The oracle's compatibility, which every brute-force reference here
+    and the oracle's own joins rest on, pinned by hand."""
+
+    def test_disjoint_domains_compatible(self):
+        assert compatible({"a": 1}, {"b": 2})
+
+    def test_same_value_compatible(self):
+        assert compatible({"a": 1, "b": 2}, {"a": 1})
+
+    def test_conflict_incompatible(self):
+        assert not compatible({"a": 1}, {"a": 2})
+
+    def test_empty_compatible_with_everything(self):
+        assert compatible({}, {"a": 1})
+
+    @given(mappings(), mappings())
+    def test_symmetry(self, m1, m2):
+        assert compatible(m1, m2) == compatible(m2, m1)
 
 
 class TestBagBasics:
@@ -123,6 +145,30 @@ class TestUnion:
     @given(bags, bags)
     def test_size_adds(self, b1, b2):
         assert len(union(b1, b2)) == len(b1) + len(b2)
+
+
+class TestMinus:
+    """Ω1 ∖ Ω2, the unmatched part of Definition 7's left join, as the
+    set-builder ``brute_minus`` that ``TestLeftJoin`` checks against."""
+
+    def test_incompatible_survive(self):
+        out = brute_minus(Bag([{"a": 1}, {"a": 2}]), Bag([{"a": 1}]))
+        assert out == Bag([{"a": 2}])
+
+    def test_empty_right_keeps_all(self):
+        bag = Bag([{"a": 1}])
+        assert brute_minus(bag, Bag()) == bag
+
+    def test_disjoint_domains_remove_all(self):
+        # Every mapping is compatible with {b:1}, so nothing survives.
+        out = brute_minus(Bag([{"a": 1}]), Bag([{"b": 1}]))
+        assert len(out) == 0
+
+    @given(bags, bags)
+    def test_oracle_left_join_equals_definition(self, b1, b2):
+        """The oracle's left join is (Ω1 ⋈ Ω2) ∪bag (Ω1 ∖ Ω2) too."""
+        expected = union(brute_join(b1, b2), brute_minus(b1, b2))
+        assert Bag(oracle._left_join(list(b1), list(b2))) == expected
 
 
 class TestLeftJoin:
