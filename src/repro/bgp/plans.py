@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Set
 
-from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
 from ..storage.indexes import sorted_scan_position
 
@@ -50,10 +49,6 @@ def scan_sort_variable(encoded) -> Optional[str]:
 def pattern_join_vars(pattern: TriplePattern) -> Set[str]:
     """Subject/object variable names of a pattern (the join positions)."""
     return {v.name for v in pattern.join_variables()}
-
-
-def all_variable_names(pattern: TriplePattern) -> Set[str]:
-    return {v.name for v in pattern.variables()}
 
 
 def connected_components(

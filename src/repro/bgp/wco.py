@@ -103,14 +103,6 @@ class _Edge:
             for term in self.encoded
         )
 
-    def endpoint_vars(self) -> Set[str]:
-        out = set()
-        if self.s[0] == "var":
-            out.add(self.s[1])
-        if self.o[0] == "var":
-            out.add(self.o[1])
-        return out
-
     def impossible(self) -> bool:
         return ("const", -1) in (self.s, self.p, self.o)
 

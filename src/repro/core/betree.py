@@ -155,9 +155,6 @@ class GroupNode(BENode):
     def bgp_children(self) -> List[BGPNode]:
         return [c for c in self.children if isinstance(c, BGPNode)]
 
-    def filter_children(self) -> List["FilterNode"]:
-        return [c for c in self.children if isinstance(c, FilterNode)]
-
     def clone(self) -> "GroupNode":
         copy = GroupNode([child.clone() for child in self.children])
         copy.node_id = self.node_id

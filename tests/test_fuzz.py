@@ -6,7 +6,7 @@ RecursionError or IndexError leaking from the internals.  Same for the
 N-Triples reader.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rdf.ntriples import NTriplesParseError, parse_ntriples_string
 from repro.sparql import SparqlError, parse_query
@@ -17,15 +17,24 @@ from repro.sparql.tokenizer import tokenize
 # spends its budget near the grammar instead of deep inside literals.
 _sparql_soup = st.text(
     alphabet=st.sampled_from(
-        list("{}?<>.\"' \nSELECTWHEREUNIONOPTIONALabcxyz:/#@^123*$_-")
+        list("{}?<>.\"' \nSELECTWHEREUNIONOPTIONALabcxyz:/#@^123*$_-\\u\u00b2")
     ),
     max_size=120,
 )
+
+# Lexical errors that must surface as SparqlError, not ValueError:
+# malformed \u escapes and a non-ASCII digit.
+_BAD_ESCAPE = 'SELECT * WHERE { ?s ?p "x\\uZZZZ" }'
+_SHORT_ESCAPE = 'INSERT DATA { <http://a> <http://b> "x\\u12" }'
+_SUPERSCRIPT_LIMIT = "SELECT * WHERE { ?s ?p ?o } LIMIT \u00b2"
 
 
 class TestParserRobustness:
     @settings(max_examples=300, deadline=None)
     @given(_sparql_soup)
+    @example(_BAD_ESCAPE)
+    @example(_SUPERSCRIPT_LIMIT)
+    @example(_SHORT_ESCAPE)
     def test_parse_query_raises_only_sparql_errors(self, text):
         try:
             parse_query(text)
@@ -34,6 +43,9 @@ class TestParserRobustness:
 
     @settings(max_examples=200, deadline=None)
     @given(_sparql_soup)
+    @example(_BAD_ESCAPE)
+    @example(_SUPERSCRIPT_LIMIT)
+    @example(_SHORT_ESCAPE)
     def test_tokenizer_raises_only_sparql_errors(self, text):
         try:
             tokenize(text)

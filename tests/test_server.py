@@ -571,6 +571,21 @@ class TestHttpEndpoint:
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read())
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ('SELECT * WHERE { ?s ?p "x\\uZZZZ" }', "invalid escape \\u"),
+            ("SELECT * WHERE { ?s ?p ?o } LIMIT \u00b2", "unexpected character"),
+        ],
+    )
+    def test_lexical_errors_are_400(self, server, query, message):
+        # A malformed \u escape or a non-ASCII digit is the client's
+        # syntax error, not an internal one (500).
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            sparql_get(server, query)
+        assert excinfo.value.code == 400
+        assert message in json.loads(excinfo.value.read())["error"]
+
     def test_missing_query_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             http_get(server.url + "/sparql")
@@ -1208,6 +1223,31 @@ class TestLiveUpdates:
         assert excinfo.value.code == 400
         assert b"not valid UTF-8" in excinfo.value.read()
         assert rw_server.generation == generation
+
+    def test_lexical_errors_are_400_and_release_the_update_lock(self, rw_server):
+        def rejected(body):
+            request = urllib.request.Request(
+                rw_server.url + "/update",
+                data=body,
+                headers={"Content-Type": "application/sparql-update"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            return excinfo.value.code, json.loads(excinfo.value.read())["error"]
+
+        generation = rw_server.generation
+        # Every lexical error gets a response, not a closed connection.
+        status, message = rejected(b'INSERT DATA { <http://a> <http://b> "x\\u12" }')
+        assert status == 400 and "invalid escape \\u" in message
+        # Each '<' probes for an IRI under the update lock: the probes
+        # must stay linear so the lock is released within the bound.
+        started = time.perf_counter()
+        status, message = rejected(b"<" * (1 << 20))
+        assert time.perf_counter() - started < 5.0
+        assert status == 400 and message.startswith("expected an update operation")
+        assert rw_server.generation == generation
+        status, outcome = post_update(rw_server, f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}")
+        assert status == 200 and outcome["added"] == 1
 
     def test_compaction_folds_delta_and_truncates_replay(self, snapshot_path, tmp_path):
         import shutil

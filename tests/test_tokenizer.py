@@ -1,8 +1,10 @@
 """Unit tests for the SPARQL tokenizer."""
 
+import time
+
 import pytest
 
-from repro.sparql import SparqlSyntaxError, tokenize
+from repro.sparql import SparqlSyntaxError, parse_query, tokenize
 
 
 def kinds(text):
@@ -113,3 +115,39 @@ class TestErrors:
         with pytest.raises(SparqlSyntaxError) as excinfo:
             tokenize("?x\n  %")
         assert excinfo.value.line == 2
+
+
+class TestSparqlGrammarRules:
+    @pytest.mark.parametrize("bad", ['"x\\uZZZZ"', '"x\\u12"', '"x\\u12', '"\\u 12 "', '"\\u+12a"'])
+    def test_malformed_u_escape_is_a_syntax_error(self, bad):
+        with pytest.raises(SparqlSyntaxError, match=r"invalid escape \\u") as excinfo:
+            tokenize(bad)
+        assert excinfo.value.column == bad.index("u") + 2
+
+    @pytest.mark.parametrize("text", ["LIMIT \u00b2", "1\u00b2", "-\u0663"])
+    def test_non_ascii_digits_are_not_numbers(self, text):
+        with pytest.raises(SparqlSyntaxError, match="unexpected character"):
+            tokenize(text)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT * WHERE { ?s ?p ?o } LIMIT \u00b2",
+            "SELECT * WHERE { ?s ?p ?o FILTER(?o > \u00b2) }",
+        ],
+    )
+    def test_non_ascii_digits_fail_the_parse(self, query):
+        with pytest.raises(SparqlSyntaxError):
+            parse_query(query)
+
+    def test_iri_content_excludes_less_than(self):
+        assert kinds("<a:<b:c>")[:3] == ["OP", "PNAME", "IRI"]
+        assert values("<a:<b:c>")[:3] == ["<", "a:", "b:c"]
+
+    def test_lexing_is_linear_on_less_than_runs(self):
+        # Each '<' probes for an IRI; a probe that could run on past the
+        # next '<' would make this input quadratic (hours at this size).
+        started = time.perf_counter()
+        tokens = tokenize("<" * 200_000)
+        assert time.perf_counter() - started < 5.0
+        assert len(tokens) == 200_001 and tokens[-2] == ("OP", "<", 1, 200_000)
