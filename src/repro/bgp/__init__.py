@@ -1,6 +1,6 @@
 """BGP evaluation engines and cardinality estimation."""
 
-from .cardinality import CardinalityEstimator, pattern_count
+from .cardinality import CardinalityEstimator
 from .filters import CompiledFilter, combine_predicates
 from .hashjoin import HashJoinEngine, binary_join_cost
 from .interface import BGPEngine, Candidates, PlanEstimate
@@ -14,7 +14,6 @@ __all__ = [
     "Candidates",
     "PlanEstimate",
     "CardinalityEstimator",
-    "pattern_count",
     "HashJoinEngine",
     "binary_join_cost",
     "WCOJoinEngine",

@@ -17,43 +17,16 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
 from ..storage.store import TripleStore
-from .interface import Candidates
 
-__all__ = ["CardinalityEstimator", "pattern_count"]
+__all__ = ["CardinalityEstimator"]
 
 #: Default number of partial result tuples sampled per extension step.
 DEFAULT_SAMPLE_SIZE = 64
-
-
-def pattern_count(
-    store: TripleStore,
-    pattern: TriplePattern,
-    candidates: Optional[Candidates] = None,
-) -> int:
-    """Exact match count of a single triple pattern from the indexes.
-
-    With candidate restrictions we cannot always answer from counts
-    alone; when the restricted variable is the only free position we sum
-    per-candidate counts, otherwise we conservatively return the
-    unrestricted count (an upper bound, which is the safe direction for
-    the Δ-cost comparison).
-    """
-    encoded = store.encode_pattern(pattern)
-    base = store.count_pattern(encoded)
-    if not candidates:
-        return base
-    s, p, o = encoded
-    # Restriction on the subject variable with predicate/object known.
-    if isinstance(s, str) and s in candidates and isinstance(p, int) and isinstance(o, int):
-        return sum(1 for cand in candidates[s] if store.indexes.count(cand, p, o))
-    if isinstance(o, str) and o in candidates and isinstance(p, int) and isinstance(s, int):
-        return sum(1 for cand in candidates[o] if store.indexes.count(s, p, cand))
-    return base
 
 
 class CardinalityEstimator:
@@ -70,13 +43,6 @@ class CardinalityEstimator:
         self.store = store
         self.sample_size = sample_size
         self.seed = seed
-
-    # ------------------------------------------------------------------
-    # single patterns
-    # ------------------------------------------------------------------
-    def single_pattern(self, pattern: TriplePattern) -> int:
-        """Exact cardinality of one pattern (index read)."""
-        return self.store.count_pattern(self.store.encode_pattern(pattern))
 
     # ------------------------------------------------------------------
     # pattern sequences
@@ -105,11 +71,6 @@ class CardinalityEstimator:
             card, sample = self._extend_estimate(card, sample, pattern, rng)
             per_step.append(card)
         return card, per_step
-
-    def estimate(self, patterns: Sequence[TriplePattern]) -> float:
-        """Final cardinality estimate of an ordered BGP."""
-        final, _ = self.estimate_sequence(patterns)
-        return final
 
     # ------------------------------------------------------------------
     # internals

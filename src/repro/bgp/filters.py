@@ -41,6 +41,8 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional as Opt, Sequence
 
+from ..obs import trace as _trace
+from ..obs.counters import EXEC_COUNTERS
 from ..sparql.bags import Bag, Row, UNBOUND
 from ..sparql.expressions import (
     Expression,
@@ -61,12 +63,6 @@ __all__ = [
 #: more than one chunk of work past its deadline checkpoint.
 KERNEL_CHUNK = 2048
 
-
-def _exec_counters():
-    # Lazy: repro.core imports this module during package init.
-    from ..core.metrics import EXEC_COUNTERS
-
-    return EXEC_COUNTERS
 
 
 def _unbound(row: Row) -> object:
@@ -115,7 +111,7 @@ class CompiledFilter:
         new = {value for value in ids if value is not UNBOUND and value not in terms}
         if new:
             terms.update(self._decode_many(new))
-            _exec_counters().terms_decoded += len(new)
+            EXEC_COUNTERS.terms_decoded += len(new)
 
     def _judge(self, key) -> bool:
         """Memoize the verdict of one key whose ids are decoded."""
@@ -162,7 +158,7 @@ class CompiledFilter:
             for key in missing:
                 self._judge(key)
         keep = bytearray(map(verdicts.__getitem__, keys))
-        _exec_counters().rows_kernel_filtered += len(rows)
+        EXEC_COUNTERS.rows_kernel_filtered += len(rows)
         kept = keep.count(1)
         if kept == len(rows):
             return rows
@@ -173,8 +169,6 @@ class CompiledFilter:
     def apply(self, bag: Bag) -> Bag:
         """σ over an id-level bag (used at group end and for filters
         whose variables are certainly bound in the accumulated bag)."""
-        from ..obs import trace as _trace  # lazy: obs ↔ bgp layering
-
         tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.begin("filter", rows=len(bag.rows))

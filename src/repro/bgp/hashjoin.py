@@ -32,13 +32,18 @@ engine exploits that order end-to-end:
 Every order-exploiting path falls back to the hash path when its
 preconditions fail (no single shared sort variable, a filter dropped
 rows out of a run).
+
+This module holds only the join steps and their cost:
+:class:`~repro.bgp.interface.BGPEngine` encodes, counts and orders the
+patterns, applies leftover filters and memoizes estimates.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..obs.counters import EXEC_COUNTERS
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import (
     Bag,
@@ -50,18 +55,16 @@ from ..sparql.bags import (
     merge_join_streamed,
 )
 from ..storage.runs import as_span, gallop_left
-from ..storage.store import TripleStore
-from .cardinality import CardinalityEstimator, pattern_count
+from ..storage.store import EncodedPattern
 from .filters import combine_predicates as _combine, filtered_rows as _filtered_rows
 from .interface import (
     BGPEngine,
     Candidates,
-    PlanEstimate,
     candidate_driver,
     candidate_probes,
     ticked_rows,
 )
-from .plans import greedy_pattern_order, scan_sort_variable
+from .plans import scan_sort_variable
 
 __all__ = ["HashJoinEngine", "binary_join_cost", "merge_join_cost"]
 
@@ -81,58 +84,13 @@ def merge_join_cost(card1: float, card2: float) -> float:
     return card1 + card2
 
 
-def _exec_counters():
-    # Imported lazily: repro.core imports this module during package
-    # initialization, so a top-level import would be circular.
-    from ..core.metrics import EXEC_COUNTERS
-
-    return EXEC_COUNTERS
-
-
 class HashJoinEngine(BGPEngine):
     """Scan-and-hash/merge-join BGP engine (Jena/TDB-like)."""
 
     name = "hashjoin"
 
-    def __init__(
-        self,
-        store: TripleStore,
-        estimator: Optional[CardinalityEstimator] = None,
-    ):
-        super().__init__(store)
-        self.estimator = estimator or CardinalityEstimator(store)
-        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        patterns: Sequence[TriplePattern],
-        candidates: Optional[Candidates] = None,
-        filters=None,
-        limit: Optional[int] = None,
-        checkpoint: Optional[Callable[[], None]] = None,
-    ) -> Bag:
-        if not patterns:
-            return Bag.identity()
-        if limit is not None and limit <= 0:
-            return Bag.empty()
-        from ..obs import trace as _trace  # lazy: obs ↔ bgp layering
-
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.annotate(engine=self.name, patterns=len(patterns))
-        counters = _exec_counters()
-        # Counted once: count_pattern enumerates for repeated-variable
-        # patterns, and both the ordering and the build-side choice
-        # below consume the same numbers.
-        counts = {
-            pattern: self.store.count_pattern(self.store.encode_pattern(pattern))
-            for pattern in patterns
-        }
-        ordered = greedy_pattern_order(patterns, counts.__getitem__)
-        remaining = list(filters) if filters else []
+    def _join_steps(self, ordered, encoded, counts, candidates, remaining, limit, checkpoint):
+        counters = EXEC_COUNTERS
         result: Optional[Bag] = None
         #: Variable the accumulated result's rows are ascending on (the
         #: carrier of merge-join eligibility), or None when unordered.
@@ -141,7 +99,9 @@ class HashJoinEngine(BGPEngine):
         for index, pattern in enumerate(ordered):
             if checkpoint is not None:
                 checkpoint()
-            schema, rows, sort_var, run_values = self._scan_rows(pattern, candidates)
+            schema, rows, sort_var, run_values = self._scan_rows(
+                pattern, encoded[pattern], candidates
+            )
             if checkpoint is not None:
                 # Amortized cancellation inside the streaming scan: the
                 # deadline can abort a long probe mid-pattern instead of
@@ -153,7 +113,7 @@ class HashJoinEngine(BGPEngine):
                 scan_covered = set(schema)
                 scan_filters = [f for f in remaining if f.variables <= scan_covered]
                 if scan_filters:
-                    remaining = [f for f in remaining if f not in scan_filters]
+                    remaining[:] = [f for f in remaining if f not in scan_filters]
                     if index == last and limit is not None:
                         # A LIMIT can stop this scan: screen per row, so
                         # no id is decoded from a row never returned.
@@ -172,7 +132,7 @@ class HashJoinEngine(BGPEngine):
                     f for f in remaining if f.variables <= set(out_schema)
                 ]
                 if join_filters:
-                    remaining = [f for f in remaining if f not in join_filters]
+                    remaining[:] = [f for f in remaining if f not in join_filters]
                 stop = limit if (index == last and not remaining) else None
             if result is None:
                 if index == last and not remaining and limit is not None:
@@ -228,7 +188,10 @@ class HashJoinEngine(BGPEngine):
                         result, schema, rows, keep=keep, stop_at=stop, checkpoint=checkpoint
                     )
                     acc_sorted = sort_var if mergeable else None
-                elif self._scan_estimate(pattern, counts[pattern], candidates) < len(result):
+                elif (
+                    self._scan_estimate(encoded[pattern], counts[pattern], candidates)
+                    < len(result)
+                ):
                     # The scan is the smaller relation: materialize it and
                     # let join() hash-build on it (Equation 9 builds on the
                     # cheaper side) instead of on the accumulated result.
@@ -247,9 +210,7 @@ class HashJoinEngine(BGPEngine):
             counters.rows_materialized += len(result)
             if not result:
                 return Bag.empty()
-        for compiled in remaining:  # safety net; unreachable when the
-            result = compiled.apply(result)  # caller covers vars correctly
-        return result if result is not None else Bag.identity()
+        return result
 
     @staticmethod
     def _gallop_semi_join(
@@ -306,6 +267,7 @@ class HashJoinEngine(BGPEngine):
     def _scan_rows(
         self,
         pattern: TriplePattern,
+        encoded: EncodedPattern,
         candidates: Optional[Candidates] = None,
     ) -> Tuple[Tuple[str, ...], Iterator[Row], Optional[str], Optional[Sequence[int]]]:
         """One pattern's matches as a streaming row source plus order tags.
@@ -326,9 +288,6 @@ class HashJoinEngine(BGPEngine):
         iterate ascending, so a driven scan is itself a sorted run on
         the driver variable.
         """
-        encoded = self.store.encode_pattern(pattern)
-        if any(x == -1 for x in encoded):
-            return (), iter(()), None, None
         schema, positions = pattern.layout()
         if not schema:  # ground pattern: existence filter
             if self.store.count_pattern(encoded) > 0:
@@ -370,7 +329,7 @@ class HashJoinEngine(BGPEngine):
         values: Sequence[int] = run
         cand = candidates.get(variable) if candidates else None
         if cand is not None:
-            counters = _exec_counters()
+            counters = EXEC_COUNTERS
             counters.candidate_intersections += 1
             counters.candidate_intersection_in += len(run) + len(cand)
             values = cand.intersect_run(run.values, run.start, run.stop, counters)
@@ -379,7 +338,7 @@ class HashJoinEngine(BGPEngine):
 
     def _scan_estimate(
         self,
-        pattern: TriplePattern,
+        encoded: EncodedPattern,
         count: int,
         candidates: Optional[Candidates],
     ) -> float:
@@ -391,7 +350,7 @@ class HashJoinEngine(BGPEngine):
         """
         if not candidates:
             return count
-        driver = self._driver(self.store.encode_pattern(pattern), candidates)
+        driver = self._driver(encoded, candidates)
         return count if driver is None else min(count, len(candidates[driver[1]]))
 
     def _rows_plain(
@@ -454,54 +413,25 @@ class HashJoinEngine(BGPEngine):
     # ------------------------------------------------------------------
     # estimation
     # ------------------------------------------------------------------
-    def estimate(
-        self,
-        patterns: Sequence[TriplePattern],
-        candidates: Optional[Candidates] = None,
-    ) -> PlanEstimate:
-        if not patterns:
-            return PlanEstimate(0.0, 1.0)
-        # Estimation is sampling-based and deterministic for a fixed
-        # store, so the candidate-free case is memoized — both the
-        # transformer's Δ-cost probing and the adaptive pruning
-        # threshold hit the same BGPs repeatedly.  The key carries the
-        # generation so a write cannot serve stale numbers.
-        key = (
-            (self.store.generation, len(self.store), tuple(patterns))
-            if candidates is None
-            else None
-        )
-        if key is not None:
-            cached = self._estimate_cache.get(key)
-            if cached is not None:
-                return cached
-        ordered = greedy_pattern_order(
-            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
-        )
-        final_card, per_step = self.estimator.estimate_sequence(ordered)
-        first_count = float(pattern_count(self.store, ordered[0], candidates))
-        cost = first_count  # reading the first relation
-        # Mirror the executor's merge-eligibility tracking so the plan
-        # Δ-cost prices merge steps as merge steps (satisfying the
-        # "transparent cost model" contract of §4 for the new path).
-        acc_sorted = scan_sort_variable(self.store.encode_pattern(ordered[0]))
+    def _step_costs(self, ordered, encoded, counts, per_step):
+        """Equation 9 per step, or the merge cost where the executor
+        would merge: this mirrors :meth:`_join_steps`'s merge-eligibility
+        tracking, so the plan Δ-cost prices merge steps as merge steps
+        (the "transparent cost model" contract of §4)."""
+        acc_sorted = scan_sort_variable(encoded[ordered[0]])
         seen_vars = {v.name for v in ordered[0].variables()}
         for index in range(1, len(ordered)):
             pattern = ordered[index]
-            right = float(pattern_count(self.store, pattern, candidates))
+            right = float(counts[pattern])
             pattern_vars = {v.name for v in pattern.variables()}
             shared = pattern_vars & seen_vars
-            sort_var = scan_sort_variable(self.store.encode_pattern(pattern))
+            sort_var = scan_sort_variable(encoded[pattern])
             mergeable = (
                 sort_var is not None and len(shared) == 1 and sort_var in shared
             )
             if mergeable and acc_sorted == sort_var:
-                cost += merge_join_cost(per_step[index - 1], right)
+                yield merge_join_cost(per_step[index - 1], right)
             else:
-                cost += binary_join_cost(per_step[index - 1], right)
+                yield binary_join_cost(per_step[index - 1], right)
                 acc_sorted = sort_var if mergeable else None
             seen_vars |= pattern_vars
-        estimate = PlanEstimate(cost, final_card)
-        if key is not None:
-            self._estimate_cache[key] = estimate
-        return estimate

@@ -11,8 +11,15 @@ exposes three capabilities:
 3. transparency of its cost model, so the SPARQL-UO layer can reason in
    the same units.
 
-Both concrete engines (:mod:`repro.bgp.wco`, :mod:`repro.bgp.hashjoin`)
-implement this interface; so could an adapter around an external store.
+:class:`BGPEngine` writes ``evaluate`` and ``estimate`` once: each
+distinct pattern is encoded and counted once and ordered greedily
+(:func:`~repro.bgp.plans.greedy_pattern_order`), and ``estimate``, which
+takes patterns only, is memoized per store generation.  An engine
+supplies only what the paper says engines differ in: ``_join_steps``,
+its join loop, and ``_step_costs``, its cost of each join step
+(§5.1.2).  Both concrete engines (:mod:`repro.bgp.wco`,
+:mod:`repro.bgp.hashjoin`) are such subclasses; so could an adapter
+around an external store.
 
 All engine-level mappings bind variable *names* to dictionary-encoded
 integer ids, and every answer stays at id level up to the serializer:
@@ -34,10 +41,13 @@ from typing import (
 )
 
 from ..obs import trace as _trace
+from ..obs.counters import EXEC_COUNTERS
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, EncodedPage, UNBOUND
 from ..storage.runs import SortedIdSet
-from ..storage.store import TripleStore
+from ..storage.store import MISSING_ID, EncodedPattern, TripleStore
+from .cardinality import CardinalityEstimator
+from .plans import greedy_pattern_order
 
 __all__ = [
     "Candidates",
@@ -99,8 +109,6 @@ def decode_ids(
         for start in range(0, len(ordered), 2048):
             checkpoint()
             terms.update(store.decode_many(ordered[start : start + 2048]))
-    from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
-
     EXEC_COUNTERS.batch_decoded_ids += len(missing)
     EXEC_COUNTERS.terms_decoded += len(missing)
     if tracer is not None:
@@ -226,17 +234,18 @@ class PlanEstimate:
 
 
 class BGPEngine:
-    """Abstract BGP evaluation engine bound to one :class:`TripleStore`."""
+    """A BGP engine bound to one :class:`TripleStore`: the steps every
+    engine shares, around the join loop and step cost a subclass
+    supplies (see the module docstring)."""
 
     #: Human-readable engine name (used in benchmark output).
     name = "abstract"
 
     def __init__(self, store: TripleStore):
         self.store = store
+        self.estimator = CardinalityEstimator(store)
+        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
 
-    # ------------------------------------------------------------------
-    # mandatory interface
-    # ------------------------------------------------------------------
     def evaluate(
         self,
         patterns: Sequence[TriplePattern],
@@ -254,9 +263,9 @@ class BGPEngine:
 
         ``filters`` is an optional sequence of
         :class:`~repro.bgp.filters.CompiledFilter` whose variables are
-        all covered by the BGP; engines must apply every one before
-        returning (pushing them into scans/joins is their optimization
-        choice).  A loop that ``limit`` or a join can stop early reads a
+        all covered by the BGP; every one is applied before returning
+        (the join steps push them into scans/joins, and the rest run
+        here).  A loop that ``limit`` or a join can stop early reads a
         filter per row (``row_predicate``); any other stream is screened
         in compare-and-compact batches (``compact``).  Both read one
         verdict memo, so the choice changes work, never results.
@@ -264,19 +273,97 @@ class BGPEngine:
         after that many (post-filter) result rows.
 
         ``checkpoint`` is a cooperative-cancellation hook: when given,
-        engines must invoke it at least once per pattern step and are
-        expected to invoke it amortized (every few thousand rows)
-        inside scan loops, so a raise from it — the deadline mechanism
-        of :meth:`repro.core.engine.SparqlUOEngine.execute` — aborts
-        a running BGP with bounded latency.
+        the join steps invoke it at least once per pattern step and
+        amortized (every few thousand rows) inside scan loops, so a
+        raise from it — the deadline mechanism of
+        :meth:`repro.core.engine.SparqlUOEngine.execute` — aborts a
+        running BGP with bounded latency.
+        """
+        if not patterns:
+            return Bag.identity()
+        if limit is not None and limit <= 0:
+            return Bag.empty()
+        tracer = _trace.ACTIVE
+        if tracer is not None:
+            tracer.annotate(engine=self.name, patterns=len(patterns))
+        encoded, counts = self._encode_and_count(patterns)
+        if any(MISSING_ID in terms for terms in encoded.values()):
+            return Bag.empty()  # a constant absent from the data
+        ordered = greedy_pattern_order(patterns, counts.__getitem__)
+        remaining = list(filters) if filters else []
+        result = self._join_steps(
+            ordered, encoded, counts, candidates, remaining, limit, checkpoint
+        )
+        for compiled in remaining:  # safety net; empty when the caller
+            result = compiled.apply(result)  # covers vars correctly
+        return result
+
+    def estimate(self, patterns: Sequence[TriplePattern]) -> PlanEstimate:
+        """Estimated cost and cardinality of evaluating the BGP: the
+        first pattern's count plus each :meth:`_step_costs` term, over
+        :meth:`evaluate`'s order and §5.1.2's sampled cardinalities.
+
+        Deterministic for a fixed store, so memoized (Δ-cost probing and
+        the adaptive pruning threshold repeat BGPs); the key carries the
+        generation so a write cannot serve stale numbers.
+        """
+        if not patterns:
+            return PlanEstimate(0.0, 1.0)
+        key = (self.store.generation, len(self.store), tuple(patterns))
+        cached = self._estimate_cache.get(key)
+        if cached is not None:
+            return cached
+        encoded, counts = self._encode_and_count(patterns)
+        ordered = greedy_pattern_order(patterns, counts.__getitem__)
+        final_card, per_step = self.estimator.estimate_sequence(ordered)
+        cost = float(counts[ordered[0]])  # reading the first relation
+        for step_cost in self._step_costs(ordered, encoded, counts, per_step):
+            cost += step_cost
+        estimate = PlanEstimate(cost, final_card)
+        self._estimate_cache[key] = estimate
+        return estimate
+
+    def _encode_and_count(
+        self, patterns: Sequence[TriplePattern]
+    ) -> Tuple[Dict[TriplePattern, EncodedPattern], Dict[TriplePattern, int]]:
+        """Each distinct pattern encoded once (one dictionary lookup per
+        constant) and counted once: a repeated-variable pattern's count
+        enumerates its matches, and ordering, execution and costing all
+        read the same numbers."""
+        encoded = {pattern: self.store.encode_pattern(pattern) for pattern in patterns}
+        counts = {
+            pattern: self.store.count_pattern(terms) for pattern, terms in encoded.items()
+        }
+        return encoded, counts
+
+    # ------------------------------------------------------------------
+    # what an engine supplies
+    # ------------------------------------------------------------------
+    def _join_steps(
+        self,
+        ordered: Sequence[TriplePattern],
+        encoded: Dict[TriplePattern, EncodedPattern],
+        counts: Dict[TriplePattern, int],
+        candidates: Optional[Candidates],
+        remaining: list,
+        limit: Optional[int],
+        checkpoint: Optional[Callable[[], None]],
+    ) -> Bag:
+        """Join ``ordered`` (no constant of it is missing) into a bag.
+
+        ``remaining`` holds the filters not yet applied; the steps
+        remove from it, in place, each filter they apply.
         """
         raise NotImplementedError
 
-    def estimate(
+    def _step_costs(
         self,
-        patterns: Sequence[TriplePattern],
-        candidates: Optional[Candidates] = None,
-    ) -> PlanEstimate:
-        """Estimated cost and cardinality of evaluating the BGP."""
+        ordered: Sequence[TriplePattern],
+        encoded: Dict[TriplePattern, EncodedPattern],
+        counts: Dict[TriplePattern, int],
+        per_step: Sequence[float],
+    ) -> Iterator[float]:
+        """The cost of joining each of ``ordered[1:]`` in turn, in the
+        engine's cost units; ``per_step[k]`` is the estimated
+        cardinality after ``ordered[k]``."""
         raise NotImplementedError
-

@@ -37,8 +37,9 @@ every triple.  The choice is made per partial tuple, against that
 partial's scan.  A candidate set on the other endpoint stays a
 membership test.
 
-Each pattern is encoded once per ``evaluate`` call: its constants are
-looked up once, for ordering and execution alike.
+This module holds only the join steps and their cost:
+:class:`~repro.bgp.interface.BGPEngine` encodes, counts and orders the
+patterns, applies leftover filters and memoizes estimates.
 
 Cost model (paper §5.1.2):
 
@@ -52,31 +53,22 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..obs.counters import EXEC_COUNTERS
 from ..rdf.terms import Variable
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, Row
 from ..storage.runs import leapfrog_spans
-from ..storage.store import TripleStore
-from .cardinality import CardinalityEstimator, pattern_count
+from ..storage.store import EncodedPattern
 from .filters import KERNEL_CHUNK, combine_predicates as _combine, compact_rows
 from .interface import (
     BGPEngine,
     Candidates,
-    PlanEstimate,
     candidate_driver,
     candidate_probes,
     ticked_rows,
 )
-from .plans import greedy_pattern_order
 
 __all__ = ["WCOJoinEngine"]
-
-
-def _exec_counters():
-    # Lazy: repro.core imports this module during package init.
-    from ..core.metrics import EXEC_COUNTERS
-
-    return EXEC_COUNTERS
 
 
 def _compact_tail(out: List[Row], start: int, filters, schema: Sequence[str]) -> int:
@@ -90,21 +82,14 @@ def _compact_tail(out: List[Row], start: int, filters, schema: Sequence[str]) ->
 class _Edge:
     """One triple pattern viewed as a query-graph edge."""
 
-    __slots__ = ("encoded", "s", "p", "o")
+    __slots__ = ("s", "p", "o")
 
-    def __init__(self, store: TripleStore, pattern: TriplePattern):
-        #: The pattern as the store encodes it (one dictionary lookup
-        #: per constant, shared by ordering and execution).
-        self.encoded = store.encode_pattern(pattern)
-        # Each position: ('var', name) or ('const', id) — id may be the
-        # MISSING sentinel (-1), meaning the edge matches nothing.
+    def __init__(self, encoded: EncodedPattern):
+        # Each position: ('var', name) or ('const', id).
         self.s, self.p, self.o = (
             ("var", term) if isinstance(term, str) else ("const", term)
-            for term in self.encoded
+            for term in encoded
         )
-
-    def impossible(self) -> bool:
-        return ("const", -1) in (self.s, self.p, self.o)
 
 
 class _Verifier:
@@ -131,49 +116,9 @@ class WCOJoinEngine(BGPEngine):
 
     name = "wco"
 
-    def __init__(
-        self,
-        store: TripleStore,
-        estimator: Optional[CardinalityEstimator] = None,
-    ):
-        super().__init__(store)
-        self.estimator = estimator or CardinalityEstimator(store)
-        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        patterns: Sequence[TriplePattern],
-        candidates: Optional[Candidates] = None,
-        filters=None,
-        limit: Optional[int] = None,
-        checkpoint: Optional[Callable[[], None]] = None,
-    ) -> Bag:
-        if not patterns:
-            return Bag.identity()
-        if limit is not None and limit <= 0:
-            return Bag.empty()
-        from ..obs import trace as _trace  # lazy: obs ↔ bgp layering
-
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.annotate(engine=self.name, patterns=len(patterns))
-        # One edge (so one lookup per constant) per distinct pattern,
-        # for ordering and execution alike.
-        edges = {pattern: _Edge(self.store, pattern) for pattern in patterns}
-        if any(edge.impossible() for edge in edges.values()):
-            return Bag.empty()
-        counts = {
-            pattern: self.store.count_pattern(edge.encoded)
-            for pattern, edge in edges.items()
-        }
-        counters = _exec_counters()
-        ordered_edges = [
-            edges[pattern] for pattern in greedy_pattern_order(patterns, counts.__getitem__)
-        ]
-        remaining = list(filters) if filters else []
+    def _join_steps(self, ordered, encoded, counts, candidates, remaining, limit, checkpoint):
+        counters = EXEC_COUNTERS
+        ordered_edges = [_Edge(encoded[pattern]) for pattern in ordered]
         schema: List[str] = []
         slots: Dict[str, int] = {}
         rows: List[Row] = [()]
@@ -208,10 +153,7 @@ class WCOJoinEngine(BGPEngine):
             counters.rows_materialized += len(rows)
             if not rows:
                 return Bag.empty()
-        result = Bag.from_rows(tuple(schema), rows)
-        for compiled in remaining:  # safety net; empty when the caller
-            result = compiled.apply(result)  # covers vars correctly
-        return result
+        return Bag.from_rows(tuple(schema), rows)
 
     @staticmethod
     def _extension_vertex(edge: _Edge, slots: Dict[str, int]) -> Optional[str]:
@@ -583,41 +525,13 @@ class WCOJoinEngine(BGPEngine):
     # ------------------------------------------------------------------
     # estimation
     # ------------------------------------------------------------------
-    def estimate(
-        self,
-        patterns: Sequence[TriplePattern],
-        candidates: Optional[Candidates] = None,
-    ) -> PlanEstimate:
-        """WCO cost: Σ_k card(V_{k-1}) × min_i average_size(vi, p_k)."""
-        if not patterns:
-            return PlanEstimate(0.0, 1.0)
-        # Memoize the (deterministic) candidate-free case: Δ-cost
-        # probing and the adaptive pruning threshold hit the same BGPs
-        # many times per query.
-        key = (
-            (self.store.generation, len(self.store), tuple(patterns))
-            if candidates is None
-            else None
-        )
-        if key is not None:
-            cached = self._estimate_cache.get(key)
-            if cached is not None:
-                return cached
-        ordered = greedy_pattern_order(
-            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
-        )
-        final_card, per_step = self.estimator.estimate_sequence(ordered)
-        cost = float(pattern_count(self.store, ordered[0], candidates))
+    def _step_costs(self, ordered, encoded, counts, per_step):
+        """WCO step cost: card(V_{k-1}) × min_i average_size(vi, p_k)."""
         bound_vars = {v.name for v in ordered[0].variables()}
         for index in range(1, len(ordered)):
             pattern = ordered[index]
-            previous_card = per_step[index - 1]
-            cost += previous_card * self._min_average_size(pattern, bound_vars)
+            yield per_step[index - 1] * self._min_average_size(pattern, bound_vars)
             bound_vars |= {v.name for v in pattern.variables()}
-        estimate = PlanEstimate(cost, final_card)
-        if key is not None:
-            self._estimate_cache[key] = estimate
-        return estimate
 
     def _min_average_size(self, pattern: TriplePattern, bound_vars: Set[str]) -> float:
         """min_i average_size(vi, p) over the pattern's bound endpoints.

@@ -31,6 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional as Opt, Tuple, Union
 
 from .. import faults as _faults
 from ..obs import trace as _trace
+from ..obs.counters import EXEC_COUNTERS
 from ..obs.templates import lift_template
 from ..bgp.hashjoin import HashJoinEngine
 from ..bgp.interface import BGPEngine, decode_ids, decode_page
@@ -57,7 +58,6 @@ from .cost import CostModel
 from .evaluator import BGPBasedEvaluator, EvaluationTrace
 from .grouping import grouped_bag
 from .joinspace import join_space
-from .metrics import EXEC_COUNTERS
 from .options import EngineOptions, resolve_options
 from .transform import TransformReport, multi_level_transform
 
@@ -72,9 +72,7 @@ __all__ = [
 
 _BGP_ENGINES = {
     "wco": WCOJoinEngine,
-    "gstore": WCOJoinEngine,  # alias: the paper's gStore-style engine
     "hashjoin": HashJoinEngine,
-    "jena": HashJoinEngine,  # alias: the paper's Jena-style engine
 }
 
 
@@ -145,7 +143,7 @@ class QueryResult:
         self.execute_seconds = execute_seconds
         #: Physical execution-path counters accumulated by this query
         #: (merge vs hash joins, galloping, candidate intersections —
-        #: see :data:`repro.core.metrics.EXEC_COUNTER_FIELDS`).
+        #: see :data:`repro.obs.counters.EXEC_COUNTER_FIELDS`).
         self.exec_counters: dict = exec_counters or {}
         #: The query's constant-lifted template (see
         #: :func:`repro.obs.templates.lift_template`), or None.

@@ -67,10 +67,10 @@ from typing import Callable, Dict, List, Optional as Opt, Sequence
 from ..bgp.filters import CompiledFilter
 from ..bgp.interface import BGPEngine
 from ..obs import trace as _trace
+from ..obs.counters import EXEC_COUNTERS
 from ..sparql.bags import Bag, join, left_join, union
 from .betree import BETree, BGPNode, FilterNode, GroupNode, OptionalNode, UnionNode
 from .candidates import CandidatePolicy
-from .metrics import EXEC_COUNTERS
 
 __all__ = ["EvaluationTrace", "BGPBasedEvaluator"]
 

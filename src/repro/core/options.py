@@ -35,8 +35,8 @@ class EngineOptions:
     engine machinery.
     """
 
-    #: ``"wco"`` / ``"gstore"`` / ``"hashjoin"`` / ``"jena"``, or an
-    #: already-constructed BGPEngine instance.
+    #: ``"wco"`` / ``"hashjoin"``, or an already-constructed BGPEngine
+    #: instance.
     bgp_engine: U[str, object] = "wco"
     #: §7.1 strategy: ``"base"`` / ``"tt"`` / ``"cp"`` / ``"full"``.
     mode: U[str, object] = "full"

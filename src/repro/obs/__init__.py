@@ -7,7 +7,7 @@ Three cooperating pieces, each usable on its own:
     A process-global :class:`~repro.obs.trace.Tracer` recording nested
     spans (``parse`` → ``transform`` → per-BGP ``scan``/``join`` →
     ``decode`` → ``serialize``), each carrying wall time and the slice
-    of :data:`~repro.core.metrics.EXEC_COUNTERS` it accumulated.
+    of :data:`~repro.obs.counters.EXEC_COUNTERS` it accumulated.
     Disarmed cost is one module-attribute load and an ``is None`` check
     per instrumented site — the same discipline as :mod:`repro.faults`.
 

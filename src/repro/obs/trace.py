@@ -21,7 +21,7 @@ abort reason, and still returns a well-formed partial tree.  That is
 what lets a 504 carry the trace of everything the query managed to do.
 
 Each span records wall time (``perf_counter``) and the
-:data:`~repro.core.metrics.EXEC_COUNTERS` delta over its interval.
+:data:`~repro.obs.counters.EXEC_COUNTERS` delta over its interval.
 Deltas are interval-based, so a parent's counters include its
 children's — sibling spans partition the parent's work, nested spans
 refine it.
@@ -39,15 +39,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
+from .counters import EXEC_COUNTERS
+
 __all__ = ["ACTIVE", "Span", "Tracer", "arm", "disarm", "render_trace"]
-
-
-def _counter_snapshot() -> Dict[str, int]:
-    # Lazy: keeps this module importable without the core package
-    # (the server imports obs at module level but core only in workers).
-    from ..core.metrics import EXEC_COUNTERS
-
-    return EXEC_COUNTERS.snapshot()
 
 
 class Span:
@@ -70,7 +64,7 @@ class Span:
         self.seconds: Optional[float] = None  # None while still open
         self.aborted: Optional[str] = None
         self._start = time.perf_counter()
-        self._counters_before = _counter_snapshot()
+        self._counters_before = EXEC_COUNTERS.snapshot()
 
     def close(self, aborted: Optional[str] = None) -> None:
         if self.seconds is not None:
@@ -78,7 +72,7 @@ class Span:
         self.seconds = time.perf_counter() - self._start
         if aborted is not None:
             self.aborted = aborted
-        after = _counter_snapshot()
+        after = EXEC_COUNTERS.snapshot()
         before = self._counters_before
         delta = {
             name: value - before.get(name, 0)

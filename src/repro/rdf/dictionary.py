@@ -86,7 +86,3 @@ class TermDictionary:
 
     def terms(self) -> Iterator[GroundTerm]:
         return iter(self._id_to_term)
-
-    def encode_many(self, triples: Iterable[Triple]) -> Iterator[EncodedTriple]:
-        for triple in triples:
-            yield self.encode_triple(triple)

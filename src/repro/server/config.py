@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,6 @@ class ServerConfig:
     def hard_timeout(self) -> float:
         """Seconds after which a worker is killed rather than trusted."""
         return self.timeout + max(self.grace, 0.1)
-
-    def with_port(self, port: int) -> "ServerConfig":
-        return replace(self, port=port)
 
     def engine_options(self):
         """The worker engines' configuration as one EngineOptions value.

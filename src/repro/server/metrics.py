@@ -15,7 +15,7 @@ from collections import Counter, deque
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from .. import faults as _faults
-from ..core.metrics import EXEC_COUNTER_FIELDS
+from ..obs.counters import EXEC_COUNTER_FIELDS
 from .cache import INVALIDATION_REASONS
 
 __all__ = ["HISTOGRAM_BUCKETS", "LatencySummary", "ServerMetrics"]

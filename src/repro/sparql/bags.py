@@ -41,6 +41,8 @@ from typing import (
     Tuple,
 )
 
+from ..obs.counters import EXEC_COUNTERS
+
 __all__ = [
     "UNBOUND",
     "Mapping",
@@ -304,8 +306,6 @@ class EncodedPage(Bag):
     @property
     def _rows(self) -> List[Row]:
         if self._term_rows is None:
-            from ..core.metrics import EXEC_COUNTERS  # lazy: core imports this module
-
             term = self.terms.__getitem__
             slots = [self.id_slots[name] for name in self._schema]
             self._term_rows = [
@@ -485,7 +485,7 @@ def merge_join_streamed(
 
     ``keep`` / ``stop_at`` / ``checkpoint`` behave as in
     :func:`join_streamed`; ``stats`` (an
-    :class:`~repro.core.metrics.ExecutionCounters`-shaped object)
+    :class:`~repro.obs.counters.ExecutionCounters`-shaped object)
     receives gallop/linear advance tallies.
     """
     from ..storage.runs import gallop_left, gallop_right

@@ -72,7 +72,7 @@ from .expressions import (
     UnaryMinus,
     VariableRef,
 )
-from .tokenizer import Token, tokenize
+from .tokenizer import Token, iter_tokens
 
 __all__ = ["is_update_request", "parse_query", "parse_group", "parse_update"]
 
@@ -88,9 +88,11 @@ _XSD_BOOLEAN = _XSD + "boolean"
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], prefixes: Opt[Dict[str, str]] = None):
-        self._tokens = tokens
-        self._pos = 0
+    def __init__(self, text: str, prefixes: Opt[Dict[str, str]] = None):
+        # One current token, the next pulled from the lazy stream only
+        # when it is consumed: a text is lexed only as far as it parses.
+        self._tokens = iter_tokens(text)
+        self._token = next(self._tokens)
         # Benchmark query texts (Appendix A) assume Listing 1/14's
         # prefixes; pre-loading them keeps those texts verbatim.
         self.prefixes: Dict[str, str] = dict(WELL_KNOWN_PREFIXES)
@@ -101,12 +103,12 @@ class _Parser:
     # token plumbing
     # ------------------------------------------------------------------
     def peek(self) -> Token:
-        return self._tokens[self._pos]
+        return self._token
 
     def advance(self) -> Token:
-        token = self._tokens[self._pos]
+        token = self._token
         if token.kind != "EOF":
-            self._pos += 1
+            self._token = next(self._tokens)
         return token
 
     def error(self, message: str, token: Opt[Token] = None) -> SparqlSyntaxError:
@@ -680,12 +682,12 @@ def parse_query(text: str, prefixes: Opt[Dict[str, str]] = None) -> SelectQuery:
     ``prefixes`` supplies extra prefix bindings on top of the well-known
     table (PREFIX declarations in the text still win).
     """
-    return _Parser(tokenize(text), prefixes).parse_query()
+    return _Parser(text, prefixes).parse_query()
 
 
 def parse_update(text: str, prefixes: Opt[Dict[str, str]] = None) -> UpdateRequest:
     """Parse a SPARQL 1.1 UPDATE request (``;``-separated operations)."""
-    return _Parser(tokenize(text), prefixes).parse_update()
+    return _Parser(text, prefixes).parse_update()
 
 
 def is_update_request(text: str) -> bool:
@@ -696,27 +698,28 @@ def is_update_request(text: str) -> bool:
     so callers with one free-text entry point — the CLI's ``query``
     command — can route without attempting a full parse.  Unlexable
     text is not an update: it should fail through the query path's
-    error reporting.
+    error reporting.  Only the leading tokens are kept; the rest of an
+    apparent update is lexed and dropped.
     """
+    tokens = iter_tokens(text)
     try:
-        tokens = tokenize(text)
+        token = next(tokens)
+        while token.kind == "KEYWORD" and token.value == "PREFIX":
+            # PREFIX, pname, IRI — malformed decls fall through
+            for _ in range(3):
+                token = next(tokens, token)
+        if token.kind != "KEYWORD" or token.value not in ("INSERT", "DELETE"):
+            return False
+        for _ in tokens:
+            pass
     except SparqlSyntaxError:
         return False
-    index = 0
-    while (
-        index < len(tokens)
-        and tokens[index].kind == "KEYWORD"
-        and tokens[index].value == "PREFIX"
-    ):
-        index += 3  # PREFIX, pname, IRI — malformed decls fall through
-    if index < len(tokens) and tokens[index].kind == "KEYWORD":
-        return tokens[index].value in ("INSERT", "DELETE")
-    return False
+    return True
 
 
 def parse_group(text: str, prefixes: Opt[Dict[str, str]] = None) -> GroupGraphPattern:
     """Parse a bare group graph pattern ``{ … }`` (test convenience)."""
-    parser = _Parser(tokenize(text), prefixes)
+    parser = _Parser(text, prefixes)
     group = parser.parse_group()
     token = parser.peek()
     if token.kind != "EOF":

@@ -7,8 +7,13 @@ named alternative, the first alternative that matches at an offset wins,
 and a last catch-all alternative marks where no token starts.  Python code
 runs only to decode string escapes, to look words up in ``KEYWORDS``, to
 check that a name starts with a letter, and to build error messages.
-Line and column come from the token's offset by a bisect over the
-text's newline offsets.
+Line and column are carried from token to token by counting the
+newlines between their offsets.
+
+The scan is lazy: :func:`iter_tokens` yields one token at a time and the
+parser pulls each when it needs it, so a text is lexed only as far as it
+parses, and a grammar error ahead of a lexical error is the one
+reported.  :func:`tokenize` lists every token.
 
 A ``<`` opens an IRI only when its content starts with a scheme
 (``ALPHA (ALPHA | DIGIT | + | - | .)* :``) and reaches the closing ``>``
@@ -33,13 +38,12 @@ grammar instead:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from functools import partial
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .errors import SparqlSyntaxError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "iter_tokens", "tokenize", "KEYWORDS"]
 
 #: Keywords recognized case-insensitively (normalized to upper case).
 KEYWORDS = frozenset(
@@ -103,7 +107,6 @@ _MASTER = re.compile(
     re.VERBOSE,
 )
 _STRING_PREFIX = re.compile(_STRING_BODY)
-_NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\(u....|.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
 #: The kinds that need Python code after the match.
@@ -115,9 +118,19 @@ _token = partial(tuple.__new__, Token)
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize query text, ending with an EOF token."""
-    newlines = [found.start() for found in _NEWLINE.finditer(text)]
-    tokens: List[Token] = []
-    append = tokens.append
+    return list(iter_tokens(text))
+
+
+def iter_tokens(text: str) -> Iterator[Token]:
+    """The tokens of ``text`` one at a time, ending with an EOF token.
+
+    A lexical error is raised when the scan reaches it, so a reader that
+    stops early (the parser at its first grammar error) never lexes the
+    rest of the text.
+    """
+    line = 1
+    last_newline = -1  # offset of the last newline before ``seen``
+    seen = 0
     for found in _MASTER.finditer(text):
         kind = found.lastgroup
         if kind == "SKIP":
@@ -126,7 +139,7 @@ def tokenize(text: str) -> List[Token]:
         value = found[kind]
         if kind in _CHECKED:
             if kind == "ERROR":
-                raise _syntax_error(*_failure(text, pos), newlines)
+                raise _syntax_error(*_failure(text, pos), text)
             if kind == "STRING":
                 if "\\" in value:
                     value = _ESCAPE.sub(_unescape, value)
@@ -136,28 +149,32 @@ def tokenize(text: str) -> List[Token]:
                 # the name that then starts after it is an unexpected
                 # character.
                 if kind == "IRI":
-                    append(_token(("OP", "<", *_position(newlines, pos))))
+                    yield _token(("OP", "<", *_position(text, pos)))
                     pos += 1
-                raise _syntax_error(f"unexpected character {value[0]!r}", pos, newlines)
+                raise _syntax_error(f"unexpected character {value[0]!r}", pos, text)
             elif kind == "WORD":
                 kind, value = "KEYWORD", value.upper()
                 if value not in KEYWORDS:
                     word = found.group()
-                    raise _syntax_error(f"unexpected bare word {word!r}", found.end(), newlines)
-        line = bisect_left(newlines, pos)  # _position, inlined for the hot path
-        append(_token((kind, value, line + 1, pos - newlines[line - 1] if line else pos + 1)))
-    append(_token(("EOF", "", *_position(newlines, len(text)))))
-    return tokens
+                    raise _syntax_error(f"unexpected bare word {word!r}", found.end(), text)
+        # _position, carried forward from the previous token for the hot
+        # path: only the text between the two token starts is counted.
+        breaks = text.count("\n", seen, pos)
+        if breaks:
+            line += breaks
+            last_newline = text.rindex("\n", seen, pos)
+        seen = pos
+        yield _token((kind, value, line, pos - last_newline))
+    yield _token(("EOF", "", *_position(text, len(text))))
 
 
-def _position(newlines: Sequence[int], offset: int) -> Tuple[int, int]:
+def _position(text: str, offset: int) -> Tuple[int, int]:
     """1-based (line, column) of ``offset``."""
-    before = bisect_left(newlines, offset)
-    return before + 1, offset - (newlines[before - 1] if before else -1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _syntax_error(message: str, offset: int, newlines: Sequence[int]) -> SparqlSyntaxError:
-    return SparqlSyntaxError(message, *_position(newlines, offset))
+def _syntax_error(message: str, offset: int, text: str) -> SparqlSyntaxError:
+    return SparqlSyntaxError(message, *_position(text, offset))
 
 
 def _unescape(escape: re.Match) -> str:

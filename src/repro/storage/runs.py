@@ -21,7 +21,7 @@ fact, shared by both BGP engines and candidate pruning:
 
 Nothing here imports the engine layers; callers that want execution
 counters pass a duck-typed ``stats`` object (see
-:class:`repro.core.metrics.ExecutionCounters`) and the functions bump
+:class:`repro.obs.counters.ExecutionCounters`) and the functions bump
 its ``gallop_probes`` attribute.
 """
 

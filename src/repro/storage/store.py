@@ -298,11 +298,6 @@ class TripleStore:
         _, removed = self.apply_update(deletes=(triple,))
         return removed > 0
 
-    def remove_all(self, triples: Iterable[Triple]) -> int:
-        """Delete many triples; returns the number actually removed."""
-        _, removed = self.apply_update(deletes=triples)
-        return removed
-
     def _lookup_ground(self, triple: Triple) -> Optional[EncodedTriple]:
         """Non-minting triple encoding: None when any term is unknown
         (such a triple cannot be stored, so a delete of it is a no-op

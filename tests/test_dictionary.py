@@ -54,9 +54,9 @@ class TestTriples:
         t = Triple(A, B, Literal("v"))
         assert d.decode_triple(d.encode_triple(t)) == t
 
-    def test_encode_many(self):
+    def test_encode_several_triples(self):
         d = TermDictionary()
         triples = [Triple(A, B, A), Triple(B, B, B)]
-        encoded = list(d.encode_many(triples))
+        encoded = [d.encode_triple(triple) for triple in triples]
         assert len(encoded) == 2
         assert all(isinstance(x, tuple) and len(x) == 3 for x in encoded)

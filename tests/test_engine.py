@@ -45,10 +45,6 @@ class TestModes:
         with pytest.raises(ValueError):
             SparqlUOEngine(presidents_store, bgp_engine="mystery")
 
-    def test_engine_aliases(self, presidents_store):
-        assert SparqlUOEngine(presidents_store, bgp_engine="gstore").bgp_engine.name == "wco"
-        assert SparqlUOEngine(presidents_store, bgp_engine="jena").bgp_engine.name == "hashjoin"
-
     def test_base_mode_does_not_transform(self, presidents_store):
         engine = SparqlUOEngine(presidents_store, mode="base")
         result = engine.execute(PREZ_QUERY)

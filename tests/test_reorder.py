@@ -64,9 +64,9 @@ class Spy:
         self._estimate = engine.estimate
         engine.estimate = self
 
-    def __call__(self, patterns, candidates=None):
+    def __call__(self, patterns):
         self.calls.append(list(patterns))
-        return self._estimate(patterns, candidates)
+        return self._estimate(patterns)
 
 
 def group_of(text: str) -> GroupNode:

@@ -10,6 +10,7 @@ worker-death and shedding paths.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import os
@@ -919,7 +920,7 @@ class TestIngestionGuards:
         # surfaces as OSError from the constructor (and `repro serve`
         # turns it into `error: …` + exit 2) with no leaked processes.
         with pytest.raises(OSError):
-            SparqlServer(server.config.with_port(server.port))
+            SparqlServer(dataclasses.replace(server.config, port=server.port))
 
 
 class TestGenerationDrift:
@@ -1248,6 +1249,25 @@ class TestLiveUpdates:
         assert rw_server.generation == generation
         status, outcome = post_update(rw_server, f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}")
         assert status == 200 and outcome["added"] == 1
+
+    def test_update_of_braces_is_rejected_at_its_first_token(self, rw_server):
+        # The parser pulls tokens lazily: a 2 MiB body of one-character
+        # tokens is rejected at its first token, not after lexing all.
+        request = urllib.request.Request(
+            rw_server.url + "/update",
+            data=b"{" * (2 << 20),
+            headers={"Content-Type": "application/sparql-update"},
+        )
+        generation = rw_server.generation
+        started = time.perf_counter()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert time.perf_counter() - started < 0.5
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"].startswith(
+            "expected an update operation"
+        )
+        assert rw_server.generation == generation
 
     def test_compaction_folds_delta_and_truncates_replay(self, snapshot_path, tmp_path):
         import shutil

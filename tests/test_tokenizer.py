@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.sparql import SparqlSyntaxError, parse_query, tokenize
+from repro.sparql import SparqlSyntaxError, parse_query, parse_update, tokenize
+from repro.sparql.tokenizer import iter_tokens
 
 
 def kinds(text):
@@ -151,3 +152,43 @@ class TestSparqlGrammarRules:
         tokens = tokenize("<" * 200_000)
         assert time.perf_counter() - started < 5.0
         assert len(tokens) == 200_001 and tokens[-2] == ("OP", "<", 1, 200_000)
+
+
+class TestLazyTokenStream:
+    """The parser pulls tokens one at a time, so it rejects a text at
+    its first grammar error without lexing the rest."""
+
+    @pytest.mark.parametrize("char, count", [("{", 2**21), ("<", 2**20)], ids=["brace", "lt"])
+    def test_update_rejects_its_first_token_at_once(self, char, count):
+        text = char * count
+        started = time.perf_counter()
+        with pytest.raises(SparqlSyntaxError, match="expected an update operation"):
+            parse_update(text)
+        assert time.perf_counter() - started < 0.5
+
+    def test_grammar_error_before_a_lexical_error_is_reported(self):
+        with pytest.raises(SparqlSyntaxError, match="expected an update operation"):
+            parse_update("SELECT @")
+        with pytest.raises(SparqlSyntaxError, match="empty language tag"):
+            tokenize("SELECT @")
+
+    def test_positions_across_lines(self):
+        text = "SELECT *\n  WHERE {\n\n ?s ?p ?o }\n"
+        tokens = list(iter_tokens(text))
+        assert tokens == tokenize(text)
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("SELECT", 1, 1),
+            ("*", 1, 8),
+            ("WHERE", 2, 3),
+            ("{", 2, 9),
+            ("s", 4, 2),
+            ("p", 4, 5),
+            ("o", 4, 8),
+            ("}", 4, 11),
+            ("", 5, 1),
+        ]
+
+    def test_lexical_error_position_after_many_lines(self):
+        with pytest.raises(SparqlSyntaxError) as excinfo:
+            tokenize("SELECT\n" * 3 + "  ?")
+        assert (excinfo.value.line, excinfo.value.column) == (4, 4)

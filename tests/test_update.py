@@ -266,7 +266,7 @@ class TestWriteInvalidation:
         generation = frozen_store.generation
         absent = Triple(IRI(f"{EX}ghost"), IRI(f"{EX}linked"), IRI(f"{EX}ghost"))
         assert frozen_store.remove(absent) is False
-        assert frozen_store.remove_all([absent]) == 0
+        assert frozen_store.apply_update(deletes=[absent]) == (0, 0)
         assert frozen_store.generation == generation
 
     def test_effective_write_bumps_and_invalidates(self, frozen_store):
