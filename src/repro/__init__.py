@@ -18,7 +18,6 @@ Quick start::
 
 from .bgp import (
     BGPEngine,
-    CardinalityEstimator,
     HashJoinEngine,
     PlanEstimate,
     WCOJoinEngine,
@@ -97,7 +96,6 @@ __all__ = [
     "BGPEngine",
     "WCOJoinEngine",
     "HashJoinEngine",
-    "CardinalityEstimator",
     "PlanEstimate",
     # core
     "SparqlUOEngine",

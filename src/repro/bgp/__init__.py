@@ -1,6 +1,5 @@
 """BGP evaluation engines and cardinality estimation."""
 
-from .cardinality import CardinalityEstimator
 from .filters import CompiledFilter, combine_predicates
 from .hashjoin import HashJoinEngine, binary_join_cost
 from .interface import BGPEngine, Candidates, PlanEstimate
@@ -13,7 +12,6 @@ __all__ = [
     "BGPEngine",
     "Candidates",
     "PlanEstimate",
-    "CardinalityEstimator",
     "HashJoinEngine",
     "binary_join_cost",
     "WCOJoinEngine",

@@ -1,140 +1,98 @@
 """Sampling-based cardinality estimation (paper §5.1.2).
 
 Estimation starts from single triple patterns, whose exact result count
-comes straight from the pre-built indexes.  Each time a pattern is added
-to the joined set, we draw a bounded sample of the current partial
-results, count how many extended result tuples the sample generates, and
-scale the previous estimate:
+comes straight from the pre-built indexes — :class:`~repro.bgp.interface.BGPEngine`
+has already counted each pattern, and passes the first one's count in.
+Each time a pattern is added to the joined set, we draw a bounded sample
+of the current partial results, count how many extended result tuples
+the sample generates, and scale the previous estimate:
 
     card(V_k) = max(#extend / #sample × card(V_{k-1}), 1)
 
-The estimator also materializes the (bounded) sample of partial result
-mappings, which doubles as the seed for the next extension step — this
-matches how gStore's plan generator pipelines estimation.
+The sampler works at the engine's own level, on the encoded patterns
+(:data:`~repro.storage.store.EncodedPattern`: a ``str`` is a variable,
+an ``int`` an id).  A sample row binds variable names to ids; each
+extension probe is the next encoded pattern with the row's ids in its
+variable slots, so no term is decoded or looked up.  The (bounded)
+sample of extended rows doubles as the seed for the next extension
+step — this matches how gStore's plan generator pipelines estimation.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
-from ..rdf.terms import Variable
-from ..rdf.triple import TriplePattern
-from ..storage.store import TripleStore
+from ..rdf.dictionary import EncodedTriple
+from ..storage.store import EncodedPattern, TripleStore
 
-__all__ = ["CardinalityEstimator"]
+__all__ = ["estimate_sequence"]
 
-#: Default number of partial result tuples sampled per extension step.
-DEFAULT_SAMPLE_SIZE = 64
+#: Partial result rows sampled per extension step.
+SAMPLE_SIZE = 64
+
+#: Matches kept before sampling: index order is deterministic, and 4×
+#: the sample keeps variance reasonable without scanning huge relations.
+_KEEP = SAMPLE_SIZE * 4
+
+Row = Dict[str, int]
 
 
-class CardinalityEstimator:
-    """Join-order-aware sampling estimator over one store."""
+def estimate_sequence(
+    store: TripleStore, encoded_in_order: Sequence[EncodedPattern], first_count: int
+) -> Tuple[float, List[float]]:
+    """Estimate cardinality after each join step of an ordered BGP.
 
-    def __init__(
-        self,
-        store: TripleStore,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        seed: int = 0,
-    ):
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        self.store = store
-        self.sample_size = sample_size
-        self.seed = seed
+    ``encoded_in_order`` is the BGP's encoded patterns in join order and
+    ``first_count`` the exact count of the first.  Returns
+    ``(final_estimate, per_step_estimates)``; the list has one entry per
+    pattern, giving card(V_1), card(V_2), ….
 
-    # ------------------------------------------------------------------
-    # pattern sequences
-    # ------------------------------------------------------------------
-    def estimate_sequence(
-        self, patterns: Sequence[TriplePattern]
-    ) -> Tuple[float, List[float]]:
-        """Estimate cardinality after each join step of an ordered BGP.
-
-        Returns ``(final_estimate, per_step_estimates)``; the list has
-        one entry per pattern, giving card(V_1), card(V_2), ….
-
-        The samples come from an RNG seeded by the ordered encoded
-        patterns, so an estimate never depends on the estimates made
-        before it.
-        """
-        if not patterns:
-            return 1.0, []
-        encoded = [self.store.encode_pattern(pattern) for pattern in patterns]
-        rng = random.Random(zlib.crc32(repr(encoded).encode("utf-8"), self.seed))
-        per_step: List[float] = []
-        card = float(self.store.count_pattern(encoded[0]))
-        per_step.append(card)
-        sample = self._initial_sample(patterns[0], rng)
-        for pattern in patterns[1:]:
-            card, sample = self._extend_estimate(card, sample, pattern, rng)
-            per_step.append(card)
-        return card, per_step
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _initial_sample(
-        self, pattern: TriplePattern, rng: random.Random
-    ) -> List[Dict[str, int]]:
-        matches: List[Dict[str, int]] = []
-        encoded = self.store.encode_pattern(pattern)
-        for triple in self.store.match_encoded(encoded):
-            matches.append(self._binding_from_match(pattern, triple))
-            # Reservoir-free early exit: index order is deterministic;
-            # sampling 4× the target keeps variance reasonable without
-            # scanning huge relations.
-            if len(matches) >= self.sample_size * 4:
-                break
-        if len(matches) > self.sample_size:
-            matches = rng.sample(matches, self.sample_size)
-        return matches
-
-    def _binding_from_match(
-        self, pattern: TriplePattern, triple: Tuple[int, int, int]
-    ) -> Dict[str, int]:
-        binding: Dict[str, int] = {}
-        for term, value in zip(pattern.as_tuple(), triple):
-            if isinstance(term, Variable):
-                binding[term.name] = value
-        return binding
-
-    def _extend_estimate(
-        self,
-        card: float,
-        sample: List[Dict[str, int]],
-        pattern: TriplePattern,
-        rng: random.Random,
-    ) -> Tuple[float, List[Dict[str, int]]]:
+    The samples come from an RNG seeded by the ordered encoded
+    patterns, so an estimate never depends on the estimates made
+    before it.
+    """
+    if not encoded_in_order:
+        return 1.0, []
+    rng = random.Random(zlib.crc32(repr(list(encoded_in_order)).encode("utf-8")))
+    first = encoded_in_order[0]
+    card = float(first_count)
+    per_step = [card]
+    sample = _draw(
+        [_bind({}, first, triple) for triple in islice(store.match_encoded(first), _KEEP)],
+        rng,
+    )
+    for pattern in encoded_in_order[1:]:
         if not sample:
-            # The prefix already has (estimated) zero results: stay at the
-            # floor of 1 as the paper's formula prescribes.
-            return 1.0, []
-        variables = {v.name for v in pattern.variables()}
-        extended: List[Dict[str, int]] = []
-        extend_count = 0
-        for binding in sample:
-            bound = {
-                Variable(name): self.store.decode(value)
-                for name, value in binding.items()
-                if name in variables
-            }
-            try:
-                concrete = pattern.substitute(bound) if bound else pattern
-            except ValueError:
-                # The binding puts a term where the pattern grammar
-                # forbids it (e.g. a literal at the predicate position
-                # of `?v ?v ?v`): no triple can match this row.
-                continue
-            encoded = self.store.encode_pattern(concrete)
-            for triple in self.store.match_encoded(encoded):
-                extend_count += 1
-                new_binding = dict(binding)
-                new_binding.update(self._binding_from_match(concrete, triple))
-                if len(extended) < self.sample_size * 4:
-                    extended.append(new_binding)
-        new_card = max(extend_count / len(sample) * card, 1.0)
-        if len(extended) > self.sample_size:
-            extended = rng.sample(extended, self.sample_size)
-        return new_card, extended
+            # The prefix already has (estimated) zero results: stay at
+            # the floor of 1 as the paper's formula prescribes.
+            card = 1.0
+        else:
+            extended: List[Row] = []
+            extend_count = 0
+            for row in sample:
+                # Ids are never row keys, so only variable slots change.
+                probe = tuple(row.get(term, term) for term in pattern)
+                for triple in store.match_encoded(probe):
+                    extend_count += 1
+                    if len(extended) < _KEEP:
+                        extended.append(_bind(row, probe, triple))
+            card = max(extend_count / len(sample) * card, 1.0)
+            sample = _draw(extended, rng)
+        per_step.append(card)
+    return card, per_step
+
+
+def _bind(row: Row, probe: EncodedPattern, triple: EncodedTriple) -> Row:
+    """``row`` extended with the ids ``triple`` gives ``probe``'s variables."""
+    extended = dict(row)
+    for term, value in zip(probe, triple):
+        if isinstance(term, str):
+            extended[term] = value
+    return extended
+
+
+def _draw(rows: List[Row], rng: random.Random) -> List[Row]:
+    return rng.sample(rows, SAMPLE_SIZE) if len(rows) > SAMPLE_SIZE else rows

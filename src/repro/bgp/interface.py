@@ -14,7 +14,9 @@ exposes three capabilities:
 :class:`BGPEngine` writes ``evaluate`` and ``estimate`` once: each
 distinct pattern is encoded and counted once and ordered greedily
 (:func:`~repro.bgp.plans.greedy_pattern_order`), and ``estimate``, which
-takes patterns only, is memoized per store generation.  An engine
+takes patterns only, hands the encoded patterns and the first count to
+the §5.1.2 sampler (:func:`~repro.bgp.cardinality.estimate_sequence`)
+and is memoized per store generation.  An engine
 supplies only what the paper says engines differ in: ``_join_steps``,
 its join loop, and ``_step_costs``, its cost of each join step
 (§5.1.2).  Both concrete engines (:mod:`repro.bgp.wco`,
@@ -46,7 +48,7 @@ from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, EncodedPage, UNBOUND
 from ..storage.runs import SortedIdSet
 from ..storage.store import MISSING_ID, EncodedPattern, TripleStore
-from .cardinality import CardinalityEstimator
+from .cardinality import estimate_sequence
 from .plans import greedy_pattern_order
 
 __all__ = [
@@ -243,8 +245,8 @@ class BGPEngine:
 
     def __init__(self, store: TripleStore):
         self.store = store
-        self.estimator = CardinalityEstimator(store)
-        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
+        self._estimate_token: Optional[Tuple[int, int]] = None
+        self._estimate_cache: Dict[Tuple[TriplePattern, ...], PlanEstimate] = {}
 
     def evaluate(
         self,
@@ -304,18 +306,25 @@ class BGPEngine:
         :meth:`evaluate`'s order and §5.1.2's sampled cardinalities.
 
         Deterministic for a fixed store, so memoized (Δ-cost probing and
-        the adaptive pruning threshold repeat BGPs); the key carries the
-        generation so a write cannot serve stale numbers.
+        the adaptive pruning threshold repeat BGPs) for one store
+        generation: a write empties the memo, so it can neither serve
+        stale numbers nor keep entries no later call can reach.
         """
         if not patterns:
             return PlanEstimate(0.0, 1.0)
-        key = (self.store.generation, len(self.store), tuple(patterns))
+        token = (self.store.generation, len(self.store))
+        if token != self._estimate_token:
+            self._estimate_cache.clear()
+            self._estimate_token = token
+        key = tuple(patterns)
         cached = self._estimate_cache.get(key)
         if cached is not None:
             return cached
         encoded, counts = self._encode_and_count(patterns)
         ordered = greedy_pattern_order(patterns, counts.__getitem__)
-        final_card, per_step = self.estimator.estimate_sequence(ordered)
+        final_card, per_step = estimate_sequence(
+            self.store, [encoded[pattern] for pattern in ordered], counts[ordered[0]]
+        )
         cost = float(counts[ordered[0]])  # reading the first relation
         for step_cost in self._step_costs(ordered, encoded, counts, per_step):
             cost += step_cost

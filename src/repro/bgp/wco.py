@@ -54,11 +54,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.counters import EXEC_COUNTERS
-from ..rdf.terms import Variable
-from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, Row
 from ..storage.runs import leapfrog_spans
-from ..storage.store import EncodedPattern
+from ..storage.store import MISSING_ID, EncodedPattern
 from .filters import KERNEL_CHUNK, combine_predicates as _combine, compact_rows
 from .interface import (
     BGPEngine,
@@ -77,19 +75,6 @@ def _compact_tail(out: List[Row], start: int, filters, schema: Sequence[str]) ->
     flush pending emissions chunk by chunk."""
     out[start:] = compact_rows(filters, schema, out[start:])
     return len(out)
-
-
-class _Edge:
-    """One triple pattern viewed as a query-graph edge."""
-
-    __slots__ = ("s", "p", "o")
-
-    def __init__(self, encoded: EncodedPattern):
-        # Each position: ('var', name) or ('const', id).
-        self.s, self.p, self.o = (
-            ("var", term) if isinstance(term, str) else ("const", term)
-            for term in encoded
-        )
 
 
 class _Verifier:
@@ -118,7 +103,9 @@ class WCOJoinEngine(BGPEngine):
 
     def _join_steps(self, ordered, encoded, counts, candidates, remaining, limit, checkpoint):
         counters = EXEC_COUNTERS
-        ordered_edges = [_Edge(encoded[pattern]) for pattern in ordered]
+        # Each pattern is a query-graph edge: its encoded (s, p, o), a
+        # variable name (str) or an id (int) at each position.
+        ordered_edges = [encoded[pattern] for pattern in ordered]
         schema: List[str] = []
         slots: Dict[str, int] = {}
         rows: List[Row] = [()]
@@ -156,29 +143,22 @@ class WCOJoinEngine(BGPEngine):
         return Bag.from_rows(tuple(schema), rows)
 
     @staticmethod
-    def _extension_vertex(edge: _Edge, slots: Dict[str, int]) -> Optional[str]:
+    def _extension_vertex(edge: EncodedPattern, slots: Dict[str, int]) -> Optional[str]:
         """The single new endpoint variable this edge would bind, if the
         edge is a plain vertex extension (constant/bound predicate, no
         repeated free variable) — the leapfrog-eligible shape."""
-        if edge.p[0] == "var" and edge.p[1] not in slots:
+        s, p, o = edge
+        if isinstance(p, str) and p not in slots:
             return None
-        s_kind, s_value = edge.s
-        o_kind, o_value = edge.o
-        s_new = s_kind == "var" and s_value not in slots
-        o_new = o_kind == "var" and o_value not in slots
-        if s_new == o_new:  # zero or two new endpoints
+        s_new = isinstance(s, str) and s not in slots
+        o_new = isinstance(o, str) and o not in slots
+        if s_new == o_new:  # zero or two new endpoints (?v p ?v is two)
             return None
-        new_name = s_value if s_new else o_value
-        if edge.p[0] == "var" and edge.p[1] == new_name:
-            return None
-        other = o_value if s_new else s_value
-        if (o_kind if s_new else s_kind) == "var" and other == new_name:
-            return None  # repeated new variable (?v p ?v)
-        return str(new_name)
+        return s if s_new else o  # type: ignore[return-value]
 
     def _collect_verifiers(
         self,
-        ordered_edges: List[_Edge],
+        ordered_edges: List[EncodedPattern],
         start: int,
         consumed: Set[int],
         slots: Dict[str, int],
@@ -195,27 +175,19 @@ class WCOJoinEngine(BGPEngine):
         for j in range(start, len(ordered_edges)):
             if j in consumed:
                 continue
-            edge = ordered_edges[j]
-            if edge.p[0] != "const":
-                continue
-            sides = (edge.s, edge.o)
-            vertex_occurrences = sum(
-                1 for kind, value in sides if kind == "var" and value == vertex
-            )
-            if vertex_occurrences != 1:
-                continue
-            vertex_is_object = edge.o[0] == "var" and edge.o[1] == vertex
-            anchor_kind, anchor_value = edge.s if vertex_is_object else edge.o
-            if anchor_kind == "var":
-                slot = slots.get(str(anchor_value))
+            s, p, o = ordered_edges[j]
+            if isinstance(p, str) or (s == vertex) == (o == vertex):
+                continue  # variable predicate, or not one vertex occurrence
+            vertex_is_object = o == vertex
+            anchor_value = s if vertex_is_object else o
+            if isinstance(anchor_value, str):
+                slot = slots.get(anchor_value)
                 if slot is None:
                     continue  # anchor not bound yet: not a pure verifier
                 anchor: Tuple[str, object] = ("slot", slot)
             else:
                 anchor = ("const", anchor_value)
-            verifiers.append(
-                _Verifier(int(edge.p[1]), anchor, vertex_is_object)  # type: ignore[arg-type]
-            )
+            verifiers.append(_Verifier(p, anchor, vertex_is_object))
             consumed.add(j)
         return verifiers
 
@@ -224,7 +196,7 @@ class WCOJoinEngine(BGPEngine):
         schema: List[str],
         slots: Dict[str, int],
         rows: List[Row],
-        edge: _Edge,
+        edge: EncodedPattern,
         candidates: Optional[Candidates],
         filters=None,
         stop_at: Optional[int] = None,
@@ -259,16 +231,15 @@ class WCOJoinEngine(BGPEngine):
         after the scan — repeated-variable checks, membership tests,
         ``keep``, ``stop_at``, chunked compaction — is the same loop.
         """
-        def classify(position: Tuple[str, object]):
-            kind, value = position
-            if kind == "const":
-                return ("const", value)
-            slot = slots.get(value)
+        def classify(term):
+            if not isinstance(term, str):
+                return ("const", term)
+            slot = slots.get(term)
             if slot is not None:
                 return ("slot", slot)
-            return ("free", value)
+            return ("free", term)
 
-        cs, cp, co = classify(edge.s), classify(edge.p), classify(edge.o)
+        cs, cp, co = map(classify, edge)
         svar = cs[1] if cs[0] == "free" else None
         pvar = cp[1] if cp[0] == "free" else None
         ovar = co[1] if co[0] == "free" else None
@@ -527,35 +498,34 @@ class WCOJoinEngine(BGPEngine):
     # ------------------------------------------------------------------
     def _step_costs(self, ordered, encoded, counts, per_step):
         """WCO step cost: card(V_{k-1}) × min_i average_size(vi, p_k)."""
-        bound_vars = {v.name for v in ordered[0].variables()}
-        for index in range(1, len(ordered)):
-            pattern = ordered[index]
-            yield per_step[index - 1] * self._min_average_size(pattern, bound_vars)
-            bound_vars |= {v.name for v in pattern.variables()}
+        edges = [encoded[pattern] for pattern in ordered]
+        bound_vars = {term for term in edges[0] if isinstance(term, str)}
+        for index in range(1, len(edges)):
+            edge = edges[index]
+            yield per_step[index - 1] * self._min_average_size(edge, bound_vars)
+            bound_vars.update(term for term in edge if isinstance(term, str))
 
-    def _min_average_size(self, pattern: TriplePattern, bound_vars: Set[str]) -> float:
-        """min_i average_size(vi, p) over the pattern's bound endpoints.
+    def _min_average_size(self, edge: EncodedPattern, bound_vars: Set[str]) -> float:
+        """min_i average_size(vi, p) over the edge's bound endpoints.
 
         When the predicate is a variable the per-predicate statistics
         cannot be used; fall back to the global average degree.
         """
         stats = self.store.statistics
-        if isinstance(pattern.predicate, Variable):
+        s, p, o = edge
+        if isinstance(p, str):
             total = stats.total_triples
             predicates = max(stats.predicate_count(), 1)
             return max(total / predicates, 1.0)
-        predicate_id = self.store.lookup(pattern.predicate)
-        if predicate_id is None:
+        if p == MISSING_ID:
             return 1.0
         sizes: List[float] = []
-        subject = pattern.subject
-        obj = pattern.object
-        if not isinstance(subject, Variable) or subject.name in bound_vars:
-            sizes.append(stats.average_size(predicate_id, "out"))
-        if not isinstance(obj, Variable) or obj.name in bound_vars:
-            sizes.append(stats.average_size(predicate_id, "in"))
+        if not isinstance(s, str) or s in bound_vars:
+            sizes.append(stats.average_size(p, "out"))
+        if not isinstance(o, str) or o in bound_vars:
+            sizes.append(stats.average_size(p, "in"))
         if not sizes:
             # Disconnected extension: every edge with this predicate is
             # a possible match.
-            return float(stats.for_predicate(predicate_id).triples)
+            return float(stats.for_predicate(p).triples)
         return max(min(sizes), 1.0)

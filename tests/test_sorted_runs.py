@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
+from repro.bgp.cardinality import estimate_sequence
 from repro.bgp.hashjoin import binary_join_cost, merge_join_cost
 from repro.bgp.interface import decode_page
 from repro.core import SparqlUOEngine
@@ -362,7 +363,8 @@ class TestEnginePaths:
         ]
         engine = HashJoinEngine(chain_store)
         # Greedy order scans the 10 flag rows first, then merges the 40 hub rows.
-        _, per_step = engine.estimator.estimate_sequence(patterns[::-1])
+        flag_first = [chain_store.encode_pattern(p) for p in patterns[::-1]]
+        _, per_step = estimate_sequence(chain_store, flag_first, 10)
         assert engine.estimate(patterns).cost == 10 + merge_join_cost(per_step[0], 40)
         assert merge_join_cost(per_step[0], 40) < binary_join_cost(per_step[0], 40)
 
