@@ -6,7 +6,10 @@ would (``python -m repro serve``), then drives the SPARQL protocol
 with urllib only:
 
 1. ``GET /sparql`` returning JSON byte-identical to single-process
-   ``repro query --format json``;
+   ``repro query --format json``, and a query of more than
+   ``CHUNK_ROWS`` rows, which the server (run with ``--cache-entries
+   0``) relays from its worker frame by frame, in JSON and CSV
+   byte-identical to ``repro query``;
 2. ``POST`` (urlencoded) with CSV content negotiation, and ``POST``
    with a direct ``application/sparql-query`` body;
 3. a pathological query that must trip the per-query timeout (504)
@@ -19,8 +22,9 @@ with urllib only:
 
 ``--chaos`` runs the operator-facing chaos smoke instead: the same
 server binary under a seeded ``--faults`` schedule (worker crashes plus
-probabilistic cache faults), a fixed workload where every response must
-be byte-identical-or-well-formed-5xx, fault/restart accounting visible
+probabilistic cache faults) with the result cache off, a fixed workload
+(the multi-frame query in JSON and CSV included) where every response
+must be byte-identical-or-well-formed-5xx, fault/restart accounting visible
 in ``/metrics``, the roster healed to full strength afterwards, and a
 SIGTERM drain that still exits 0 with the shutdown banner.
 
@@ -52,12 +56,18 @@ import urllib.parse
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+from repro.sparql.results import CHUNK_ROWS  # noqa: E402
+
 UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 QUERY = f"SELECT ?x ?y WHERE {{ ?x <{UB}headOf> ?y }}"
 SLOW_QUERY = "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }"
+#: Every triple of the snapshot: more than CHUNK_ROWS rows, so the
+#: worker ships the answer as several raw pipe frames.
+BIG_QUERY = "SELECT * WHERE { ?s ?p ?o }"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, text: bool = True) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -65,11 +75,24 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         timeout=300,
         check=False,
     )
+
+
+def cli_body(snap_path: str, query: str, fmt: str) -> bytes:
+    """``repro query``'s output as the server's body: the CLI ends a
+    JSON document with a newline, the server does not.  Bytes, so CSV
+    keeps its CRLF line ends."""
+    reference = run_cli("query", snap_path, query, "--format", fmt, text=False)
+    check(reference.returncode == 0, f"reference CLI query ran ({fmt})")
+    return reference.stdout[:-1] if fmt == "json" else reference.stdout
+
+
+def sparql_url(base: str, query: str, fmt: str = "json") -> str:
+    return base + "/sparql?" + urllib.parse.urlencode({"query": query, "format": fmt})
 
 
 def check(condition: bool, message: str) -> None:
@@ -137,19 +160,22 @@ def wait_healthy(base: str, want_status: str = "", deadline_seconds: float = 60)
 
 def chaos_main() -> int:
     snap_path = build_snapshot()
-    queries = [QUERY, f"SELECT ?p WHERE {{ ?s ?p <{UB.rstrip('#')}#FullProfessor> }}"]
-    references = {}
-    for query in queries:
-        reference = run_cli("query", snap_path, query, "--format", "json")
-        check(reference.returncode == 0, "reference CLI query ran")
-        references[query] = reference.stdout.rstrip("\n").encode()
+    workload = [
+        (QUERY, "json"),
+        (f"SELECT ?p WHERE {{ ?s ?p <{UB.rstrip('#')}#FullProfessor> }}", "json"),
+        (BIG_QUERY, "json"),
+        (BIG_QUERY, "csv"),
+    ]
+    references = {item: cli_body(snap_path, *item) for item in workload}
 
     # Seeded, deterministic schedule: each worker (and each respawned
     # replacement) crashes on its 3rd query; every 5th-ish cache lookup
-    # fails in the parent.
+    # fails in the parent.  The cache is off, so every request reaches
+    # a worker and the multi-frame answers are relayed.
     spec = "worker.exec:crash@3;cache.get:io_error@0.2#seed=7"
     server = spawn_server(
-        snap_path, "--workers", "2", "--timeout", "5", "--faults", spec, "--drain", "5"
+        snap_path, "--workers", "2", "--timeout", "5", "--faults", spec, "--drain", "5",
+        "--cache-entries", "0",
     )
     try:
         base = read_banner(server)
@@ -157,14 +183,14 @@ def chaos_main() -> int:
 
         ok = errors = 0
         for index in range(24):
-            query = queries[index % len(queries)]
-            url = base + "/sparql?" + urllib.parse.urlencode({"query": query})
+            item = workload[index % len(workload)]
+            url = sparql_url(base, *item)
             started = time.time()
             try:
                 status, _, body = http(url, timeout=30)
                 check(status == 200, f"request {index}: status {status}")
                 check(
-                    body == references[query],
+                    body == references[item],
                     f"request {index}: 200 body byte-identical to the CLI",
                 )
                 ok += 1
@@ -346,6 +372,8 @@ def main() -> int:
         snap_path,
         "--workers", "2",
         "--timeout", "1",
+        # Every answer comes from a worker; a multi-frame one is relayed.
+        "--cache-entries", "0",
         # Observability smoke: everything qualifies as "slow" so the
         # structured log provably fills, and traces round-trip.
         "--slow-query-ms", "0.01",
@@ -382,6 +410,23 @@ def main() -> int:
         )
         rows = len(json.loads(body)["results"]["bindings"])
         check(rows > 0, f"query returned rows ({rows})")
+
+        # 1b. A multi-frame answer, relayed from the worker frame by
+        #     frame, byte-identical to the CLI in JSON and in CSV.
+        for fmt in ("json", "csv"):
+            status, headers, body = http(sparql_url(base, BIG_QUERY, fmt))
+            check(status == 200, f"multi-frame {fmt} query returns 200")
+            check(
+                int(headers["Content-Length"]) == len(body),
+                f"multi-frame {fmt} body matches its Content-Length",
+            )
+            check(
+                body == cli_body(snap_path, BIG_QUERY, fmt),
+                f"multi-frame {fmt} body byte-identical to `repro query`",
+            )
+            if fmt == "json":
+                rows = len(json.loads(body)["results"]["bindings"])
+                check(rows > CHUNK_ROWS, f"it spans several frames ({rows} rows)")
 
         # 2a. POST urlencoded + Accept: text/csv.
         status, headers, body = http(
@@ -428,11 +473,9 @@ def main() -> int:
               "latency histogram buckets exposed")
 
         # 4b. Trace smoke: a header-activated trace round-trips through
-        #     the worker pool with the client's request id echoed.  The
-        #     trailing space defeats the result cache (exact-text key)
-        #     without changing the constant-lifted template, so this
-        #     request provably exercises the pool.
-        traced_url = base + "/sparql?" + urllib.parse.urlencode({"query": QUERY + " "})
+        #     the worker pool with the client's request id echoed (the
+        #     result cache is off, so the request reaches the pool).
+        traced_url = base + "/sparql?" + urllib.parse.urlencode({"query": QUERY})
         status, headers, body = http(
             traced_url,
             headers={"X-Repro-Trace": "1", "X-Request-Id": "smoke-trace-1"},

@@ -94,7 +94,7 @@ KNOWN_SITES = frozenset(
         "worker.spawn",           # parent-side process/pipe creation
         "worker.exec",            # worker-side, before executing each query
         "worker.send",            # parent-side request send
-        "worker.recv",            # parent-side reply receive
+        "worker.recv",            # parent-side reply receive, and each raw frame read
         # HTTP server
         "server.respond",         # response serialization onto the socket
         "cache.get",              # result-cache lookup

@@ -10,7 +10,11 @@ requests waiting for a worker and sheds everything beyond them with an
 immediate 503 (:meth:`~.pool.WorkerPool.execute`).  Cache hits
 therefore cost no worker, no engine and no serializer; sheds cost
 almost nothing at all, which is what keeps an overloaded endpoint
-responsive.  Every response leaves in one ``sendmsg`` call.
+responsive.  Every response leaves in one ``sendmsg`` call, except an
+answer of several frames (:class:`~.pool.ReplyFrames`) that the result
+cache would not admit: it is relayed from the worker's pipe to the
+socket one frame at a time, the head with the first, so the parent
+never holds it whole.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import uuid
 from contextlib import ExitStack
 from http import HTTPStatus
 from time import perf_counter
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .. import faults as _faults
 from ..obs import SlowQueryLog, TemplateRegistry
@@ -42,7 +46,7 @@ from ..storage.wal import WalCorruptError, WriteAheadLog
 from .cache import CachedResult, ResultCache
 from .config import ServerConfig
 from .metrics import ServerMetrics
-from .pool import PoolError, WorkerPool, _open_store, failure_reply
+from .pool import PoolError, ReplyFrames, WorkerPool, _open_store, failure_reply, read_whole
 from .protocol import (
     FORMAT_MEDIA_TYPES,
     ProtocolError,
@@ -144,7 +148,8 @@ class _Outcome(NamedTuple):
 
     status: int
     content_type: str
-    body: bytes
+    #: A relayed answer is the worker's unread frames (see ``_execute``).
+    body: Union[bytes, ReplyFrames]
     extra: Tuple[Tuple[str, str], ...] = ()
     cache: Optional[str] = None
     rows: int = 0
@@ -223,8 +228,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 self._do_post()
             else:
                 self._respond_error(501, f"unsupported method {self.command!r}")
-        except socket.timeout:
-            # A head or body that never completed within the timeout.
+        except OSError:
+            # A head or body that never completed within the timeout, or
+            # a client that reset the connection.
             self.close_connection = True
 
     def _read_head(self) -> bool:
@@ -293,7 +299,7 @@ class _Handler(socketserver.BaseRequestHandler):
         self,
         status: int,
         content_type: str,
-        body: bytes,
+        body: Union[bytes, ReplyFrames],
         extra: Tuple[Tuple[str, str], ...] = (),
         generation: Optional[int] = None,
     ) -> None:
@@ -318,7 +324,10 @@ class _Handler(socketserver.BaseRequestHandler):
             head.append("Connection: close\r\n")
         head.append("\r\n")
         # The emission is guarded against clients that hung up
-        # mid-query (no stderr traceback, metrics still recorded).
+        # mid-query (no stderr traceback, metrics still recorded).  A
+        # relayed body can also fail on the worker's side, head sent or
+        # not; either way the connection closes, as the promised
+        # Content-Length can no longer be kept.
         try:
             if _faults.ACTIVE is not None:
                 # An injected io_error here stands in for the client
@@ -335,11 +344,23 @@ class _Handler(socketserver.BaseRequestHandler):
                    self.requestline, status, len(body))
             )
 
-    def _send(self, head: bytes, body: bytes) -> None:
-        """Head and body in one ``sendmsg``; a partial send goes on
-        from where it stopped.  The two are never joined: a body can
-        be megabytes."""
-        buffers = [memoryview(head), memoryview(body)]
+    def _send(self, head: bytes, body: Union[bytes, ReplyFrames]) -> None:
+        """Head and body in one ``sendmsg``; the two are never joined: a
+        body can be megabytes.  A relayed body leaves frame by frame as
+        each is read from the worker, its first frame with the head."""
+        if isinstance(body, ReplyFrames):
+            frames = iter(body)
+            self._sendmsg([head, next(frames)])
+            for frame in frames:
+                self._sendmsg([frame])
+                del frame  # not held while the next one is read
+        else:
+            self._sendmsg([head, body])
+
+    def _sendmsg(self, parts: List[bytes]) -> None:
+        """``parts`` in one ``sendmsg``; a partial send goes on from
+        where it stopped."""
+        buffers = [memoryview(part) for part in parts]
         connection = self.request
         while buffers:
             sent = connection.sendmsg(buffers)
@@ -479,13 +500,27 @@ class _Handler(socketserver.BaseRequestHandler):
         else:
             state.metrics.enter()
             try:
-                outcome = self._execute(request, tracer)
-                self._finish(request, outcome, started, tracer, sampled)
+                outcome = self._execute(request, tracer, whole=trace_requested)
+                try:
+                    self._finish(request, outcome, started, tracer, sampled)
+                finally:
+                    if isinstance(outcome.body, ReplyFrames):
+                        # Whatever became of the response, the worker's
+                        # unread frames are drained and it goes back.
+                        outcome.body.close()
             finally:
                 state.metrics.leave()
 
-    def _execute(self, request, tracer: "Optional[_obs_trace.Tracer]") -> _Outcome:
-        """Run the query on a leased worker: a miss, stale or error outcome."""
+    def _execute(
+        self, request, tracer: "Optional[_obs_trace.Tracer]", whole: bool
+    ) -> _Outcome:
+        """Run the query on a leased worker: a miss, stale or error outcome.
+
+        A multi-frame answer is read into one payload only when the
+        result cache would admit it, or when ``whole`` (a requested
+        trace is spliced into the JSON body); any other is relayed to
+        the socket frame by frame, so the parent never holds it whole.
+        """
         state = self.state
         if tracer is not None:
             tracer.begin("pool")
@@ -494,7 +529,11 @@ class _Handler(socketserver.BaseRequestHandler):
             request.format,
             request_id=self.repro_request_id,
             trace=tracer is not None,
+            relay=True,
         )
+        payload = reply.payload
+        if isinstance(payload, ReplyFrames) and (whole or state.cache.admits(len(payload))):
+            reply = read_whole(reply)
         if tracer is not None:
             # The worker's span tree nests under the pool span; the
             # pool span's extra time is lease, pipe and relay cost.
@@ -528,8 +567,10 @@ class _Handler(socketserver.BaseRequestHandler):
         # Cache under the generation the worker *actually served* (a
         # respawned worker may have reopened a rebuilt snapshot).
         served_generation = int(meta.get("generation", state.generation))  # type: ignore[arg-type]
+        # A relayed answer's frames ride in the entry only to reach the
+        # outcome: they are never put into the cache.
         entry = CachedResult(
-            reply.payload,
+            reply.payload,  # type: ignore[arg-type]
             content_type,
             rows,
             join_space,
@@ -537,12 +578,13 @@ class _Handler(socketserver.BaseRequestHandler):
             template=template if isinstance(template, dict) else None,
             patterns=patterns if isinstance(patterns, tuple) else (),
         )
-        try:
-            if _faults.ACTIVE is not None:
-                _faults.ACTIVE.fire("cache.put")
-            state.cache.put(served_generation, request.format, request.query, entry)
-        except OSError:
-            pass  # a result that cannot be cached is still served
+        if isinstance(entry.payload, bytes):
+            try:
+                if _faults.ACTIVE is not None:
+                    _faults.ACTIVE.fire("cache.put")
+                state.cache.put(served_generation, request.format, request.query, entry)
+            except OSError:
+                pass  # a result that cannot be cached is still served
         return _entry_outcome(entry, "miss", served_generation)
 
     def _finish(
@@ -566,6 +608,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 repro["generation"] = outcome.generation
                 repro["exec_counters"] = outcome.counters or {}
             repro["trace"] = trace_tree
+            assert isinstance(body, bytes)  # read whole when a trace was asked for
             body = _splice_extensions(body, repro) or body
         extra = outcome.extra
         if outcome.cache is not None:

@@ -209,15 +209,16 @@ class ResultCache:
                         return "changed"
         return None
 
+    def admits(self, size: int) -> bool:
+        """Whether :meth:`put` would take a payload of ``size`` bytes: the
+        server reads only such answers whole, and relays the others."""
+        return self.max_entries > 0 and not self._disabled and size <= self.max_bytes
+
     def put(self, generation: int, fmt: str, query: str, result: CachedResult) -> bool:
         """Admit a result computed at ``generation``; returns False when
         it cannot be cached.  An answer from an older generation never
         replaces a newer one."""
-        if (
-            self.max_entries <= 0
-            or self._disabled
-            or len(result.payload) > self.max_bytes
-        ):
+        if not self.admits(len(result.payload)):
             return False
         key = (fmt, query)
         with self._lock:

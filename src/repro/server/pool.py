@@ -45,13 +45,20 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import faults as _faults
 from ..sparql.errors import QueryTimeoutError, SparqlError, SparqlSyntaxError
 from .config import ServerConfig
 
-__all__ = ["PoolError", "WorkerPool", "WorkerReply", "failure_reply"]
+__all__ = [
+    "PoolError",
+    "ReplyFrames",
+    "WorkerPool",
+    "WorkerReply",
+    "failure_reply",
+    "read_whole",
+]
 
 #: Wall-clock budget for a worker to open the store and report ready.
 _STARTUP_TIMEOUT = 120.0
@@ -95,18 +102,99 @@ class WorkerReply:
     def __init__(
         self,
         kind: str,
-        payload: bytes = b"",
+        payload: "Union[bytes, ReplyFrames]" = b"",
         meta: Optional[Dict[str, object]] = None,
         message: str = "",
     ):
         #: "ok" | "timeout" | "syntax" | "unsupported" | "error" | "shed"
         self.kind = kind
+        #: The serialized answer: ``bytes``, or with ``relay=True`` the
+        #: still-unread frames of a multi-frame answer.
         self.payload = payload
         self.meta = meta or {}
         self.message = message
 
     def __repr__(self) -> str:
         return f"WorkerReply({self.kind!r}, {len(self.payload)} bytes)"
+
+
+class ReplyFrames:
+    """The raw frames of one multi-frame answer, still in the worker's
+    pipe: the worker stays leased until the last frame is read.
+
+    ``len()`` is the payload's byte count, known from the frame sizes
+    the worker sent ahead.  Iterating reads the frames in order and
+    :meth:`read` joins them.  A frame that cannot be read (the worker
+    died or stalled past the hard timeout, or the ``worker.recv`` site
+    fired) hands the worker to the respawn path and raises
+    :class:`OSError`.  :meth:`close` reads and drops the frames not yet
+    read, so the pipe is in step for the worker's next request.
+    """
+
+    __slots__ = ("_sizes", "_length", "_pool", "_worker", "_read")
+
+    def __init__(self, pool: "WorkerPool", worker: "_Worker", sizes: List[int]):
+        self._sizes = tuple(sizes)
+        self._length = sum(self._sizes)
+        self._pool = pool
+        #: None once the worker is released (idle again, or respawning).
+        self._worker: Optional[_Worker] = worker
+        self._read = 0
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[bytes]:
+        while self._worker is not None:
+            yield self._next()
+
+    def _next(self) -> bytes:
+        worker = self._worker
+        assert worker is not None
+        try:
+            if _faults.ACTIVE is not None:
+                _faults.ACTIVE.fire("worker.recv")
+            if not worker.conn.poll(self._pool.config.hard_timeout):
+                raise OSError("no frame within the hard timeout")
+            frame = worker.conn.recv_bytes()
+            if len(frame) != self._sizes[self._read]:
+                raise OSError("frame size differs from the announced one")
+        except (EOFError, OSError, ValueError, MemoryError) as exc:
+            self._release(broken=True)
+            raise OSError("worker died mid-reply") from exc
+        self._read += 1
+        if self._read == len(self._sizes):
+            self._release(broken=False)
+        return frame
+
+    def _release(self, broken: bool) -> None:
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            self._pool._release(worker, broken)
+
+    def read(self) -> bytes:
+        """Every frame, joined into one payload."""
+        return b"".join(self)
+
+    def close(self) -> None:
+        """Drain the unread frames and release the worker; idempotent."""
+        try:
+            for _ in self:
+                pass
+        except OSError:
+            pass  # the worker is already on its way to a respawn
+
+
+def read_whole(reply: WorkerReply) -> WorkerReply:
+    """``reply`` with a multi-frame payload read into one ``bytes``; a
+    worker lost mid-frames makes it an ``"error"`` reply, as a worker
+    lost before its reply does."""
+    if isinstance(reply.payload, ReplyFrames):
+        try:
+            reply.payload = reply.payload.read()
+        except OSError:
+            return WorkerReply("error", message="worker died mid-query; please retry")
+    return reply
 
 
 def _open_store(path: str):
@@ -141,14 +229,23 @@ def _worker_main(
     the pipe traffic stays cheap to pickle.  The serialized result
     payload is produced *in the worker* — the parent relays bytes and
     never re-serializes, which also makes responses byte-identical to
-    the single-process CLI path (both call the same serializers).  The
-    worker hands the result's id-level page (an
+    the single-process CLI path (both run the same chunk generators).
+    The worker hands the result's id-level page (an
     :class:`~repro.sparql.bags.EncodedPage`: the evaluator's id rows
     plus the id → term map of its one batch decode) straight to
-    :data:`~repro.sparql.results.SERIALIZERS`, which render each
-    distinct id once without ever building a term row, and call the
-    query's deadline checkpoint once per 4096 rows, so one budget spans
+    :data:`~repro.sparql.results.CHUNKS`, which render each distinct id
+    once without ever building a term row, and call the query's
+    deadline checkpoint once per chunk of
+    :data:`~repro.sparql.results.CHUNK_ROWS` rows, so one budget spans
     evaluation and serialization.
+
+    Each chunk is encoded to UTF-8 once, as one *frame*.  A one-frame
+    answer rides inside the pickled ``("ok", payload, meta)`` reply; a
+    larger one sends ``("ok", frame_sizes, meta)`` and then each frame
+    by raw ``send_bytes``, so the payload is never joined, pickled or
+    unpickled whole (:class:`ReplyFrames` reads them in the parent).
+    The reply is dropped once its last frame is sent, before the next
+    request is read.
 
     ``fault_plan`` is the parent's parsed :class:`~repro.faults.FaultPlan`
     (pickled through the spawn args, fresh trigger state per worker) —
@@ -166,7 +263,7 @@ def _worker_main(
     # dumping a KeyboardInterrupt traceback mid-recv.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from ..obs import trace as _obs_trace
-    from ..sparql.results import SERIALIZERS as serializers
+    from ..sparql.results import CHUNKS as chunkers
     from .cache import query_patterns
 
     try:
@@ -251,11 +348,12 @@ def _worker_main(
             result = uo_engine.execute(query, checkpoint=check)
             if tracer is not None:
                 tracer.begin("serialize", format=fmt)
-            payload = serializers[fmt](
-                result.variables, result.solutions, checkpoint=check
-            ).encode("utf-8")
+            frames = [
+                chunk.encode("utf-8")
+                for chunk in chunkers[fmt](result.variables, result.solutions, check)
+            ]
             if tracer is not None:
-                tracer.end(bytes=len(payload))
+                tracer.end(bytes=sum(map(len, frames)))
             meta = {
                 "rows": len(result),
                 "parse_ms": round(result.parse_seconds * 1000, 3),
@@ -284,7 +382,12 @@ def _worker_main(
                 meta["template"] = result.template
             if tracer is not None:
                 meta["trace"] = tracer.finish()
-            conn.send(("ok", payload, meta))
+            if len(frames) == 1:
+                conn.send(("ok", frames[0], meta))
+            else:
+                conn.send(("ok", [len(frame) for frame in frames], meta))
+                for frame in frames:
+                    conn.send_bytes(frame)
         except Exception as exc:  # noqa: BLE001 — the pipe is the error channel
             # A failed update (injected delta.apply io_errors included:
             # the site fires before any mutation) leaves this worker
@@ -301,6 +404,9 @@ def _worker_main(
                 # request; the replacement starts with a clean heap.
                 break
         finally:
+            # Released before the next request is read, so two large
+            # replies never stack in this worker's peak.
+            result = frames = frame = meta = None
             if tracer is not None:
                 _obs_trace.disarm()
     conn.close()
@@ -676,8 +782,18 @@ class WorkerPool:
         fmt: str,
         request_id: Optional[str] = None,
         trace: bool = False,
+        relay: bool = False,
     ) -> WorkerReply:
         """Run one query on a leased worker; always returns a reply.
+
+        An ``"ok"`` reply's ``payload`` is the whole answer as ``bytes``:
+        the frames of a multi-frame answer are read and joined, and a
+        worker lost mid-frames makes it an ``"error"`` reply, as a worker
+        lost before its reply does.  With ``relay=True`` a multi-frame
+        answer is left in the pipe as :class:`ReplyFrames` instead: the
+        worker stays leased until the caller has read its last frame, or
+        has closed it, so a caller that relays the frames never holds
+        the whole payload.
 
         ``request_id`` and ``trace`` ride to the worker in the request's
         extras dict: the id stitches worker-side spans under the HTTP
@@ -699,6 +815,7 @@ class WorkerPool:
         if trace:
             extras["trace"] = True
         broken = False
+        relayed = False
         try:
             try:
                 if _faults.ACTIVE is not None:
@@ -731,9 +848,19 @@ class WorkerPool:
             except (EOFError, OSError):
                 broken = True
                 return WorkerReply("error", message="worker died mid-query; please retry")
+            except MemoryError:
+                # The reply is left unread in the pipe, which no later
+                # request may read: the worker is replaced.
+                broken = True
+                return WorkerReply("error", message="out of memory reading the reply; please retry")
             tag = message[0]
             if tag == "ok":
-                return WorkerReply("ok", payload=message[1], meta=message[2])
+                payload, meta = message[1], message[2]
+                if isinstance(payload, bytes):
+                    return WorkerReply("ok", payload=payload, meta=meta)
+                relayed = True  # the frame sizes; ReplyFrames releases the worker
+                reply = WorkerReply("ok", payload=ReplyFrames(self, worker, payload), meta=meta)
+                return reply if relay else read_whole(reply)
             if tag == "crashed":
                 # The worker announced it is exiting (e.g. MemoryError):
                 # replace it now instead of handing the next client a
@@ -745,12 +872,16 @@ class WorkerPool:
             meta = message[2] if len(message) > 2 else None
             return WorkerReply(tag, message=message[1], meta=meta)
         finally:
-            if broken:
-                threading.Thread(
-                    target=self._replace, args=(worker,), daemon=True
-                ).start()
-            else:
-                self._idle.put(worker)
+            if not relayed:
+                self._release(worker, broken)
+
+    def _release(self, worker: _Worker, broken: bool) -> None:
+        """Hand a leased worker back: to the idle queue, or when its pipe
+        can no longer be trusted to the respawn path."""
+        if broken:
+            threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
+        else:
+            self._idle.put(worker)
 
     # ------------------------------------------------------------------
     # live writes
@@ -800,7 +931,7 @@ class WorkerPool:
                     broken.append(worker)
             self.generation = expected_generation
         for worker in broken:
-            threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
+            self._release(worker, broken=True)
         return confirmed
 
     def _send_update(self, worker: _Worker, text: str) -> Optional[int]:

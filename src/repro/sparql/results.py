@@ -33,15 +33,18 @@ with :func:`json.encoder.encode_basestring`, the escaper behind
 dumping one binding object per row.
 
 **Chunks and deadlines.**  The generators yield one string per
-:data:`CHUNK_ROWS` rows and call the optional ``checkpoint`` before
-each, the amortisation of ``ticked_rows``' default mask: the protocol
-server's workers pass the query's deadline hook, so serializing a huge
-result stays abortable.  ``write_json`` / ``write_csv`` / ``write_tsv``
-write the chunks into any ``.write()``-able object (the CLI streams to
-its output); ``to_*`` joins them into one string (the form the server's
-workers ship over the pipe and the result cache stores), reached via
-:data:`SERIALIZERS`.  Input that is not a :class:`~repro.sparql.bags.Bag`
-is wrapped once with ``Bag(solutions)``.
+:data:`CHUNK_ROWS` rows, the document's head glued to the first and its
+tail to the last, and call the optional ``checkpoint`` before each, the
+amortisation of ``ticked_rows``' default mask: the protocol server's
+workers pass the query's deadline hook, so serializing a huge result
+stays abortable.  The workers reach the generators through
+:data:`CHUNKS` and encode each chunk to UTF-8 once, as one pipe frame,
+so a large result is never joined whole (:mod:`repro.server.pool`).
+``write_json`` / ``write_csv`` / ``write_tsv`` write the chunks into
+any ``.write()``-able object (the CLI streams to its output); ``to_*``
+joins them into one string, reached via :data:`SERIALIZERS`.  Input
+that is not a :class:`~repro.sparql.bags.Bag` is wrapped once with
+``Bag(solutions)``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .bags import Bag, EncodedPage, Mapping, Row, UNBOUND
 
 __all__ = [
     "CHUNK_ROWS",
+    "CHUNKS",
     "to_json",
     "to_json_dict",
     "to_csv",
@@ -156,12 +160,25 @@ def to_json_dict(variables: Sequence[str], solutions: Iterable[Mapping]) -> dict
     return json.loads(to_json(variables, solutions))
 
 
+def _framed(head: str, bodies: Iterator[str], tail: str) -> Iterator[str]:
+    """One string per chunk of rows: ``head`` glued to the first body and
+    ``tail`` to the last (``head + tail`` alone when there are no rows)."""
+    pending = None
+    for body in bodies:
+        if pending is not None:
+            yield pending
+            pending = body
+        else:
+            pending = head + body
+    yield (head if pending is None else pending) + tail
+
+
 def _json_chunks(
     variables: Sequence[str], solutions: Iterable[Mapping], checkpoint: Checkpoint = None
 ) -> Iterator[str]:
     cells = _Cells(solutions)
+    # The head document, reopened: its closing brace is stripped.
     head = json.dumps({"head": {"vars": list(variables)}}, ensure_ascii=False)
-    yield head[:-1] + ', "results": {"bindings": ['  # reopen: strip the closing brace
     # Every fragment carries its leading ", " so an unbound cell is ""
     # and a row's first separator is sliced off after the join.  A
     # binding object names each variable once, at its first position.
@@ -171,18 +188,21 @@ def _json_chunks(
         if slot is not None:
             render = partial(_json_member, f", {encode_basestring(var)}: ")
             columns.append((slot, cells.memo(), render))
-    separator = ""
-    for rows in cells.chunks(checkpoint):
-        if columns:
-            fragments = zip(
-                *[cells.column(rows, slot, memo, render) for slot, memo, render in columns]
-            )
-            objects = ["".join(row)[2:] for row in fragments]
-        else:
-            objects = [""] * len(rows)
-        yield separator + "{" + "}, {".join(objects) + "}"
-        separator = ", "
-    yield "]}}"
+
+    def bodies() -> Iterator[str]:
+        separator = ""
+        for rows in cells.chunks(checkpoint):
+            if columns:
+                fragments = zip(
+                    *[cells.column(rows, slot, memo, render) for slot, memo, render in columns]
+                )
+                objects = ["".join(row)[2:] for row in fragments]
+            else:
+                objects = [""] * len(rows)
+            yield separator + "{" + "}, {".join(objects) + "}"
+            separator = ", "
+
+    return _framed(head[:-1] + ', "results": {"bindings": [', bodies(), "]}}")
 
 
 def write_json(
@@ -228,16 +248,20 @@ def _delimited_chunks(
     checkpoint: Checkpoint,
 ) -> Iterator[str]:
     cells = _Cells(solutions)
-    yield header + newline
     memo = cells.memo()
     slots = [cells.slot(var) for var in variables]
-    for rows in cells.chunks(checkpoint):
-        blank = [""] * len(rows)
-        columns = [
-            blank if slot is None else cells.column(rows, slot, memo, render) for slot in slots
-        ]
-        lines = map(separator.join, zip(*columns)) if columns else blank
-        yield newline.join(lines) + newline
+
+    def bodies() -> Iterator[str]:
+        for rows in cells.chunks(checkpoint):
+            blank = [""] * len(rows)
+            columns = [
+                blank if slot is None else cells.column(rows, slot, memo, render)
+                for slot in slots
+            ]
+            lines = map(separator.join, zip(*columns)) if columns else blank
+            yield newline.join(lines) + newline
+
+    return _framed(header + newline, bodies(), "")
 
 
 def _csv_cell(term: GroundTerm) -> str:
@@ -311,9 +335,11 @@ def to_tsv(
     return "".join(_tsv_chunks(variables, solutions, checkpoint))
 
 
-#: Format key → string serializer (the protocol server's workers ship
-#: whole payload strings over the worker pipe, passing ``checkpoint=``)
-#: and format key → incremental writer (the CLI streams straight to its
-#: output); media types live in ``repro.server.protocol.FORMAT_MEDIA_TYPES``.
+#: Format key → chunk generator ``(variables, solutions, checkpoint)``
+#: (the protocol server's workers encode each chunk as one pipe frame),
+#: format key → string serializer and format key → incremental writer
+#: (the CLI streams straight to its output); media types live in
+#: ``repro.server.protocol.FORMAT_MEDIA_TYPES``.
+CHUNKS = {"json": _json_chunks, "csv": _csv_chunks, "tsv": _tsv_chunks}
 SERIALIZERS = {"json": to_json, "csv": to_csv, "tsv": to_tsv}
 WRITERS = {"json": write_json, "csv": write_csv, "tsv": write_tsv}

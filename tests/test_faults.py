@@ -12,6 +12,7 @@ live in ``test_chaos.py``.
 from __future__ import annotations
 
 import io
+import json
 import pickle
 import time
 
@@ -362,6 +363,23 @@ class TestPoolSites:
             faults.disarm()
             assert pool.execute(QUERY_HEADOF, "json").kind == "ok"
             assert restarts
+        finally:
+            faults.disarm()
+            pool.close()
+
+    def test_parent_recv_oom_keeps_the_pipe_in_step(self, snap):
+        """A reply the parent cannot read stays in the pipe: the worker
+        must be replaced, or the next request would read that reply."""
+        pool = WorkerPool(_pool_config(snap))
+        try:
+            faults.arm("worker.recv:oom@1")
+            reply = pool.execute(QUERY_HEADOF, "json")
+            assert reply.kind == "error"
+            assert "out of memory" in reply.message
+            faults.disarm()
+            reply = pool.execute(QUERY_HEADOF + " LIMIT 1", "json")
+            assert reply.kind == "ok"
+            assert len(json.loads(reply.payload)["results"]["bindings"]) == 1
         finally:
             faults.disarm()
             pool.close()

@@ -14,6 +14,7 @@ import dataclasses
 import http.client
 import json
 import os
+import re
 import socket
 import statistics
 import sys
@@ -40,7 +41,7 @@ from repro.server.cache import CachedResult, matches, triple_key
 from repro.server.metrics import LatencySummary, ServerMetrics
 from repro.server.pool import WorkerPool
 from repro.server.protocol import ProtocolError
-from repro.sparql.results import to_csv, to_json, to_tsv
+from repro.sparql.results import CHUNK_ROWS, to_csv, to_json, to_tsv
 from repro.storage import TripleStore
 
 UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
@@ -259,11 +260,13 @@ class TestResultCache:
 
     def test_oversized_entry_refused(self):
         cache = ResultCache(max_entries=10, max_bytes=10)
+        assert cache.admits(10) and not cache.admits(11)
         assert not cache.put(1, "json", "a", _entry(b"z" * 11))
         assert len(cache) == 0
 
     def test_disabled_cache(self):
         cache = ResultCache(max_entries=0)
+        assert not cache.admits(1)
         assert not cache.put(1, "json", "a", _entry())
         assert cache.get(1, "json", "a") is None
 
@@ -984,6 +987,233 @@ class TestWorkerRecovery:
             assert pool.alive == 1
         finally:
             pool.close()
+
+
+# ----------------------------------------------------------------------
+# multi-frame answers: relayed frame by frame, or read whole for the cache
+# ----------------------------------------------------------------------
+#: Every triple of LUBM u1: 12 902 rows, four frames of CHUNK_ROWS rows.
+QUERY_ALL = "SELECT * WHERE { ?s ?p ?o }"
+#: Three times those rows, about 10 MB of JSON: more than the loopback
+#: socket buffers hold, so relaying it blocks on a client that does not
+#: read, with frames still in the worker's pipe.
+QUERY_ALL_THRICE = (
+    "SELECT * WHERE { { ?s ?p ?o } UNION { ?s ?p ?o } UNION { ?s ?p ?o } }"
+)
+SERIALIZE = {"json": to_json, "csv": to_csv, "tsv": to_tsv}
+
+
+@pytest.fixture(scope="module")
+def expected_bodies(local_engine):
+    """(query, format) → the body the single-process path renders."""
+    bodies = {}
+    for query in (QUERY_ALL, QUERY_ALL_THRICE):
+        result = local_engine.execute(query)
+        assert len(result) > CHUNK_ROWS
+        for fmt, serialize in SERIALIZE.items():
+            bodies[query, fmt] = serialize(result.variables, result.solutions).encode()
+    return bodies
+
+
+def relay_config(snapshot_path, **overrides) -> ServerConfig:
+    """One worker, so the next request is served by the same worker
+    (or its replacement), and no result cache, so every multi-frame
+    answer is relayed."""
+    fields = dict(data=snapshot_path, port=0, workers=1, timeout=10.0, cache_entries=0)
+    fields.update(overrides)
+    return ServerConfig(**fields)
+
+
+def request_bytes(query: str, fmt: str = "json") -> bytes:
+    target = "/sparql?" + urllib.parse.urlencode({"query": query, "format": fmt})
+    return f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+
+
+def stalled_client(server, query: str) -> socket.socket:
+    """A client that asks for ``query`` through a 16 KiB receive buffer
+    and reads nothing yet; returns once the relay holds the worker."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+    sock.settimeout(30)
+    sock.connect((server.config.host, server.port))
+    sock.sendall(request_bytes(query))
+    wait_for(lambda: server.pool._idle.qsize() == 0, "the relay to lease the worker")
+    return sock
+
+
+def read_until_closed(sock: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def wait_for(condition, what: str, seconds: float = 30.0) -> float:
+    """Poll ``condition``; returns the seconds it took."""
+    started = time.monotonic()
+    while not condition():
+        assert time.monotonic() - started < seconds, f"timed out waiting for {what}"
+        time.sleep(0.02)
+    return time.monotonic() - started
+
+
+def worker_pids(server):
+    return [worker.proc.pid for worker in server.pool._workers]
+
+
+def assert_serves_the_next_answer(server, expected_bodies) -> None:
+    """The next request's whole, correct answer: a pipe left out of step
+    would hand it the remains of the one before."""
+    _, headers, body = sparql_get(server, QUERY_ALL)
+    assert headers["X-Repro-Cache"] == "miss"
+    assert body == expected_bodies[QUERY_ALL, "json"]
+
+
+class TestRelayedReplies:
+    @pytest.fixture(scope="class")
+    def relay_server(self, snapshot_path):
+        with SparqlServer(relay_config(snapshot_path)) as instance:
+            yield instance
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "tsv"])
+    def test_bodies_are_byte_identical(self, relay_server, server, expected_bodies, fmt):
+        expected = expected_bodies[QUERY_ALL, fmt]
+        # Cache off: relayed frame by frame, every time.
+        for _ in range(2):
+            _, headers, body = sparql_get(relay_server, QUERY_ALL, extra_params={"format": fmt})
+            assert headers["X-Repro-Cache"] == "miss"
+            assert int(headers["Content-Length"]) == len(expected)
+            assert body == expected
+        # Cache on: the miss is read whole and admitted, then hit.
+        for cache in ("miss", "hit"):
+            _, headers, body = sparql_get(server, QUERY_ALL, extra_params={"format": fmt})
+            assert headers["X-Repro-Cache"] == cache
+            assert body == expected
+        # The pool's own entry point reads every frame.
+        reply = relay_server.pool.execute(QUERY_ALL, fmt)
+        assert reply.kind == "ok" and reply.payload == expected
+
+    def test_parent_never_holds_the_whole_payload(self, relay_server, expected_bodies):
+        """The parent's traced peak (handler thread and client alike, in
+        this process) while it serves a four-frame answer stays below
+        the payload: reading the answer whole, as one pickled reply did,
+        peaks at twice the payload or more."""
+        import tracemalloc
+
+        payload = len(expected_bodies[QUERY_ALL, "json"])
+        connection = http.client.HTTPConnection(
+            relay_server.config.host, relay_server.port, timeout=60
+        )
+        try:
+            target = "/sparql?" + urllib.parse.urlencode({"query": QUERY_ALL})
+            peaks = []
+            for _ in range(2):  # the first request warms the parent's caches
+                tracemalloc.start()
+                try:
+                    connection.request("GET", target)
+                    response = connection.getresponse()
+                    received = 0
+                    while piece := response.read(65536):
+                        received += len(piece)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert received == payload
+        finally:
+            connection.close()
+        assert peaks[-1] < payload, (peaks, payload)
+
+    def test_a_client_closing_mid_body_drains_the_frames(self, relay_server, expected_bodies):
+        restarts = relay_server.metrics.worker_restarts_total
+        pids = worker_pids(relay_server)
+        sock = stalled_client(relay_server, QUERY_ALL_THRICE)
+        assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+        sock.close()  # unread bytes: the close resets the connection
+        wait_for(lambda: relay_server.pool._idle.qsize() == 1, "the worker to go back")
+        assert_serves_the_next_answer(relay_server, expected_bodies)
+        assert relay_server.metrics.worker_restarts_total == restarts
+        assert worker_pids(relay_server) == pids
+
+    def test_a_client_that_stops_reading_holds_its_worker_until_the_socket_timeout(
+        self, relay_server, expected_bodies, monkeypatch
+    ):
+        from repro.server import app
+
+        monkeypatch.setattr(app, "_SOCKET_TIMEOUT", 1.0)
+        restarts = relay_server.metrics.worker_restarts_total
+        sock = stalled_client(relay_server, QUERY_ALL_THRICE)
+        try:
+            held = wait_for(
+                lambda: relay_server.pool._idle.qsize() == 1, "the socket timeout", 15.0
+            )
+            assert held >= 0.5  # the stall held the worker, as long as the timeout
+            # The server gave up on the connection: what it sent is a
+            # truncated body, then the close.
+            reply = read_until_closed(sock)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            assert 0 < len(body) < length
+        finally:
+            sock.close()
+        assert_serves_the_next_answer(relay_server, expected_bodies)
+        assert relay_server.metrics.worker_restarts_total == restarts
+
+    def test_a_worker_killed_mid_frames_is_replaced(self, relay_server, expected_bodies):
+        restarts = relay_server.metrics.worker_restarts_total
+        sock = stalled_client(relay_server, QUERY_ALL_THRICE)
+        try:
+            first = sock.recv(65536)
+            assert first.startswith(b"HTTP/1.1 200 OK")
+            victim = relay_server.pool._workers[0]
+            victim.proc.kill()
+            victim.proc.join(10)
+            body = (first + read_until_closed(sock)).partition(b"\r\n\r\n")[2]
+            assert 0 < len(body) < len(expected_bodies[QUERY_ALL_THRICE, "json"])
+        finally:
+            sock.close()
+        wait_for(
+            lambda: relay_server.metrics.worker_restarts_total == restarts + 1
+            and relay_server.pool.alive == 1,
+            "the roster to heal",
+        )
+        assert victim.proc.pid not in worker_pids(relay_server)
+        assert_serves_the_next_answer(relay_server, expected_bodies)
+
+    def test_an_injected_respond_error_drains_the_frames(self, snapshot_path, expected_bodies):
+        config = relay_config(snapshot_path, faults="server.respond:io_error@1")
+        with SparqlServer(config) as instance:
+            pids = worker_pids(instance)
+            reply = raw_exchange(instance, request_bytes(QUERY_ALL))
+            assert reply == b""  # closed before the head went out
+            wait_for(lambda: instance.pool._idle.qsize() == 1, "the worker to go back")
+            assert_serves_the_next_answer(instance, expected_bodies)
+            assert instance.metrics.worker_restarts_total == 0
+            assert worker_pids(instance) == pids
+
+    @pytest.mark.parametrize("frame", [1, 2])
+    def test_a_recv_fault_at_a_raw_frame_replaces_the_worker(
+        self, snapshot_path, expected_bodies, frame
+    ):
+        # Hit 1 receives the reply's frame sizes; hit 1 + n reads frame n.
+        config = relay_config(snapshot_path, faults=f"worker.recv:io_error@{frame + 1}")
+        with SparqlServer(config) as instance:
+            pids = worker_pids(instance)
+            reply = raw_exchange(instance, request_bytes(QUERY_ALL))
+            if frame == 1:
+                assert reply == b""  # nothing sent yet: just the close
+            else:
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 OK")
+                assert 0 < len(body) < len(expected_bodies[QUERY_ALL, "json"])
+            wait_for(
+                lambda: instance.metrics.worker_restarts_total == 1
+                and instance.pool.alive == 1,
+                "the roster to heal",
+            )
+            assert worker_pids(instance) != pids
+            assert_serves_the_next_answer(instance, expected_bodies)
 
 
 # ----------------------------------------------------------------------
