@@ -347,22 +347,33 @@ class _Handler(socketserver.BaseRequestHandler):
     def _send(self, head: bytes, body: Union[bytes, ReplyFrames]) -> None:
         """Head and body in one ``sendmsg``; the two are never joined: a
         body can be megabytes.  A relayed body leaves frame by frame as
-        each is read from the worker, its first frame with the head."""
+        each is read from the worker, its first frame with the head, and
+        must be sent by the frames' deadline: a client that reads slowly
+        holds the worker no longer than the lease's hard timeout."""
         if isinstance(body, ReplyFrames):
             frames = iter(body)
-            self._sendmsg([head, next(frames)])
-            for frame in frames:
-                self._sendmsg([frame])
-                del frame  # not held while the next one is read
+            try:
+                self._sendmsg([head, next(frames)], body.deadline)
+                for frame in frames:
+                    self._sendmsg([frame], body.deadline)
+                    del frame  # not held while the next one is read
+            finally:
+                self.request.settimeout(_SOCKET_TIMEOUT)
         else:
             self._sendmsg([head, body])
 
-    def _sendmsg(self, parts: List[bytes]) -> None:
+    def _sendmsg(self, parts: List[bytes], deadline: Optional[float] = None) -> None:
         """``parts`` in one ``sendmsg``; a partial send goes on from
-        where it stopped."""
+        where it stopped.  With a ``deadline`` (monotonic), what is not
+        sent by then raises :class:`socket.timeout`."""
         buffers = [memoryview(part) for part in parts]
         connection = self.request
         while buffers:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("relay deadline passed")
+                connection.settimeout(min(remaining, _SOCKET_TIMEOUT))
             sent = connection.sendmsg(buffers)
             while buffers and sent >= len(buffers[0]):
                 sent -= len(buffers.pop(0))
@@ -521,16 +532,29 @@ class _Handler(socketserver.BaseRequestHandler):
         trace is spliced into the JSON body); any other is relayed to
         the socket frame by frame, so the parent never holds it whole.
         """
-        state = self.state
         if tracer is not None:
             tracer.begin("pool")
-        reply = state.pool.execute(
+        reply = self.state.pool.execute(
             request.query,
             request.format,
             request_id=self.repro_request_id,
             trace=tracer is not None,
             relay=True,
         )
+        try:
+            return self._reply_outcome(request, reply, tracer, whole)
+        except BaseException:
+            # The outcome never reached the caller that closes its
+            # frames: drain them here, or the worker is never released.
+            if isinstance(reply.payload, ReplyFrames):
+                reply.payload.close()
+            raise
+
+    def _reply_outcome(
+        self, request, reply, tracer: "Optional[_obs_trace.Tracer]", whole: bool
+    ) -> _Outcome:
+        """``_execute``'s outcome for the worker's ``reply``."""
+        state = self.state
         payload = reply.payload
         if isinstance(payload, ReplyFrames) and (whole or state.cache.admits(len(payload))):
             reply = read_whole(reply)

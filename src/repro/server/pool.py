@@ -123,28 +123,40 @@ class ReplyFrames:
     pipe: the worker stays leased until the last frame is read.
 
     ``len()`` is the payload's byte count, known from the frame sizes
-    the worker sent ahead.  Iterating reads the frames in order and
-    :meth:`read` joins them.  A frame that cannot be read (the worker
-    died or stalled past the hard timeout, or the ``worker.recv`` site
-    fired) hands the worker to the respawn path and raises
-    :class:`OSError`.  :meth:`close` reads and drops the frames not yet
-    read, so the pipe is in step for the worker's next request.
+    the worker sent ahead.  :meth:`WorkerPool.execute` has already read
+    the first frame, so a worker lost before any of the answer arrived
+    fails the request rather than the response.  Iterating yields the
+    frames in order and :meth:`read` joins them.  A frame that cannot be
+    read (the worker died or stalled past the hard timeout, or the
+    ``worker.recv`` site fired) hands the worker to the respawn path
+    and raises :class:`OSError`.  :meth:`close` reads and drops the
+    frames not yet read, so the pipe is in step for the worker's next
+    request.  ``deadline`` (monotonic) is when the lease reaches the
+    hard timeout: a relay must be done by then, however slowly its
+    client reads, so a relayed lease is bounded as every other is.
     """
 
-    __slots__ = ("_sizes", "_length", "_pool", "_worker", "_read")
+    __slots__ = ("_sizes", "_length", "_pool", "_worker", "_read", "_first", "deadline")
 
-    def __init__(self, pool: "WorkerPool", worker: "_Worker", sizes: List[int]):
+    def __init__(
+        self, pool: "WorkerPool", worker: "_Worker", sizes: List[int], deadline: float
+    ):
         self._sizes = tuple(sizes)
         self._length = sum(self._sizes)
         self._pool = pool
         #: None once the worker is released (idle again, or respawning).
         self._worker: Optional[_Worker] = worker
         self._read = 0
+        self.deadline = deadline
+        self._first: Optional[bytes] = self._next()
 
     def __len__(self) -> int:
         return self._length
 
     def __iter__(self) -> Iterator[bytes]:
+        first, self._first = self._first, None
+        if first is not None:
+            yield first
         while self._worker is not None:
             yield self._next()
 
@@ -185,6 +197,10 @@ class ReplyFrames:
             pass  # the worker is already on its way to a respawn
 
 
+def _lost_reply() -> WorkerReply:
+    return WorkerReply("error", message="worker died mid-query; please retry")
+
+
 def read_whole(reply: WorkerReply) -> WorkerReply:
     """``reply`` with a multi-frame payload read into one ``bytes``; a
     worker lost mid-frames makes it an ``"error"`` reply, as a worker
@@ -193,7 +209,7 @@ def read_whole(reply: WorkerReply) -> WorkerReply:
         try:
             reply.payload = reply.payload.read()
         except OSError:
-            return WorkerReply("error", message="worker died mid-query; please retry")
+            return _lost_reply()
     return reply
 
 
@@ -415,7 +431,7 @@ def _worker_main(
 class _Worker:
     """Parent-side handle on one worker process."""
 
-    __slots__ = ("index", "proc", "conn", "generation", "published")
+    __slots__ = ("index", "proc", "conn", "generation", "published", "lagging")
 
     def __init__(self, ctx, index: int, config: ServerConfig, fault_plan=None):
         self.index = index
@@ -435,6 +451,10 @@ class _Worker:
         #: workers — a respawn mid-replay catches up from the replay
         #: log instead of stalling the broadcast.
         self.published = False
+        #: True once an update broadcast ran while this worker was
+        #: leased and could not wait for it: it is replaced when its
+        #: lease ends instead of serving the data before the update.
+        self.lagging = False
 
     def wait_ready(self, timeout: float) -> None:
         if not self.conn.poll(timeout):
@@ -513,6 +533,9 @@ class WorkerPool:
         #: ``effective_queue_size``), guarded by ``_waiting_lock``.
         self._waiting = 0
         self._waiting_lock = threading.Lock()
+        #: Orders a worker's return to the idle queue against an update
+        #: broadcast marking the workers it could not lease as lagging.
+        self._release_lock = threading.Lock()
         self._workers: List[_Worker] = []
         started: List[_Worker] = []
         try:
@@ -790,10 +813,12 @@ class WorkerPool:
         the frames of a multi-frame answer are read and joined, and a
         worker lost mid-frames makes it an ``"error"`` reply, as a worker
         lost before its reply does.  With ``relay=True`` a multi-frame
-        answer is left in the pipe as :class:`ReplyFrames` instead: the
-        worker stays leased until the caller has read its last frame, or
-        has closed it, so a caller that relays the frames never holds
-        the whole payload.
+        answer is left in the pipe as :class:`ReplyFrames` instead, its
+        first frame already read: the worker stays leased until the
+        caller has read its last frame, or has closed it, so a caller
+        that relays the frames never holds the whole payload.  The
+        caller must be done by ``ReplyFrames.deadline``, the lease's
+        hard timeout, which is what bounds every other lease too.
 
         ``request_id`` and ``trace`` ride to the worker in the request's
         extras dict: the id stitches worker-side spans under the HTTP
@@ -809,6 +834,7 @@ class WorkerPool:
         worker = self._lease()
         if worker is None:
             return WorkerReply("shed", message="server saturated; request shed")
+        leased_at = time.monotonic()
         extras: Dict[str, object] = {}
         if request_id is not None:
             extras["request_id"] = request_id
@@ -847,7 +873,7 @@ class WorkerPool:
                 message = worker.conn.recv()
             except (EOFError, OSError):
                 broken = True
-                return WorkerReply("error", message="worker died mid-query; please retry")
+                return _lost_reply()
             except MemoryError:
                 # The reply is left unread in the pipe, which no later
                 # request may read: the worker is replaced.
@@ -859,7 +885,13 @@ class WorkerPool:
                 if isinstance(payload, bytes):
                     return WorkerReply("ok", payload=payload, meta=meta)
                 relayed = True  # the frame sizes; ReplyFrames releases the worker
-                reply = WorkerReply("ok", payload=ReplyFrames(self, worker, payload), meta=meta)
+                try:
+                    frames = ReplyFrames(
+                        self, worker, payload, leased_at + self.config.hard_timeout
+                    )
+                except OSError:
+                    return _lost_reply()
+                reply = WorkerReply("ok", payload=frames, meta=meta)
                 return reply if relay else read_whole(reply)
             if tag == "crashed":
                 # The worker announced it is exiting (e.g. MemoryError):
@@ -877,11 +909,13 @@ class WorkerPool:
 
     def _release(self, worker: _Worker, broken: bool) -> None:
         """Hand a leased worker back: to the idle queue, or when its pipe
-        can no longer be trusted to the respawn path."""
-        if broken:
-            threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
-        else:
-            self._idle.put(worker)
+        can no longer be trusted, or it missed an update, to the respawn
+        path."""
+        with self._release_lock:
+            if not broken and not worker.lagging:
+                self._idle.put(worker)
+                return
+        threading.Thread(target=self._replace, args=(worker,), daemon=True).start()
 
     # ------------------------------------------------------------------
     # live writes
@@ -895,12 +929,14 @@ class WorkerPool:
         so broadcasts, replays and log reads are mutually serialized.
 
         Workers are leased from the idle queue until every published
-        live worker has been collected (in-flight queries finish first,
-        bounded by the hard timeout).  A worker that cannot be leased
-        in time, dies mid-update, or acks a different generation is
-        killed and respawned — log replay brings its replacement
-        back to the fleet generation.  Returns the number of workers
-        that confirmed the update.
+        live worker has been collected (in-flight queries and relays
+        finish first, bounded by the hard timeout of their lease).  A
+        worker that dies mid-update, or acks a different generation, is
+        killed and respawned — log replay brings its replacement back
+        to the fleet generation.  A worker still leased when the wait
+        runs out is marked lagging, so its lease holder replaces it in
+        the same way instead of putting it back in the idle queue.
+        Returns the number of workers that confirmed the update.
         """
         deadline = time.monotonic() + self.config.hard_timeout + 1.0
         with self._update_lock:
@@ -921,6 +957,21 @@ class WorkerPool:
                     leased.append(self._idle.get(timeout=min(0.25, remaining)))
                 except queue.Empty:
                     continue
+            with self._spawn_lock:
+                roster = list(self._workers)
+            with self._release_lock:
+                # Whatever came back since the last get is updated too;
+                # from here on a worker returning from a lease is checked
+                # against the marks, so none slips into the idle queue
+                # at the old generation.
+                while True:
+                    try:
+                        leased.append(self._idle.get_nowait())
+                    except queue.Empty:
+                        break
+                for worker in roster:
+                    if worker.published and worker not in leased:
+                        worker.lagging = True
             confirmed = 0
             broken: List[_Worker] = []
             for worker in leased:

@@ -1160,6 +1160,49 @@ class TestRelayedReplies:
         assert_serves_the_next_answer(relay_server, expected_bodies)
         assert relay_server.metrics.worker_restarts_total == restarts
 
+    def test_a_client_that_reads_slowly_holds_its_worker_no_longer_than_the_lease(
+        self, snapshot_path, expected_bodies
+    ):
+        """Each partial send restarts the socket timeout, so a client
+        that keeps taking a little is cut off by the lease's deadline."""
+        config = relay_config(snapshot_path, timeout=3.0, grace=0.5)
+        with SparqlServer(config) as instance:
+            sock = stalled_client(instance, QUERY_ALL_THRICE)
+            try:
+                received = []
+                started = time.monotonic()
+                while instance.pool._idle.qsize() == 0:
+                    assert time.monotonic() - started < 15, "the worker never came back"
+                    received.append(sock.recv(2048))
+                    time.sleep(0.02)
+                held = time.monotonic() - started
+                reply = b"".join(received) + read_until_closed(sock)
+            finally:
+                sock.close()
+            assert held < config.hard_timeout + 1.0
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK")
+            assert 0 < len(body) < len(expected_bodies[QUERY_ALL_THRICE, "json"])
+            assert_serves_the_next_answer(instance, expected_bodies)
+            assert instance.metrics.worker_restarts_total == 0
+
+    def test_a_fault_before_the_outcome_still_releases_the_worker(
+        self, relay_server, expected_bodies, monkeypatch
+    ):
+        from repro.server import app
+
+        def failing_entry(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        restarts = relay_server.metrics.worker_restarts_total
+        monkeypatch.setattr(app, "CachedResult", failing_entry)
+        monkeypatch.setattr(relay_server._httpd, "handle_error", lambda *args: None)
+        assert raw_exchange(relay_server, request_bytes(QUERY_ALL)) == b""
+        monkeypatch.undo()
+        wait_for(lambda: relay_server.pool._idle.qsize() == 1, "the worker to go back")
+        assert_serves_the_next_answer(relay_server, expected_bodies)
+        assert relay_server.metrics.worker_restarts_total == restarts
+
     def test_a_worker_killed_mid_frames_is_replaced(self, relay_server, expected_bodies):
         restarts = relay_server.metrics.worker_restarts_total
         sock = stalled_client(relay_server, QUERY_ALL_THRICE)
@@ -1200,10 +1243,14 @@ class TestRelayedReplies:
         config = relay_config(snapshot_path, faults=f"worker.recv:io_error@{frame + 1}")
         with SparqlServer(config) as instance:
             pids = worker_pids(instance)
-            reply = raw_exchange(instance, request_bytes(QUERY_ALL))
             if frame == 1:
-                assert reply == b""  # nothing sent yet: just the close
+                # Nothing of the answer was read: the request fails whole.
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    sparql_get(instance, QUERY_ALL)
+                assert excinfo.value.code == 500
+                assert b"worker died mid-query" in excinfo.value.read()
             else:
+                reply = raw_exchange(instance, request_bytes(QUERY_ALL))
                 head, _, body = reply.partition(b"\r\n\r\n")
                 assert head.startswith(b"HTTP/1.1 200 OK")
                 assert 0 < len(body) < len(expected_bodies[QUERY_ALL, "json"])
@@ -1214,6 +1261,52 @@ class TestRelayedReplies:
             )
             assert worker_pids(instance) != pids
             assert_serves_the_next_answer(instance, expected_bodies)
+
+    @pytest.fixture
+    def live_copy(self, snapshot_path, tmp_path):
+        """A copy of the snapshot that updates may be written against."""
+        import shutil
+
+        data = str(tmp_path / "live.snap")
+        shutil.copy(snapshot_path, data)
+        return data
+
+    def test_an_update_during_a_stalled_relay_reaches_the_next_answer(self, live_copy):
+        """The relay is cut at its lease's deadline, inside the update
+        broadcast's wait, so the broadcast collects the worker."""
+        insert = f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}"
+        with SparqlServer(relay_config(live_copy, timeout=3.0, grace=0.5)) as instance:
+            sock = stalled_client(instance, QUERY_ALL_THRICE)
+            try:
+                status, outcome = post_update(instance, insert)
+            finally:
+                sock.close()
+            assert status == 200 and outcome["workers_confirmed"] == 1
+            assert len(_live_rows(instance)) == 1
+            assert instance.metrics.worker_restarts_total == 0
+
+    def test_a_worker_leased_through_an_update_is_replaced_when_it_returns(
+        self, live_copy
+    ):
+        """A broadcast that cannot collect a leased worker marks it, and
+        giving it back respawns it through the log instead of putting
+        it back in the idle queue at the old generation."""
+        insert = f"INSERT DATA {{ <{EX}a> <{EX}linked> <{EX}b> }}"
+        with SparqlServer(relay_config(live_copy, timeout=0.5, grace=0.5)) as instance:
+            pool = instance.pool
+            held = pool._lease()
+            try:
+                status, outcome = post_update(instance, insert)
+            finally:
+                pool._release(held, broken=False)
+            assert status == 200 and outcome["workers_confirmed"] == 0
+            wait_for(
+                lambda: instance.metrics.worker_restarts_total == 1
+                and pool._idle.qsize() == 1,
+                "the lagging worker's replacement",
+            )
+            assert held.proc.pid not in worker_pids(instance)
+            assert len(_live_rows(instance)) == 1
 
 
 # ----------------------------------------------------------------------
